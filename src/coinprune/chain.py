@@ -181,6 +181,14 @@ def coinbase_tx(height: int, outputs: list[TxOutput], data: bytes) -> Transactio
 
 # --- blocks ---------------------------------------------------------------
 
+def _u32(buf: bytes, offset: int, what: str) -> int:
+    """The little-endian u32 at offset; ChainError if buf ends first."""
+    try:
+        return struct.unpack_from("<I", buf, offset)[0]
+    except struct.error:
+        raise ChainError(f"truncated {what} at offset {offset}") from None
+
+
 def merkle_root(txids: list[bytes]) -> bytes:
     """Bitcoin-style merkle root: odd levels duplicate their last entry."""
     if not txids:
@@ -211,7 +219,7 @@ class Block(NamedTuple):
     def parse(cls, buf: bytes, offset: int = 0) -> tuple["Block", int]:
         header = BlockHeader.parse(bytes(buf[offset:offset + HEADER_SIZE]))
         offset += HEADER_SIZE
-        (n_tx,) = struct.unpack_from("<I", buf, offset)
+        n_tx = _u32(buf, offset, "block transaction count")
         offset += 4
         txs = []
         for _ in range(n_tx):
@@ -379,6 +387,21 @@ def validate_and_apply_block(utxo: UtxoSet, block: Block, height: int,
         utxo.add(entry)
 
 
+def replay_blocks(utxo: UtxoSet, blocks, heights: range, prev_id: bytes,
+                  params: ChainParams) -> bytes:
+    """Validate and apply blocks[h] for each h in heights, the first on top
+    of prev_id; returns the id of the last block applied.
+
+    Each block must link to the one before it, so a caller that compares
+    the returned id with the tip it expects has checked every block.
+    """
+    for height in heights:
+        block = blocks[height]
+        validate_and_apply_block(utxo, block, height, prev_id, params)
+        prev_id = block.block_id()
+    return prev_id
+
+
 def _check_outputs(tx: Transaction, txid: bytes, height: int,
                    created: dict, coinbase: bool = False) -> int:
     total = 0
@@ -528,11 +551,11 @@ def read_block_file(path) -> list[Block]:
         data = fh.read()
     if data[:4] != BLOCK_FILE_MAGIC:
         raise ChainError("not a block file")
-    (count,) = struct.unpack_from("<I", data, 4)
+    count = _u32(data, 4, "block count")
     offset = 8
     blocks = []
     for _ in range(count):
-        (size,) = struct.unpack_from("<I", data, offset)
+        size = _u32(data, offset, "block record size")
         offset += 4
         block, end = Block.parse(data[offset:offset + size])
         if end != size:

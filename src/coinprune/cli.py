@@ -25,11 +25,12 @@ import sys
 from pathlib import Path
 
 from .chain import (ChainError, ChainParams, HeaderIndex, UtxoSet,
-                    header_record, read_block_file, validate_and_apply_block,
+                    header_record, read_block_file, replay_blocks,
                     work_from_bits, write_block_file)
 from .chaingen import light_profile, generate_chain
 from .netsim import SimError, format_scenario, parse_scenario, run_simulation
-from .security import SweepConfig, percent_grid, sweep
+from .security import (COMPROMISE_RATE, SweepConfig, SweepResult,
+                       percent_grid, sweep)
 from .snapshot import (SnapshotError, build_snapshot, chunk_hashes,
                        read_snapshot_file, verify_snapshot, wire_size,
                        write_snapshot_file)
@@ -66,6 +67,41 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [lo + i * (hi - lo) / (n - 1) for i in range(n)]
 
 
+def _svg_head(out: io.StringIO, title: str, width: int, height: int,
+              meta: str, y_ticks: list[tuple[float, float]]) -> None:
+    """Document header, title and the y grid of (tick value, y) pairs."""
+    left, right, _, _ = _MARGIN
+    out.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
+              f'width="{width}" height="{height}" '
+              f'font-family="sans-serif" font-size="12">\n')
+    if meta:
+        out.write(f"<!-- {meta} -->\n")
+    out.write(f'<rect width="{width}" height="{height}" fill="white"/>\n')
+    out.write(f'<text x="{width / 2:.2f}" y="20" text-anchor="middle" '
+              f'font-size="14">{title}</text>\n')
+    for yt, y in y_ticks:
+        out.write(f'<line x1="{left}" y1="{y:.2f}" x2="{width - right}" '
+                  f'y2="{y:.2f}" stroke="#dddddd"/>\n')
+        out.write(f'<text x="{left - 6}" y="{y + 4:.2f}" '
+                  f'text-anchor="end">{yt:g}</text>\n')
+
+
+def _svg_frame(out: io.StringIO, width: int, height: int, y_label: str,
+               x_label: str | None = None) -> None:
+    """Plot-area border and the axis labels."""
+    left, right, top, bottom = _MARGIN
+    plot_w = width - left - right
+    plot_h = height - top - bottom
+    out.write(f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
+              f'fill="none" stroke="#333333"/>\n')
+    if x_label is not None:
+        out.write(f'<text x="{left + plot_w / 2:.2f}" y="{height - 10}" '
+                  f'text-anchor="middle">{x_label}</text>\n')
+    out.write(f'<text x="16" y="{top + plot_h / 2:.2f}" text-anchor="middle" '
+              f'transform="rotate(-90 16 {top + plot_h / 2:.2f})">'
+              f'{y_label}</text>\n')
+
+
 def svg_line_chart(title: str, x_label: str, y_label: str,
                    series: list[tuple[str, list[tuple[float, float]]]],
                    width: int = 720, height: int = 440,
@@ -90,33 +126,15 @@ def svg_line_chart(title: str, x_label: str, y_label: str,
         return top + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     out = io.StringIO()
-    out.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
-              f'width="{width}" height="{height}" '
-              f'font-family="sans-serif" font-size="12">\n')
-    if meta:
-        out.write(f"<!-- {meta} -->\n")
-    out.write(f'<rect width="{width}" height="{height}" fill="white"/>\n')
-    out.write(f'<text x="{width / 2:.2f}" y="20" text-anchor="middle" '
-              f'font-size="14">{title}</text>\n')
-    for yt in _ticks(y_lo, y_hi):
-        y = py(yt)
-        out.write(f'<line x1="{left}" y1="{y:.2f}" x2="{left + plot_w}" '
-                  f'y2="{y:.2f}" stroke="#dddddd"/>\n')
-        out.write(f'<text x="{left - 6}" y="{y + 4:.2f}" '
-                  f'text-anchor="end">{yt:g}</text>\n')
+    _svg_head(out, title, width, height, meta,
+              [(yt, py(yt)) for yt in _ticks(y_lo, y_hi)])
     for xt in _ticks(x_lo, x_hi):
         x = px(xt)
         out.write(f'<line x1="{x:.2f}" y1="{top + plot_h}" x2="{x:.2f}" '
                   f'y2="{top + plot_h + 4}" stroke="#333333"/>\n')
         out.write(f'<text x="{x:.2f}" y="{top + plot_h + 18}" '
                   f'text-anchor="middle">{xt:g}</text>\n')
-    out.write(f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
-              f'fill="none" stroke="#333333"/>\n')
-    out.write(f'<text x="{left + plot_w / 2:.2f}" y="{height - 10}" '
-              f'text-anchor="middle">{x_label}</text>\n')
-    out.write(f'<text x="16" y="{top + plot_h / 2:.2f}" text-anchor="middle" '
-              f'transform="rotate(-90 16 {top + plot_h / 2:.2f})">'
-              f'{y_label}</text>\n')
+    _svg_frame(out, width, height, y_label, x_label)
     for i, (label, pts) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         if pts:
@@ -142,20 +160,9 @@ def svg_bar_chart(title: str, y_label: str,
     if y_hi <= 0:
         y_hi = 1.0
     out = io.StringIO()
-    out.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
-              f'width="{width}" height="{height}" '
-              f'font-family="sans-serif" font-size="12">\n')
-    if meta:
-        out.write(f"<!-- {meta} -->\n")
-    out.write(f'<rect width="{width}" height="{height}" fill="white"/>\n')
-    out.write(f'<text x="{width / 2:.2f}" y="20" text-anchor="middle" '
-              f'font-size="14">{title}</text>\n')
-    for yt in _ticks(0.0, y_hi):
-        y = top + plot_h - yt / y_hi * plot_h
-        out.write(f'<line x1="{left}" y1="{y:.2f}" x2="{left + plot_w}" '
-                  f'y2="{y:.2f}" stroke="#dddddd"/>\n')
-        out.write(f'<text x="{left - 6}" y="{y + 4:.2f}" '
-                  f'text-anchor="end">{yt:g}</text>\n')
+    _svg_head(out, title, width, height, meta,
+              [(yt, top + plot_h - yt / y_hi * plot_h)
+               for yt in _ticks(0.0, y_hi)])
     slot = plot_w / max(len(bars), 1)
     bar_w = slot * 0.6
     for i, (label, value) in enumerate(bars):
@@ -168,13 +175,31 @@ def svg_bar_chart(title: str, y_label: str,
         cx = left + i * slot + slot / 2
         out.write(f'<text x="{cx:.2f}" y="{top + plot_h + 16}" '
                   f'text-anchor="middle">{label}</text>\n')
-    out.write(f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
-              f'fill="none" stroke="#333333"/>\n')
-    out.write(f'<text x="16" y="{top + plot_h / 2:.2f}" text-anchor="middle" '
-              f'transform="rotate(-90 16 {top + plot_h / 2:.2f})">'
-              f'{y_label}</text>\n')
+    _svg_frame(out, width, height, y_label)
     out.write("</svg>\n")
     return out.getvalue()
+
+
+def _sweep_charts(prefix: str, result: SweepResult, meta: str) -> dict:
+    """The threshold and worst-skip charts, one line per (delta_r, k)."""
+    thresholds, skips = [], []
+    for (delta_r, k), f_cs in result.curves().items():
+        label = f"dR={delta_r} k={k}"
+        least = [(f_c, result.min_fa_compromise(f_c, delta_r, k))
+                 for f_c in f_cs]
+        thresholds.append((label, [(f_c, f_a) for f_c, f_a in least
+                                   if f_a is not None]))
+        skips.append((label, [(f_c, result.worst_skip(f_c, delta_r, k))
+                              for f_c in f_cs]))
+    return {
+        f"{prefix}_thresholds.svg": svg_line_chart(
+            f"Least adversarial fraction compromising "
+            f"{COMPROMISE_RATE:.0%} of pulses",
+            "miner support f_C", "f_A threshold", thresholds, meta=meta),
+        f"{prefix}_skip.svg": svg_line_chart(
+            "Worst-case skip probability", "miner support f_C",
+            "max p_skipped over f_A", skips, meta=meta),
+    }
 
 
 # --- chain ------------------------------------------------------------------
@@ -205,18 +230,6 @@ def _cmd_chain_gen(args) -> int:
     return OK
 
 
-def _replay(blocks, upto: int) -> UtxoSet:
-    """Validate and apply blocks 0..upto, returning the UTXO set."""
-    params = ChainParams()
-    utxo = UtxoSet()
-    prev_id = b"\x00" * 32
-    for height in range(upto + 1):
-        block = blocks[height]
-        validate_and_apply_block(utxo, block, height, prev_id, params)
-        prev_id = block.block_id()
-    return utxo
-
-
 # --- snapshot ----------------------------------------------------------------
 
 def _hashes_sidecar(snap_path: str) -> Path:
@@ -231,8 +244,10 @@ def _cmd_snapshot_create(args) -> int:
         return _fail(f"cannot read chain: {exc}")
     if not 0 <= args.height < len(blocks):
         return _fail(f"height {args.height} outside chain of {len(blocks)} blocks")
+    utxo = UtxoSet()
     try:
-        utxo = _replay(blocks, args.height)
+        replay_blocks(utxo, blocks, range(args.height + 1), b"\x00" * 32,
+                      ChainParams())
     except ChainError as exc:
         return _fail(f"chain invalid: {exc}")
     snap = build_snapshot(utxo, args.height, blocks[args.height].block_id(),
@@ -319,7 +334,7 @@ def _cmd_sim_bootstrap(args) -> int:
             report.join_outcomes),
     }
     if args.trace:
-        files[f"{prefix}_trace.txt"] = "\n".join(sim.trace.lines) + "\n"
+        files[f"{prefix}_trace.txt"] = sim.trace.to_text()
     meta = {
         "seed": scenario.seed,
         "chain_length": scenario.chain_length,
@@ -346,26 +361,6 @@ def _cmd_sim_bootstrap(args) -> int:
     return VERIFY_FAILED if failed else OK
 
 
-def _threshold_series(rows):
-    """Group sweep rows into per-(delta_r, k) threshold and skip curves."""
-    curves: dict[tuple[int, int], dict[float, list]] = {}
-    for r in rows:
-        curves.setdefault((r[2], r[3]), {}).setdefault(r[0], []).append(r)
-    thresholds, skips = [], []
-    for (delta_r, k), by_fc in sorted(curves.items()):
-        label = f"dR={delta_r} k={k}"
-        t_pts, s_pts = [], []
-        for f_c in sorted(by_fc):
-            cells = by_fc[f_c]
-            crossing = [c[1] for c in cells if c[5] >= 0.05]
-            if crossing:
-                t_pts.append((f_c, min(crossing)))
-            s_pts.append((f_c, max(c[6] for c in cells)))
-        thresholds.append((label, t_pts))
-        skips.append((label, s_pts))
-    return thresholds, skips
-
-
 def _cmd_sim_security(args) -> int:
     out_dir = _out_dir(args)
     try:
@@ -386,17 +381,10 @@ def _cmd_sim_security(args) -> int:
 
     prefix = args.prefix
     meta = f"seed={args.seed} trials={args.trials} mode={args.mode}"
-    rows = [tuple(r) for r in result.rows]
-    thresholds, skips = _threshold_series(rows)
     files = {
         f"{prefix}_sweep.csv": result.to_csv(),
         f"{prefix}_thresholds.csv": result.thresholds_csv(),
-        f"{prefix}_thresholds.svg": svg_line_chart(
-            "Least adversarial fraction compromising 5% of pulses",
-            "miner support f_C", "f_A threshold", thresholds, meta=meta),
-        f"{prefix}_skip.svg": svg_line_chart(
-            "Worst-case skip probability", "miner support f_C",
-            "max p_skipped over f_A", skips, meta=meta),
+        **_sweep_charts(prefix, result, meta),
         f"{prefix}_meta.json": json.dumps({
             "seed": args.seed, "trials": args.trials, "mode": args.mode,
             "n_miners": args.n_miners, "step": args.step,
@@ -429,24 +417,10 @@ def _cmd_report(args) -> int:
     written = []
     if args.sweep:
         try:
-            with open(args.sweep, newline="") as fh:
-                reader = csv.DictReader(fh)
-                rows = [(float(r["f_C"]), float(r["f_A"]), int(r["delta_r"]),
-                         int(r["k"]), float(r["p_correct"]),
-                         float(r["p_adversary"]), float(r["p_skipped"]))
-                        for r in reader]
+            result = SweepResult.from_csv(Path(args.sweep).read_text())
         except (OSError, KeyError, TypeError, ValueError) as exc:
             return _fail(f"cannot read sweep csv: {exc}")
-        meta = f"source={args.sweep}"
-        thresholds, skips = _threshold_series(rows)
-        charts = {
-            f"{prefix}_thresholds.svg": svg_line_chart(
-                "Least adversarial fraction compromising 5% of pulses",
-                "miner support f_C", "f_A threshold", thresholds, meta=meta),
-            f"{prefix}_skip.svg": svg_line_chart(
-                "Worst-case skip probability", "miner support f_C",
-                "max p_skipped over f_A", skips, meta=meta),
-        }
+        charts = _sweep_charts(prefix, result, f"source={args.sweep}")
         for name, text in sorted(charts.items()):
             (out_dir / name).write_text(text)
             written.append(out_dir / name)

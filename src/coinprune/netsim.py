@@ -24,8 +24,8 @@ from . import appdata as appdata_mod
 from . import coordination
 from . import scripts
 from . import snapshot as snapshot_mod
-from .chain import (Block, ChainParams, UtxoEntry, UtxoSet, header_record,
-                    validate_and_apply_block, verify_headerchain,
+from .chain import (Block, ChainError, ChainParams, UtxoEntry, UtxoSet,
+                    header_record, replay_blocks, verify_headerchain,
                     work_from_bits)
 from .chaingen import ChainBuilder, WorkloadProfile, light_profile
 from .coordination import PulseParams
@@ -40,8 +40,12 @@ FLAG_COINPRUNE = 2
 STATE_HEADER = "state_header"
 STATE_CHUNK = "state_chunk"
 APPDATA_CHUNK = "appdata_chunk"
-BLOCK = "block"
 
+# A message's wire size is MSG_OVERHEAD plus its payload: 26 bytes for
+# version, 40 for a state header, an 8-byte index plus the data for a
+# state chunk, the raw block for a block, and a 4-byte count plus the
+# entries for a list (inv and getdata of INV_ENTRY_SIZE, headers of 80,
+# a getheaders locator of 32).
 MSG_OVERHEAD = 24
 INV_ENTRY_SIZE = 36
 
@@ -50,106 +54,6 @@ KNOWN_FAULTS = ("bogus_tags", "bogus_chunks", "bogus_snapshot", "eclipse")
 
 class SimError(Exception):
     pass
-
-
-# --- messages ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Version:
-    service_flags: int
-
-    def wire_size(self) -> int:
-        return MSG_OVERHEAD + 26
-
-    label = "version"
-
-
-@dataclass(frozen=True)
-class Verack:
-    def wire_size(self) -> int:
-        return MSG_OVERHEAD
-
-    label = "verack"
-
-
-@dataclass(frozen=True)
-class GetHeaders:
-    locator: tuple
-
-    def wire_size(self) -> int:
-        return MSG_OVERHEAD + 4 + 32 * len(self.locator)
-
-    label = "getheaders"
-
-
-@dataclass(frozen=True)
-class Headers:
-    headers: tuple
-
-    def wire_size(self) -> int:
-        return MSG_OVERHEAD + 4 + 80 * len(self.headers)
-
-    label = "headers"
-
-
-@dataclass(frozen=True)
-class GetState:
-    def wire_size(self) -> int:
-        return MSG_OVERHEAD
-
-    label = "getstate"
-
-
-@dataclass(frozen=True)
-class Inv:
-    objects: tuple  # of (kind, hash)
-
-    def wire_size(self) -> int:
-        return MSG_OVERHEAD + 4 + INV_ENTRY_SIZE * len(self.objects)
-
-    label = "inv"
-
-
-@dataclass(frozen=True)
-class GetData:
-    objects: tuple
-
-    def wire_size(self) -> int:
-        return MSG_OVERHEAD + 4 + INV_ENTRY_SIZE * len(self.objects)
-
-    label = "getdata"
-
-
-@dataclass(frozen=True)
-class StateHeader:
-    header: snapshot_mod.SnapshotHeader
-
-    def wire_size(self) -> int:
-        return MSG_OVERHEAD + 40
-
-    label = "stateheader"
-
-
-@dataclass(frozen=True)
-class StateChunk:
-    index: int
-    data: bytes
-
-    def wire_size(self) -> int:
-        return MSG_OVERHEAD + 8 + len(self.data)
-
-    label = "statechunk"
-
-
-@dataclass(frozen=True)
-class BlockMsg:
-    block: Block
-    size: int
-
-    def wire_size(self) -> int:
-        return MSG_OVERHEAD + self.size
-
-    label = "block"
 
 
 # --- configuration ----------------------------------------------------------
@@ -221,6 +125,12 @@ class PulseRecord:
     bogus_tag: bytes | None = None
     outcome: coordination.PulseOutcome | None = None
 
+    def served(self, bogus: bool) -> tuple[Snapshot, Snapshot | None]:
+        """(snapshot, app-data snapshot) served for this pulse."""
+        if bogus:
+            return self.bogus_snap, self.bogus_app
+        return self.genuine_snap, self.genuine_app
+
 
 @dataclass
 class NodeState:
@@ -256,10 +166,6 @@ class Trace:
 
     def to_text(self) -> str:
         return "\n".join(self.lines) + "\n"
-
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_text())
 
 
 @dataclass
@@ -328,11 +234,11 @@ class Simulation:
             adj[b].append(a)
         return {k: sorted(v) for k, v in adj.items()}
 
-    def _send(self, src: str, dst: str, msg) -> None:
-        size = msg.wire_size()
+    def _send(self, src: str, dst: str, label: str, payload: int = 0) -> None:
+        size = MSG_OVERHEAD + payload
         self.nodes[src].tx_bytes += size
         self.nodes[dst].rx_bytes += size
-        self.trace.add(f"msg {src}>{dst} {msg.label} {size}")
+        self.trace.add(f"msg {src}>{dst} {label} {size}")
 
     # --- mining phase -------------------------------------------------------
 
@@ -348,7 +254,7 @@ class Simulation:
                 block, height, prev.cumulative_work
                 + work_from_bits(self.chain_params.bits)))
             self.appstore.add_block(block, height)
-            self._gossip(miner.name, block, height, raw_size)
+            self._gossip(miner.name, raw_size)
             self._pulse_bookkeeping(height, block)
         for joiner in self.joiners:
             outcome = self.bootstrap(joiner)
@@ -370,9 +276,8 @@ class Simulation:
             return self.rng.randbytes(self.rng.randint(1, 40))
         return b""
 
-    def _gossip(self, origin: str, block: Block, height: int, size: int) -> None:
+    def _gossip(self, origin: str, size: int) -> None:
         """First-seen flood of the new block along topology edges."""
-        msg = BlockMsg(block, size)
         seen = {origin}
         frontier = [origin]
         while frontier:
@@ -382,7 +287,7 @@ class Simulation:
                     if dst in seen:
                         continue
                     seen.add(dst)
-                    self._send(src, dst, msg)
+                    self._send(src, dst, "block", size)
                     nxt.append(dst)
             frontier = nxt
 
@@ -430,10 +335,8 @@ class Simulation:
         rec = self.pulses.get(index)
         if rec is None:
             return
-        tags = [coordination.parse_coinbase_tag(
-                    self.builder.blocks[h].transactions[0].inputs[0].unlock)
-                for h in coordination.window_range(index, self.params)]
-        rec.outcome = coordination.tally_window(tags, self.params)
+        rec.outcome = coordination.tally_window(self._window_tags(index),
+                                                self.params)
         status = "accepted" if rec.outcome.accepted else "skipped"
         tag_hex = rec.outcome.tag.hex() if rec.outcome.tag else "-"
         self.trace.add(f"window {index} closed at {tip_height} {status} "
@@ -445,6 +348,11 @@ class Simulation:
                     node = self.nodes[cfg.name]
                     node.pruned_below = max(node.pruned_below, rec.height + 1)
             self.trace.add(f"prune below {rec.height + 1}")
+
+    def _window_tags(self, index: int) -> list[bytes | None]:
+        return [coordination.parse_coinbase_tag(
+                    self.builder.blocks[h].transactions[0].inputs[0].unlock)
+                for h in coordination.window_range(index, self.params)]
 
     # --- serving side -------------------------------------------------------
 
@@ -469,8 +377,7 @@ class Simulation:
         if served is None:
             return None
         rec, bogus = served
-        snap = rec.bogus_snap if bogus else rec.genuine_snap
-        app = rec.bogus_app if bogus else rec.genuine_app
+        snap, app = rec.served(bogus)
         objects = [(STATE_HEADER, hash256(snap.header.serialize()))]
         objects += [(STATE_CHUNK, h) for h in snapshot_mod.chunk_hashes(snap)]
         if app is not None:
@@ -521,12 +428,15 @@ class Simulation:
         name = joiner.name
         attempts = attempt + 1
 
+        def abort(reason: str) -> JoinOutcome:
+            return JoinOutcome(False, reason, attempts, True)
+
         # handshake: learn service flags
         for peer in neighbors:
-            self._send(name, peer.name, Version(joiner.service_flags()))
-            self._send(peer.name, name, Version(peer.service_flags()))
-            self._send(peer.name, name, Verack())
-            self._send(name, peer.name, Verack())
+            self._send(name, peer.name, "version", 26)
+            self._send(peer.name, name, "version", 26)
+            self._send(peer.name, name, "verack")
+            self._send(name, peer.name, "verack")
         self._round(name, neighbors)
 
         snapshot_peers: list[NodeConfig] = []
@@ -535,12 +445,13 @@ class Simulation:
             for peer in neighbors:
                 if not peer.service_flags() & FLAG_COINPRUNE:
                     continue
-                self._send(name, peer.name, GetState())
+                self._send(name, peer.name, "getstate")
                 advert = self._advert(peer)
                 if advert is None:
-                    self._send(peer.name, name, Inv(()))
+                    self._send(peer.name, name, "inv", 4)
                     continue
-                self._send(peer.name, name, Inv(advert[0]))
+                self._send(peer.name, name, "inv",
+                           4 + INV_ENTRY_SIZE * len(advert[0]))
                 snapshot_peers.append(peer)
                 adverts[peer.name] = advert
             self._round(name, neighbors)
@@ -552,8 +463,7 @@ class Simulation:
         # snapshot height, then the lexicographically smaller id
         groups: dict[tuple, list[NodeConfig]] = {}
         for peer in snapshot_peers:
-            if peer.name in adverts:
-                groups.setdefault(adverts[peer.name][0], []).append(peer)
+            groups.setdefault(adverts[peer.name][0], []).append(peer)
 
         def advert_id(objects: tuple) -> bytes:
             digest = objects[0][1]
@@ -569,62 +479,53 @@ class Simulation:
         objects, group = sorted(groups.items(), key=group_key)[0]
         group = sorted(group, key=lambda c: c.name)
         rec, bogus = adverts[group[0].name][1], adverts[group[0].name][2]
-        served_snap = rec.bogus_snap if bogus else rec.genuine_snap
-        served_app = rec.bogus_app if bogus else rec.genuine_app
+        served_snap, served_app = rec.served(bogus)
 
-        # header sync from the first peer of the chosen group
         head_peer = group[0]
-        self._send(name, head_peer.name, GetHeaders(()))
-        headers = [b.header for b in self.builder.blocks]
-        self._send(head_peer.name, name, Headers(tuple(headers)))
-        self._round(name, [head_peer])
-        verify_headerchain(headers, self.chain_params)
-        tip_height = len(headers) - 1
+        tip_height = self._sync_headers(name, head_peer)
 
         # snapshot header objects: snapshot first, then app data
         header_objs = [(k, h) for k, h in objects if k == STATE_HEADER]
         chunk_hashes = [h for k, h in objects if k == STATE_CHUNK]
         app_chunk_hashes = [h for k, h in objects if k == APPDATA_CHUNK]
-        self._send(name, head_peer.name, GetData(tuple(header_objs)))
-        self._send(head_peer.name, name, StateHeader(served_snap.header))
+        self._send(name, head_peer.name, "getdata",
+                   4 + INV_ENTRY_SIZE * len(header_objs))
+        self._send(head_peer.name, name, "stateheader", 40)
         app_header = None
         if len(header_objs) > 1 and served_app is not None:
-            self._send(head_peer.name, name, StateHeader(served_app.header))
+            self._send(head_peer.name, name, "stateheader", 40)
             app_header = served_app.header
         self._round(name, [head_peer])
 
         snap_header = served_snap.header
         height = snap_header.height
         if height % self.params.delta_p != 0 or height == 0:
-            return JoinOutcome(False, "snapshot height is not a pulse", attempts, True)
+            return abort("snapshot height is not a pulse")
         index = height // self.params.delta_p
         if height > tip_height or self.records[height].block_id != snap_header.block_id:
-            return JoinOutcome(False, "snapshot header contradicts headerchain",
-                               attempts, True)
+            return abort("snapshot header contradicts headerchain")
         window = coordination.window_range(index, self.params)
         if tip_height < window[-1]:
-            return JoinOutcome(False, "reaffirmation window still open", attempts, True)
+            return abort("reaffirmation window still open")
 
         # chunk download: round-robin waves, hash-checked, re-requested
         chunks = self._fetch_chunks(name, group, served_snap, chunk_hashes,
                                     STATE_CHUNK)
         if chunks is None:
-            return JoinOutcome(False, "chunk retry budget exhausted", attempts, True)
+            return abort("chunk retry budget exhausted")
         snap = Snapshot(snap_header, tuple(chunks),
                         snapshot_mod.layered_id(snap_header, chunks))
         expected_id = advert_id(objects)
         check = snapshot_mod.verify_snapshot(snap, expected_id, chunk_hashes)
         if not check.ok:
-            return JoinOutcome(False, f"snapshot verification: {check.reason}",
-                               attempts, True)
+            return abort(f"snapshot verification: {check.reason}")
 
         app_snap = None
         if app_header is not None:
             app_chunks = self._fetch_chunks(name, group, served_app,
                                             app_chunk_hashes, APPDATA_CHUNK)
             if app_chunks is None:
-                return JoinOutcome(False, "appdata chunk retry budget exhausted",
-                                   attempts, True)
+                return abort("appdata chunk retry budget exhausted")
             app_snap = Snapshot(app_header, tuple(app_chunks),
                                 snapshot_mod.layered_id(app_header, app_chunks))
 
@@ -634,62 +535,27 @@ class Simulation:
         try:
             utxo = snapshot_mod.apply_snapshot(snap)
         except snapshot_mod.SnapshotError as exc:
-            return JoinOutcome(False, f"snapshot apply failed: {exc}",
-                               attempts, True)
+            return abort(f"snapshot apply failed: {exc}")
 
-        # chaintail download and full replay
-        tags: list[bytes | None] = []
-        window_set = set(window)
-        batch = self.scenario.block_batch
-        pending = list(range(height + 1, tip_height + 1))
-        pos = 0
-        while pos < len(pending):
-            wave_peers = []
-            for peer in group:
-                take = pending[pos:pos + batch]
-                if not take:
-                    break
-                pos += len(take)
-                objs = tuple((BLOCK, self.records[h].block_id) for h in take)
-                self._send(name, peer.name, GetData(objs))
-                for h in take:
-                    block = self.builder.blocks[h]
-                    self._send(peer.name, name,
-                               BlockMsg(block, self.block_bytes[h]))
-                wave_peers.append(peer)
-            self._round(name, wave_peers)
-        replay_utxo = utxo
+        chaintail = range(height + 1, tip_height + 1)
+        self._download_blocks(name, group, chaintail)
         try:
-            for h in range(height + 1, tip_height + 1):
-                block = self.builder.blocks[h]
-                if block.block_id() != self.records[h].block_id:
-                    raise SimError(f"block {h} does not match headerchain")
-                validate_and_apply_block(replay_utxo, block, h,
-                                         self.records[h - 1].block_id,
-                                         self.chain_params)
-                if h in window_set:
-                    tags.append(coordination.parse_coinbase_tag(
-                        block.transactions[0].inputs[0].unlock))
-        except Exception as exc:
-            return JoinOutcome(False, f"chaintail replay failed: {exc}",
-                               attempts, True)
+            self._replay(utxo, chaintail)
+        except (ChainError, SimError) as exc:
+            return abort(f"chaintail replay failed: {exc}")
 
-        outcome = coordination.tally_window(tags, self.params)
+        outcome = coordination.tally_window(self._window_tags(index), self.params)
         if not outcome.accepted:
-            return JoinOutcome(False, "pulse window skipped on-chain", attempts, True)
+            return abort("pulse window skipped on-chain")
         if outcome.tag != expected_tag:
-            return JoinOutcome(False, "snapshot was not the reaffirmed tag",
-                               attempts, True)
+            return abort("snapshot was not the reaffirmed tag")
 
         store = appdata_mod.parse_store(app_snap) if app_snap is not None \
             else appdata_mod.AppDataStore()
-        for h in range(height + 1, tip_height + 1):
-            store.add_block(self.builder.blocks[h], h)
-        self.join_utxo[joiner.name] = replay_utxo
-        self.join_stores[joiner.name] = store
+        self._keep_join(name, utxo, store, chaintail)
         return JoinOutcome(True, "", attempts, True, snap.id,
                            None if app_snap is None else app_snap.id,
-                           outcome.tag, index, replay_utxo, len(store))
+                           outcome.tag, index, utxo, len(store))
 
     def _fetch_chunks(self, name: str, group: list[NodeConfig],
                       served: Snapshot, advertised: list[bytes],
@@ -704,19 +570,14 @@ class Simulation:
         peer_idx = self.rng.randrange(len(group))
         while pending:
             wave: list[tuple[int, NodeConfig]] = []
-            used: list[NodeConfig] = []
             for chunk_index in pending[:len(group)]:
-                peer = group[peer_idx % len(group)]
+                wave.append((chunk_index, group[peer_idx % len(group)]))
                 peer_idx += 1
-                wave.append((chunk_index, peer))
-                used.append(peer)
-            retry: list[int] = []
             done: set[int] = set()
             for chunk_index, peer in wave:
-                self._send(name, peer.name,
-                           GetData(((kind, advertised[chunk_index]),)))
+                self._send(name, peer.name, "getdata", 4 + INV_ENTRY_SIZE)
                 data = self._serve_chunk(peer, served, chunk_index)
-                self._send(peer.name, name, StateChunk(chunk_index, data))
+                self._send(peer.name, name, "statechunk", 8 + len(data))
                 attempts[chunk_index] += 1
                 if hash256(data) == advertised[chunk_index]:
                     chunks[chunk_index] = data
@@ -726,8 +587,7 @@ class Simulation:
                                    f"{peer.name}")
                     if attempts[chunk_index] >= self.scenario.chunk_retry:
                         return None
-                    retry.append(chunk_index)
-            self._round(name, used)
+            self._round(name, [peer for _, peer in wave])
             pending = [i for i in pending if i not in done]
         return [c for c in chunks if c is not None]
 
@@ -741,49 +601,65 @@ class Simulation:
         if not unpruned:
             return JoinOutcome(False, "no neighbor serves historic blocks",
                                attempts, False)
-        head_peer = unpruned[0]
-        self._send(name, head_peer.name, GetHeaders(()))
-        headers = [b.header for b in self.builder.blocks]
-        self._send(head_peer.name, name, Headers(tuple(headers)))
-        self._round(name, [head_peer])
-        verify_headerchain(headers, self.chain_params)
-        tip_height = len(headers) - 1
-
+        tip_height = self._sync_headers(name, unpruned[0])
+        chain = range(0, tip_height + 1)
+        self._download_blocks(name, unpruned, chain)
         utxo = UtxoSet()
+        try:
+            self._replay(utxo, chain)
+        except (ChainError, SimError) as exc:
+            return JoinOutcome(False, f"full replay failed: {exc}",
+                               attempts, False)
+        store = appdata_mod.AppDataStore()
+        self._keep_join(name, utxo, store, chain)
+        return JoinOutcome(True, "", attempts, False, utxo=utxo,
+                           appdata_entries=len(store))
+
+    def _sync_headers(self, name: str, peer: NodeConfig) -> int:
+        """Fetch and verify the headerchain from one peer; its tip height."""
+        self._send(name, peer.name, "getheaders", 4)
+        headers = [b.header for b in self.builder.blocks]
+        self._send(peer.name, name, "headers", 4 + 80 * len(headers))
+        self._round(name, [peer])
+        verify_headerchain(headers, self.chain_params)
+        return len(headers) - 1
+
+    def _download_blocks(self, name: str, peers: list[NodeConfig],
+                         heights: range) -> None:
+        """Batches of block_batch heights, one batch per peer per round."""
         batch = self.scenario.block_batch
-        pending = list(range(0, tip_height + 1))
         pos = 0
-        while pos < len(pending):
+        while pos < len(heights):
             wave_peers = []
-            for peer in unpruned:
-                take = pending[pos:pos + batch]
+            for peer in peers:
+                take = heights[pos:pos + batch]
                 if not take:
                     break
                 pos += len(take)
-                objs = tuple((BLOCK, self.records[h].block_id) for h in take)
-                self._send(name, peer.name, GetData(objs))
+                self._send(name, peer.name, "getdata",
+                           4 + INV_ENTRY_SIZE * len(take))
                 for h in take:
-                    self._send(peer.name, name,
-                               BlockMsg(self.builder.blocks[h],
-                                        self.block_bytes[h]))
+                    self._send(peer.name, name, "block", self.block_bytes[h])
                 wave_peers.append(peer)
             self._round(name, wave_peers)
-        store = appdata_mod.AppDataStore()
-        try:
-            prev_id = b"\x00" * 32
-            for h in range(0, tip_height + 1):
-                block = self.builder.blocks[h]
-                validate_and_apply_block(utxo, block, h, prev_id,
-                                         self.chain_params)
-                store.add_block(block, h)
-                prev_id = self.records[h].block_id
-        except Exception as exc:
-            return JoinOutcome(False, f"full replay failed: {exc}",
-                               attempts, False)
-        self.join_utxo[joiner.name] = utxo
-        self.join_stores[joiner.name] = store
-        return JoinOutcome(True, "", attempts, False, utxo=utxo,
-                           appdata_entries=len(store))
+
+    def _replay(self, utxo: UtxoSet, heights: range) -> None:
+        """Validate and apply the downloaded blocks; they must end at the
+        headerchain's block at the last height."""
+        start = heights[0]
+        prev_id = self.records[start - 1].block_id if start else b"\x00" * 32
+        tip_id = replay_blocks(utxo, self.builder.blocks, heights, prev_id,
+                               self.chain_params)
+        if tip_id != self.records[heights[-1]].block_id:
+            raise SimError(f"block {heights[-1]} does not match headerchain")
+
+    def _keep_join(self, name: str, utxo: UtxoSet,
+                   store: appdata_mod.AppDataStore, heights: range) -> None:
+        """Record a join's state, its app data extended over the replay."""
+        for h in heights:
+            store.add_block(self.builder.blocks[h], h)
+        self.join_utxo[name] = utxo
+        self.join_stores[name] = store
 
     # --- reporting --------------------------------------------------------
 
@@ -811,8 +687,7 @@ class Simulation:
             served = self._served_record(cfg)
             if served is not None:
                 rec, bogus = served
-                snap = rec.bogus_snap if bogus else rec.genuine_snap
-                app = rec.bogus_app if bogus else rec.genuine_app
+                snap, app = rec.served(bogus)
                 snap_bytes = snapshot_mod.wire_size(snap)
                 app_bytes = 0 if app is None else snapshot_mod.wire_size(app)
         return header_bytes, block_total, snap_bytes, app_bytes

@@ -22,7 +22,9 @@ sweep can be evaluated with any number of workers and still produce
 byte-identical CSVs.
 """
 
+import csv
 import enum
+import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -37,6 +39,10 @@ from .hashing import hash256
 # one tag and the two differ.
 HONEST_TAG = hash256(b"honest reaffirmation")
 BOGUS_TAG = hash256(b"coordinated bogus reaffirmation")
+
+# a cell compromises pulses once the bogus tag wins at least this share
+# of its trials; the threshold curves report the least such f_A
+COMPROMISE_RATE = 0.05
 
 
 class TrialOutcome(enum.Enum):
@@ -215,12 +221,17 @@ class SweepResult:
             raise KeyError(f"no sweep rows for f_C={f_c}, "
                            f"delta_r={delta_r}, k={k}") from None
 
+    def curves(self) -> dict[tuple[int, int], list[float]]:
+        """The f_C values swept for each (delta_r, k), both ascending."""
+        curves: dict[tuple[int, int], list[float]] = {}
+        for delta_r, k, f_c in sorted(self._curves):
+            curves.setdefault((delta_r, k), []).append(f_c)
+        return curves
+
     def min_fa_compromise(self, f_c: float, delta_r: int, k: int) -> float | None:
-        """Least f_A on the grid with p_adversary >= 0.05, if any."""
-        for row in self._curve(f_c, delta_r, k):
-            if row.p_adversary >= 0.05:
-                return row.f_a
-        return None
+        """Least f_A with p_adversary >= COMPROMISE_RATE, if any."""
+        return min((row.f_a for row in self._curve(f_c, delta_r, k)
+                    if row.p_adversary >= COMPROMISE_RATE), default=None)
 
     def worst_skip(self, f_c: float, delta_r: int, k: int) -> float:
         """Worst skip probability over all f_A at this support level."""
@@ -232,6 +243,21 @@ class SweepResult:
             lines.append(f"{r.f_c},{r.f_a},{r.delta_r},{r.k},"
                          f"{r.p_correct},{r.p_adversary},{r.p_skipped}")
         return "\n".join(lines) + "\n"
+
+    @classmethod
+    def from_csv(cls, text: str) -> "SweepResult":
+        """Rows as to_csv writes them, under the grid they cover."""
+        rows = tuple(
+            CellResult(float(r["f_C"]), float(r["f_A"]), int(r["delta_r"]),
+                       int(r["k"]), float(r["p_correct"]),
+                       float(r["p_adversary"]), float(r["p_skipped"]))
+            for r in csv.DictReader(io.StringIO(text)))
+        config = SweepConfig(
+            f_c_values=tuple(sorted({r.f_c for r in rows})),
+            f_a_values=tuple(sorted({r.f_a for r in rows})),
+            delta_r_values=tuple(sorted({r.delta_r for r in rows})),
+            k_values=tuple(sorted({r.k for r in rows})))
+        return cls(config, rows)
 
     def thresholds_csv(self) -> str:
         lines = ["f_C,delta_r,k,min_fA_compromise,worst_skip"]

@@ -10,7 +10,8 @@ from coinprune.chain import (BlockValidationError, ChainError, ChainParams,
                              TxInput, TxOutput, UtxoSet, best_tip, check_pow,
                              coinbase_tx, genesis_block, header_record,
                              make_block, merkle_root, read_block_file,
-                             target_from_bits, validate_and_apply_block,
+                             replay_blocks, target_from_bits,
+                             validate_and_apply_block,
                              verify_headerchain, work_from_bits,
                              write_block_file)
 from coinprune.chaingen import generate_chain, light_profile
@@ -220,10 +221,8 @@ def test_failed_block_leaves_utxo_untouched():
 def test_replay_matches_set_difference_oracle():
     blocks = generate_chain(light_profile(seed=9), 50)
     utxo = UtxoSet()
-    prev = b"\x00" * 32
-    for height, block in enumerate(blocks):
-        validate_and_apply_block(utxo, block, height, prev, PARAMS)
-        prev = block.block_id()
+    tip = replay_blocks(utxo, blocks, range(len(blocks)), b"\x00" * 32, PARAMS)
+    assert tip == blocks[-1].block_id()
 
     created = {}
     spent = set()
@@ -294,3 +293,17 @@ def test_block_file_roundtrip(tmp_path, light_chain):
         [b.serialize() for b in light_chain[:30]]
     with pytest.raises(ChainError):
         read_block_file(__file__)
+
+
+GENESIS_RAW = genesis_block(PARAMS).serialize()
+
+
+@given(st.one_of(
+    st.binary(max_size=300),
+    st.integers(0, len(GENESIS_RAW)).map(lambda n: GENESIS_RAW[:n]),
+    st.binary(max_size=200).map(lambda tail: GENESIS_RAW[:84] + tail)))
+def test_block_parse_fails_closed(data):
+    try:
+        Block.parse(data)
+    except ChainError:
+        pass

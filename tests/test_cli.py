@@ -109,6 +109,21 @@ def test_missing_input_files(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("raw", [
+    b"CPB1\x01\x00\x00",  # ends inside the block count
+    b"CPB1" + (1).to_bytes(4, "little") + (82).to_bytes(4, "little")
+    + b"\x00" * 82,  # one record: a header, then half a transaction count
+], ids=["7-byte", "82-byte-record"])
+def test_snapshot_create_rejects_truncated_chain(tmp_path, capsys, raw):
+    chain = tmp_path / "short.blk"
+    chain.write_bytes(raw)
+    code = main(["snapshot", "create", "--chain", str(chain), "--height", "0",
+                 "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: cannot read chain") and "Traceback" not in err
+
+
 def test_sim_bootstrap_run(tmp_path, capsys):
     scn = tmp_path / "plain.scn"
     scn.write_text(SCENARIO)
@@ -186,6 +201,26 @@ def test_report_from_csvs(tmp_path, capsys):
     for name in ("rep_thresholds.svg", "rep_skip.svg", "rep_storage.svg"):
         assert (tmp_path / name).read_text().startswith("<svg")
     capsys.readouterr()
+
+
+def test_report_ignores_sweep_row_order(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["sim", "security", "--delta-r", "100", "--k", "5", "10",
+                 "--trials", "100", "--step", "10", "--prefix", "s",
+                 "--out-dir", "fwd"]) == 0
+    header, *rows = (tmp_path / "fwd" / "s_sweep.csv").read_text().splitlines()
+    (tmp_path / "rev").mkdir()
+    (tmp_path / "rev" / "s_sweep.csv").write_text(
+        "\n".join([header] + rows[::-1]) + "\n")
+    for side in ("fwd", "rev"):
+        assert main(["report", "--sweep", f"{side}/s_sweep.csv",
+                     "--prefix", side, "--out-dir", "charts"]) == 0
+    capsys.readouterr()
+    for chart in ("thresholds", "skip"):
+        fwd = (tmp_path / "charts" / f"fwd_{chart}.svg").read_text()
+        rev = (tmp_path / "charts" / f"rev_{chart}.svg").read_text()
+        assert "<polyline" in fwd
+        assert rev == fwd.replace("source=fwd/", "source=rev/")
 
 
 def test_report_without_inputs_is_usage_error(tmp_path, capsys):

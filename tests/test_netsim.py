@@ -11,11 +11,13 @@ import struct
 
 import pytest
 
+from coinprune import scripts
+from coinprune.chain import ChainParams, TxOutput, coinbase_tx, make_block
 from coinprune.coordination import PulseParams
 from coinprune.hashing import hash256
 from coinprune.appdata import combined_tag
-from coinprune.netsim import (NodeConfig, SimError, SimScenario, format_scenario,
-                              parse_scenario, run_simulation)
+from coinprune.netsim import (NodeConfig, SimError, SimScenario, Simulation,
+                              format_scenario, parse_scenario, run_simulation)
 from coinprune.snapshot import serialize_utxo_set
 
 PARAMS = PulseParams(delta_p=200, delta_r=50, delta_d=6, k=5)
@@ -240,6 +242,48 @@ def test_legacy_joiner_needs_an_unpruned_peer():
     assert outcome.attempts == scenario.max_bootstrap_attempts
     assert ("jleg", "aborted", outcome.reason, outcome.attempts,
             sim.nodes["jleg"].rx_bytes) in report.join_outcomes
+
+
+@pytest.mark.parametrize("joiner", ["jcp", "jleg"])
+def test_programming_error_in_join_replay_propagates(monkeypatch, joiner):
+    # a TypeError inside block validation is a bug, never a safe abort
+    nodes = [cfg for cfg in _scenario().nodes
+             if cfg.role != "joining" or cfg.name == joiner]
+    joining = []
+    real_bootstrap = Simulation.bootstrap
+    real_validate_spend = scripts.validate_spend
+
+    def bootstrap(self, cfg):
+        joining.append(cfg.name)
+        return real_bootstrap(self, cfg)
+
+    def validate_spend(*args):
+        if joining:
+            raise TypeError("programming error")
+        return real_validate_spend(*args)
+
+    monkeypatch.setattr(Simulation, "bootstrap", bootstrap)
+    monkeypatch.setattr(scripts, "validate_spend", validate_spend)
+    with pytest.raises(TypeError, match="programming error"):
+        run_simulation(_scenario(nodes=tuple(nodes)))
+
+
+@pytest.mark.parametrize("joiner", ["jcp", "jleg"])
+def test_join_rejects_a_foreign_tip_block(joiner):
+    # swap the tip for a valid block that the recorded headerchain does not name
+    sim, _ = run_simulation(_scenario())
+    params = ChainParams()
+    blocks = sim.builder.blocks
+    tip = len(blocks) - 1
+    coinbase = coinbase_tx(tip, [TxOutput(params.subsidy,
+                                          scripts.p2pkh_script(b"\x00" * 20))],
+                           b"foreign")
+    blocks[tip] = make_block(blocks[tip - 1].block_id(), [coinbase],
+                             blocks[tip].header.timestamp, params.bits)
+    cfg = next(c for c in sim.joiners if c.name == joiner)
+    outcome = sim.bootstrap(cfg)
+    assert not outcome.accepted
+    assert outcome.reason.endswith(f"block {tip} does not match headerchain")
 
 
 def test_obfuscated_snapshot_bootstrap_equivalence():
