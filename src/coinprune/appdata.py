@@ -75,8 +75,7 @@ class AppDataStore:
     def add_block(self, block: Block, height: int) -> list[AppDataEntry]:
         added = extract_op_return(block)
         for entry in added:
-            self._entries.append((height, entry))
-            self._by_txid.setdefault(entry.txid, []).append(entry)
+            self.add_entry(height, entry)
         return added
 
     def add_entry(self, height: int, entry: AppDataEntry) -> None:
@@ -88,15 +87,6 @@ class AppDataStore:
 
     def entries(self) -> list[AppDataEntry]:
         return [e for _, e in self._entries]
-
-    def truncate_above(self, height: int) -> None:
-        """Drop entries from blocks above height (reorged-away branches)."""
-        keep = [(h, e) for h, e in self._entries if h <= height]
-        if len(keep) != len(self._entries):
-            self._entries = keep
-            self._by_txid = {}
-            for _, entry in keep:
-                self._by_txid.setdefault(entry.txid, []).append(entry)
 
     def snapshot_at(self, height: int, block_id: bytes) -> Snapshot:
         """Chunked store of all entries up to height, identified like a snapshot."""
@@ -122,3 +112,9 @@ def combined_tag(snapshot_id: bytes, appdata_id: bytes) -> bytes:
     if len(snapshot_id) != 32 or len(appdata_id) != 32:
         raise ValueError("tag inputs must be 32-byte ids")
     return hash256(snapshot_id + appdata_id)
+
+
+def pulse_tag(snap: Snapshot, app: Snapshot | None) -> bytes:
+    """The tag miners reaffirm for a pulse: the snapshot id alone, or
+    its combined tag with the app-data snapshot when app data is kept."""
+    return snap.id if app is None else combined_tag(snap.id, app.id)

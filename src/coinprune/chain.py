@@ -83,9 +83,9 @@ class BlockHeader(NamedTuple):
         return hash256(self.serialize())
 
 
-def check_pow(header: BlockHeader) -> bool:
-    return int.from_bytes(header.block_id(), "little") \
-        <= target_from_bits(header.bits)
+def check_pow(block_id: bytes, bits: int) -> bool:
+    """Whether a header with this id meets the target its bits encode."""
+    return int.from_bytes(block_id, "little") <= target_from_bits(bits)
 
 
 def mine_header(version: int, prev_hash: bytes, merkle_root: bytes,
@@ -300,9 +300,6 @@ class UtxoSet:
     def entries(self) -> Iterator[UtxoEntry]:
         return iter(self._entries.values())
 
-    def total_amount(self) -> int:
-        return sum(e.amount for e in self._entries.values())
-
     def copy(self) -> "UtxoSet":
         dup = UtxoSet()
         dup._entries = dict(self._entries)
@@ -310,8 +307,9 @@ class UtxoSet:
 
 
 def validate_and_apply_block(utxo: UtxoSet, block: Block, height: int,
-                             prev_id: bytes, params: ChainParams) -> None:
-    """Run full consensus checks and apply the block to the UTXO set.
+                             prev_id: bytes, params: ChainParams) -> bytes:
+    """Run full consensus checks and apply the block to the UTXO set;
+    returns the block's id.
 
     All checks complete before any mutation, so a raised
     BlockValidationError leaves the set untouched.
@@ -321,7 +319,8 @@ def validate_and_apply_block(utxo: UtxoSet, block: Block, height: int,
         raise BlockValidationError(f"height {height}: prev hash mismatch")
     if header.bits != params.bits:
         raise BlockValidationError(f"height {height}: wrong difficulty bits")
-    if not check_pow(header):
+    block_id = header.block_id()
+    if not check_pow(block_id, header.bits):
         raise BlockValidationError(f"height {height}: insufficient proof of work")
     if not block.transactions:
         raise BlockValidationError(f"height {height}: empty block")
@@ -385,6 +384,7 @@ def validate_and_apply_block(utxo: UtxoSet, block: Block, height: int,
             utxo.remove(outpoint)
     for entry in created.values():
         utxo.add(entry)
+    return block_id
 
 
 def replay_blocks(utxo: UtxoSet, blocks, heights: range, prev_id: bytes,
@@ -396,9 +396,8 @@ def replay_blocks(utxo: UtxoSet, blocks, heights: range, prev_id: bytes,
     the returned id with the tip it expects has checked every block.
     """
     for height in heights:
-        block = blocks[height]
-        validate_and_apply_block(utxo, block, height, prev_id, params)
-        prev_id = block.block_id()
+        prev_id = validate_and_apply_block(utxo, blocks[height], height,
+                                           prev_id, params)
     return prev_id
 
 
@@ -508,10 +507,10 @@ def verify_headerchain(headers: list[BlockHeader],
             raise ChainError(f"position {i}: broken prev-hash link")
         if header.bits != params.bits:
             raise ChainError(f"position {i}: wrong difficulty bits")
-        if not check_pow(header):
+        prev_id = header.block_id()
+        if not check_pow(prev_id, header.bits):
             raise ChainError(f"position {i}: insufficient proof of work")
         work += work_from_bits(header.bits)
-        prev_id = header.block_id()
     return prev_id, work
 
 

@@ -309,10 +309,10 @@ def _cmd_sim_bootstrap(args) -> int:
     out_dir = _out_dir(args)
     try:
         scenario = parse_scenario(Path(args.scenario).read_text())
-    except (OSError, SimError) as exc:
+        if args.seed is not None:
+            scenario = dataclasses.replace(scenario, seed=args.seed)
+    except (OSError, UnicodeDecodeError, SimError) as exc:
         return _fail(f"cannot load scenario: {exc}")
-    if args.seed is not None:
-        scenario = dataclasses.replace(scenario, seed=args.seed)
     sim, report = run_simulation(scenario)
 
     def as_csv(header, rows):

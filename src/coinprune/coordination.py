@@ -14,17 +14,13 @@ a tie at the top, skips the pulse. Skipping is safe: nodes simply keep
 serving the previous accepted snapshot.
 """
 
-import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 TAG_PREFIX = b"CoinPrune/"
 TAG_SUFFIX = b"/"
 TAG_SIZE = 32
 FRAME_SIZE = len(TAG_PREFIX) + TAG_SIZE + len(TAG_SUFFIX)  # 43
-
-# dynamic parameter presets keyed by observed miner support
-LOW_SUPPORT_CUTOFF = 0.10
 
 
 class CoordinationError(Exception):
@@ -43,8 +39,8 @@ class PulseParams:
             raise CoordinationError("pulse intervals must be positive")
         if self.k < 1:
             raise CoordinationError("acceptance threshold must be at least 1")
-        # delta_d + delta_r may exceed delta_p (the low-support preset
-        # does); windows stay disjoint as long as delta_r <= delta_p
+        # delta_d + delta_r may exceed delta_p; windows stay disjoint
+        # as long as delta_r <= delta_p
 
 
 def pulse_height(index: int, params: PulseParams) -> int:
@@ -130,25 +126,3 @@ def tally_window(tags: list[bytes | None], params: PulseParams) -> PulseOutcome:
     if len(leaders) != 1:
         return PulseOutcome.skip()
     return PulseOutcome.accept(leaders[0], best)
-
-
-def estimate_support(tags: list[bytes | None]) -> float:
-    """Fraction of window blocks carrying any reaffirmation frame."""
-    if not tags:
-        raise CoordinationError("cannot estimate support from an empty window")
-    return sum(1 for t in tags if t is not None) / len(tags)
-
-
-def dynamic_params(observed_support: float, params: PulseParams) -> PulseParams:
-    """Parameter schedule by miner support.
-
-    Below 10% support, short frequent windows (delta_p = delta_r = 100)
-    keep reaffirmation chances high; from 10% up, long windows every
-    10000 blocks (delta_r = 1000) amortize the coordination cost.
-    k and delta_d carry over unchanged.
-    """
-    if not 0.0 <= observed_support <= 1.0:
-        raise CoordinationError("support must be a fraction in [0, 1]")
-    if observed_support < LOW_SUPPORT_CUTOFF:
-        return replace(params, delta_p=100, delta_r=100)
-    return replace(params, delta_p=10000, delta_r=1000)

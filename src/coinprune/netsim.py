@@ -28,7 +28,7 @@ from .chain import (Block, ChainError, ChainParams, UtxoEntry, UtxoSet,
                     header_record, replay_blocks, verify_headerchain,
                     work_from_bits)
 from .chaingen import ChainBuilder, WorkloadProfile, light_profile
-from .coordination import PulseParams
+from .coordination import CoordinationError, PulseParams
 from .scripts import CompressedTxOut
 from .snapshot import Snapshot
 
@@ -50,6 +50,10 @@ MSG_OVERHEAD = 24
 INV_ENTRY_SIZE = 36
 
 KNOWN_FAULTS = ("bogus_tags", "bogus_chunks", "bogus_snapshot", "eclipse")
+
+MAX_BOOTSTRAP_ATTEMPTS = 3  # neighbor samples a joiner tries before giving up
+CHUNK_RETRY = 2  # deliveries of one chunk before an attempt aborts
+BLOCK_BATCH = 16  # blocks requested from one peer per round
 
 
 class SimError(Exception):
@@ -91,9 +95,6 @@ class SimScenario:
     prune: bool = True
     faults: tuple = ()
     neighbor_count: int = 8
-    max_bootstrap_attempts: int = 3
-    chunk_retry: int = 2
-    block_batch: int = 16
 
     def __post_init__(self) -> None:
         for fault in self.faults:
@@ -104,6 +105,10 @@ class SimScenario:
             raise SimError("duplicate node names")
         if not any(n.role == "miner" for n in self.nodes):
             raise SimError("scenario needs at least one miner")
+        if self.neighbor_count < 0:
+            raise SimError("neighbor count must not be negative")
+        if not -2**63 <= self.seed < 2**63:
+            raise SimError("seed must fit in 64 bits")
 
 
 def _sub_seed(seed: int, label: str) -> int:
@@ -151,8 +156,6 @@ class JoinOutcome:
     appdata_id: bytes | None = None
     accepted_tag: bytes | None = None
     pulse_index: int | None = None
-    utxo: UtxoSet | None = None
-    appdata_entries: int = 0
 
 
 class Trace:
@@ -170,8 +173,6 @@ class Trace:
 
 @dataclass
 class RunReport:
-    scenario_seed: int
-    chain_length: int
     rows: list  # (node, bytes_stored, bytes_rx, bytes_tx, sync_rounds)
     breakdown: list  # (node, headers, blocks, snapshot, appdata)
     pulse_outcomes: list  # (index, height, status, tag_hex, count)
@@ -299,20 +300,19 @@ class Simulation:
             rec = self.pulses[index]
             self.trace.add(f"pulse {index} height {height} "
                            f"tag {rec.genuine_tag.hex()}")
-        index = (height - params.delta_d - params.delta_r)
-        if index >= params.delta_p and index % params.delta_p == 0:
-            self._close_window(index // params.delta_p, height)
+        index = coordination.latest_closed_pulse(height, params)
+        if index is not None \
+                and height == coordination.window_range(index, params)[-1]:
+            self._close_window(index, height)
 
     def _make_pulse_record(self, index: int, height: int, block: Block) -> PulseRecord:
         block_id = block.block_id()
         snap = snapshot_mod.build_snapshot(self.builder.utxo, height, block_id,
                                            obfuscate=self.scenario.obfuscate)
-        app = None
-        tag = snap.id
-        if self.scenario.preserve_appdata:
-            app = self.appstore.snapshot_at(height, block_id)
-            tag = appdata_mod.combined_tag(snap.id, app.id)
-        rec = PulseRecord(index, height, snap, app, tag)
+        app = self.appstore.snapshot_at(height, block_id) \
+            if self.scenario.preserve_appdata else None
+        rec = PulseRecord(index, height, snap, app,
+                          appdata_mod.pulse_tag(snap, app))
         if any(n.adversarial for n in self.scenario.nodes):
             rec.bogus_snap, rec.bogus_app, rec.bogus_tag = \
                 self._forge_snapshot(height, block_id, app)
@@ -328,8 +328,7 @@ class Simulation:
                                                     payload[:20])))
         snap = snapshot_mod.build_snapshot(forged, height, block_id,
                                            obfuscate=self.scenario.obfuscate)
-        tag = snap.id if app is None else appdata_mod.combined_tag(snap.id, app.id)
-        return snap, app, tag
+        return snap, app, appdata_mod.pulse_tag(snap, app)
 
     def _close_window(self, index: int, tip_height: int) -> None:
         rec = self.pulses.get(index)
@@ -406,7 +405,7 @@ class Simulation:
     def bootstrap(self, joiner: NodeConfig) -> JoinOutcome:
         name = joiner.name
         last_reason = "no attempts"
-        for attempt in range(self.scenario.max_bootstrap_attempts):
+        for attempt in range(MAX_BOOTSTRAP_ATTEMPTS):
             neighbors = self._neighbor_sample(attempt)
             self.trace.add(f"join {name} attempt {attempt} neighbors "
                            + ",".join(c.name for c in neighbors))
@@ -416,8 +415,7 @@ class Simulation:
                 return outcome
             last_reason = outcome.reason
             self.trace.add(f"join {name} aborted: {outcome.reason}")
-        return JoinOutcome(False, last_reason,
-                           self.scenario.max_bootstrap_attempts, False)
+        return JoinOutcome(False, last_reason, MAX_BOOTSTRAP_ATTEMPTS, False)
 
     def _round(self, joiner: str, peers: list[NodeConfig]) -> None:
         cost = max((p.latency for p in peers), default=1)
@@ -504,8 +502,7 @@ class Simulation:
         index = height // self.params.delta_p
         if height > tip_height or self.records[height].block_id != snap_header.block_id:
             return abort("snapshot header contradicts headerchain")
-        window = coordination.window_range(index, self.params)
-        if tip_height < window[-1]:
+        if (coordination.latest_closed_pulse(tip_height, self.params) or 0) < index:
             return abort("reaffirmation window still open")
 
         # chunk download: round-robin waves, hash-checked, re-requested
@@ -529,9 +526,6 @@ class Simulation:
             app_snap = Snapshot(app_header, tuple(app_chunks),
                                 snapshot_mod.layered_id(app_header, app_chunks))
 
-        expected_tag = snap.id if app_snap is None \
-            else appdata_mod.combined_tag(snap.id, app_snap.id)
-
         try:
             utxo = snapshot_mod.apply_snapshot(snap)
         except snapshot_mod.SnapshotError as exc:
@@ -547,7 +541,7 @@ class Simulation:
         outcome = coordination.tally_window(self._window_tags(index), self.params)
         if not outcome.accepted:
             return abort("pulse window skipped on-chain")
-        if outcome.tag != expected_tag:
+        if outcome.tag != appdata_mod.pulse_tag(snap, app_snap):
             return abort("snapshot was not the reaffirmed tag")
 
         store = appdata_mod.parse_store(app_snap) if app_snap is not None \
@@ -555,7 +549,7 @@ class Simulation:
         self._keep_join(name, utxo, store, chaintail)
         return JoinOutcome(True, "", attempts, True, snap.id,
                            None if app_snap is None else app_snap.id,
-                           outcome.tag, index, utxo, len(store))
+                           outcome.tag, index)
 
     def _fetch_chunks(self, name: str, group: list[NodeConfig],
                       served: Snapshot, advertised: list[bytes],
@@ -585,7 +579,7 @@ class Simulation:
                 else:
                     self.trace.add(f"chunk {kind} {chunk_index} mismatch from "
                                    f"{peer.name}")
-                    if attempts[chunk_index] >= self.scenario.chunk_retry:
+                    if attempts[chunk_index] >= CHUNK_RETRY:
                         return None
             self._round(name, [peer for _, peer in wave])
             pending = [i for i in pending if i not in done]
@@ -610,10 +604,8 @@ class Simulation:
         except (ChainError, SimError) as exc:
             return JoinOutcome(False, f"full replay failed: {exc}",
                                attempts, False)
-        store = appdata_mod.AppDataStore()
-        self._keep_join(name, utxo, store, chain)
-        return JoinOutcome(True, "", attempts, False, utxo=utxo,
-                           appdata_entries=len(store))
+        self._keep_join(name, utxo, appdata_mod.AppDataStore(), chain)
+        return JoinOutcome(True, "", attempts, False)
 
     def _sync_headers(self, name: str, peer: NodeConfig) -> int:
         """Fetch and verify the headerchain from one peer; its tip height."""
@@ -626,13 +618,12 @@ class Simulation:
 
     def _download_blocks(self, name: str, peers: list[NodeConfig],
                          heights: range) -> None:
-        """Batches of block_batch heights, one batch per peer per round."""
-        batch = self.scenario.block_batch
+        """Batches of BLOCK_BATCH heights, one batch per peer per round."""
         pos = 0
         while pos < len(heights):
             wave_peers = []
             for peer in peers:
-                take = heights[pos:pos + batch]
+                take = heights[pos:pos + BLOCK_BATCH]
                 if not take:
                     break
                 pos += len(take)
@@ -676,21 +667,17 @@ class Simulation:
             if not outcome.via_snapshot:
                 return header_bytes, sum(self.block_bytes), 0, 0
             rec = self.pulses[outcome.pulse_index]
-            snap_bytes = snapshot_mod.wire_size(rec.genuine_snap)
-            app_bytes = 0 if rec.genuine_app is None \
-                else snapshot_mod.wire_size(rec.genuine_app)
-            tail = sum(self.block_bytes[rec.height + 1:])
-            return header_bytes, tail, snap_bytes, app_bytes
-        block_total = sum(self.block_bytes[node.pruned_below:])
-        snap_bytes = app_bytes = 0
-        if cfg.coinprune:
-            served = self._served_record(cfg)
-            if served is not None:
-                rec, bogus = served
-                snap, app = rec.served(bogus)
-                snap_bytes = snapshot_mod.wire_size(snap)
-                app_bytes = 0 if app is None else snapshot_mod.wire_size(app)
-        return header_bytes, block_total, snap_bytes, app_bytes
+            held = rec, outcome.snapshot_id != rec.genuine_snap.id
+            block_total = sum(self.block_bytes[rec.height + 1:])
+        else:
+            held = self._served_record(cfg) if cfg.coinprune else None
+            block_total = sum(self.block_bytes[node.pruned_below:])
+        if held is None:
+            return header_bytes, block_total, 0, 0
+        rec, bogus = held
+        snap, app = rec.served(bogus)
+        app_bytes = 0 if app is None else snapshot_mod.wire_size(app)
+        return header_bytes, block_total, snapshot_mod.wire_size(snap), app_bytes
 
     def _report(self) -> RunReport:
         rows = []
@@ -714,8 +701,7 @@ class Simulation:
         join_rows = [(name, "accepted" if o.accepted else "aborted",
                       o.reason, o.attempts, self.nodes[name].rx_bytes)
                      for name, o in sorted(self.join_results.items())]
-        return RunReport(self.scenario.seed, self.scenario.chain_length,
-                         rows, breakdown, pulse_rows, join_rows)
+        return RunReport(rows, breakdown, pulse_rows, join_rows)
 
 
 def run_simulation(scenario: SimScenario) -> tuple[Simulation, RunReport]:
@@ -750,51 +736,56 @@ def parse_scenario(text: str) -> SimScenario:
 
     if "roles" not in fields:
         raise SimError("scenario needs a roles line")
-    nodes: list[NodeConfig] = []
-    counters = {"miner": 0, "full": 0, "joining": 0, "adv": 0}
-    for part in fields["roles"].split():
-        bits = part.split(":")
-        if len(bits) != 3:
-            raise SimError(f"bad role spec {part!r} (want role:count:variant)")
-        role, count_s, variant = bits
-        if variant not in ("coinprune", "legacy", "adversarial"):
-            raise SimError(f"unknown variant {variant!r}")
-        for _ in range(int(count_s)):
-            if variant == "adversarial":
-                name = f"adv{counters['adv']}"
-                counters["adv"] += 1
-                nodes.append(NodeConfig(name, role, True, True))
-            else:
-                prefix = "join" if role == "joining" else role
-                name = f"{prefix}{counters[role]}"
-                counters[role] += 1
-                nodes.append(NodeConfig(name, role, variant == "coinprune"))
-    if "nodes" in fields and int(fields["nodes"]) != len(nodes):
-        raise SimError("nodes count does not match roles")
+    try:
+        nodes: list[NodeConfig] = []
+        counters = {"miner": 0, "full": 0, "joining": 0, "adv": 0}
+        for part in fields["roles"].split():
+            bits = part.split(":")
+            if len(bits) != 3:
+                raise SimError(f"bad role spec {part!r} (want role:count:variant)")
+            role, count_s, variant = bits
+            if role not in ("miner", "full", "joining"):
+                raise SimError(f"unknown role {role!r}")
+            if variant not in ("coinprune", "legacy", "adversarial"):
+                raise SimError(f"unknown variant {variant!r}")
+            for _ in range(int(count_s)):
+                if variant == "adversarial":
+                    name = f"adv{counters['adv']}"
+                    counters["adv"] += 1
+                    nodes.append(NodeConfig(name, role, True, True))
+                else:
+                    prefix = "join" if role == "joining" else role
+                    name = f"{prefix}{counters[role]}"
+                    counters[role] += 1
+                    nodes.append(NodeConfig(name, role, variant == "coinprune"))
+        if "nodes" in fields and int(fields["nodes"]) != len(nodes):
+            raise SimError("nodes count does not match roles")
 
-    pairs = {}
-    for part in fields.get("params", "").split():
-        key, value = part.split("=")
-        pairs[key] = int(value)
-    params = PulseParams(delta_p=pairs.get("delta_p", 500),
-                         delta_r=pairs.get("delta_r", 100),
-                         delta_d=pairs.get("delta_d", 6),
-                         k=pairs.get("k", 5))
+        pairs = {}
+        for part in fields.get("params", "").split():
+            key, value = part.split("=")
+            pairs[key] = int(value)
+        params = PulseParams(delta_p=pairs.get("delta_p", 500),
+                             delta_r=pairs.get("delta_r", 100),
+                             delta_d=pairs.get("delta_d", 6),
+                             k=pairs.get("k", 5))
 
-    faults = tuple(fields.get("faults", "").split())
-    profile = light_profile(txs_per_block=int(fields.get("txs_per_block", "8")))
-    return SimScenario(
-        nodes=tuple(nodes),
-        params=params,
-        chain_length=int(fields.get("blocks", "1200")),
-        seed=int(fields.get("seed", "0")),
-        profile=profile,
-        obfuscate=get_bool("obfuscate", False),
-        preserve_appdata=get_bool("appdata", True),
-        prune=get_bool("prune", True),
-        faults=faults,
-        neighbor_count=int(fields.get("neighbors", "8")),
-    )
+        faults = tuple(fields.get("faults", "").split())
+        profile = light_profile(txs_per_block=int(fields.get("txs_per_block", "8")))
+        return SimScenario(
+            nodes=tuple(nodes),
+            params=params,
+            chain_length=int(fields.get("blocks", "1200")),
+            seed=int(fields.get("seed", "0")),
+            profile=profile,
+            obfuscate=get_bool("obfuscate", False),
+            preserve_appdata=get_bool("appdata", True),
+            prune=get_bool("prune", True),
+            faults=faults,
+            neighbor_count=int(fields.get("neighbors", "8")),
+        )
+    except (ValueError, CoordinationError) as exc:
+        raise SimError(f"bad scenario value: {exc}") from None
 
 
 def format_scenario(scenario: SimScenario) -> str:

@@ -82,9 +82,6 @@ _PAYLOAD_SIZE = {
     CASE_OBF_P2WSH: 32,
 }
 
-OBFUSCATED_CASES = frozenset(
-    (CASE_OBF_P2PKH, CASE_OBF_P2SH, CASE_OBF_P2WPKH, CASE_OBF_P2WSH))
-
 
 class ScriptError(Exception):
     """Raised for scripts or compressed entries that violate the format."""
@@ -105,26 +102,9 @@ class ScriptClass(enum.Enum):
 
 
 class CompressedTxOut(NamedTuple):
+    """A compressed output; its wire form is part of a snapshot record."""
     case: int
     payload: bytes
-
-    def serialize(self) -> bytes:
-        return bytes([self.case]) + self.payload
-
-    @classmethod
-    def parse(cls, buf: bytes, offset: int = 0) -> tuple["CompressedTxOut", int]:
-        """Parse one entry from buf at offset, returning it and the new offset."""
-        if offset >= len(buf):
-            raise ScriptError("truncated compressed output: missing case byte")
-        case = buf[offset]
-        offset += 1
-        need = payload_size(case)
-        payload = buf[offset:offset + need]
-        if len(payload) != need:
-            raise ScriptError(
-                f"truncated payload for case 0x{case:02x}: "
-                f"need {need}, have {len(payload)}")
-        return cls(case, payload), offset + need
 
 
 def payload_size(case: int) -> int:
@@ -359,10 +339,6 @@ def obfuscate(entry: CompressedTxOut) -> CompressedTxOut:
         if cls is ScriptClass.P2WSH:
             return CompressedTxOut(CASE_OBF_P2WSH, hash256(payload[2:34]))
     return entry
-
-
-def is_obfuscated(entry: CompressedTxOut) -> bool:
-    return entry.case in OBFUSCATED_CASES
 
 
 # --- toy spend model ------------------------------------------------------

@@ -7,14 +7,16 @@ window, and how often does the window decide nothing at all?
 
 Every window trial ends in exactly one of three ways: the honest tag is
 accepted, the bogus tag is accepted, or the pulse is skipped (tie or
-nobody reached the threshold k). Two trial implementations exist:
+nobody reached the threshold k). A cell's trials run in one of two modes:
 
-  run_trial_blockwise  draws a miner for each of the delta_r window
-                       blocks and runs the real window tally; this is
-                       the fidelity oracle.
-  run_trial_binomial   collapses the window into two binomial draws;
-                       statistically identical and much faster, used
-                       for full grids.
+  blockwise  run_trial_blockwise draws a miner for each of the delta_r
+             window blocks and runs the real window tally; this is the
+             fidelity oracle.
+  binomial   evaluate_cell collapses each window into two binomial
+             draws, m ~ Bin(delta_r, n_support/n) reaffirmations of
+             which a ~ Bin(m, n_adv/n_support) carry the bogus tag, and
+             draws all of a cell's trials as one vector; statistically
+             identical and much faster, used for full grids.
 
 Cells of the (f_C, f_A, delta_r, k) grid are independent. Each cell
 gets its own RNG stream spawned from (seed, cell coordinates), so the
@@ -92,27 +94,6 @@ def run_trial_blockwise(f_c: float, f_a: float, delta_r: int, k: int,
     if outcome.tag == BOGUS_TAG:
         return TrialOutcome.ADVERSARY_ACCEPTED
     return TrialOutcome.CORRECT_ACCEPTED
-
-
-def run_trial_binomial(f_c: float, f_a: float, delta_r: int, k: int,
-                       rng: np.random.Generator,
-                       n_miners: int = 1000) -> TrialOutcome:
-    """One window trial via two binomial draws.
-
-    m ~ Bin(delta_r, n_support/n) reaffirmations land in the window,
-    a ~ Bin(m, n_adv/n_support) of them carry the bogus tag. The bogus
-    tag wins iff it strictly outnumbers the honest one and reaches k.
-    """
-    n_support = support_count(f_c, n_miners)
-    n_adv = adversary_count(f_c, f_a, n_miners)
-    m = int(rng.binomial(delta_r, n_support / n_miners))
-    a = int(rng.binomial(m, n_adv / n_support)) if n_support else 0
-    h = m - a
-    if a > h and a >= k:
-        return TrialOutcome.ADVERSARY_ACCEPTED
-    if h > a and h >= k:
-        return TrialOutcome.CORRECT_ACCEPTED
-    return TrialOutcome.SKIPPED_PULSE
 
 
 @dataclass(frozen=True)

@@ -89,18 +89,6 @@ def test_snapshot_roundtrip(op_return_chain):
     assert again.id == snap.id
 
 
-def test_truncate_above(op_return_chain):
-    store = AppDataStore()
-    for height, block in enumerate(op_return_chain):
-        store.add_block(block, height)
-    expected_kept = [e for h, e in _oracle_entries(op_return_chain) if h <= 60]
-    store.truncate_above(60)
-    assert store.entries() == expected_kept
-    dropped = [e for h, e in _oracle_entries(op_return_chain) if h > 60]
-    for entry in dropped:
-        assert entry not in store.lookup(entry.txid)
-
-
 def test_combined_tag_golden_vector():
     tag = combined_tag(b"\x01" * 32, b"\x02" * 32)
     assert tag.hex() == COMBINED_GOLDEN

@@ -55,7 +55,7 @@ def test_block_id_is_hash256_of_header():
 
 def test_mining_satisfies_target():
     header = genesis_block(PARAMS).header
-    assert check_pow(header)
+    assert check_pow(header.block_id(), header.bits)
     assert int.from_bytes(header.block_id(), "little") \
         <= target_from_bits(PARAMS.bits)
 

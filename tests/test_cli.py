@@ -124,6 +124,27 @@ def test_snapshot_create_rejects_truncated_chain(tmp_path, capsys, raw):
     assert err.startswith("error: cannot read chain") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("raw", [
+    b"roles = miner:x:coinprune\n",
+    b"roles = miner:1:coinprune\nparams = delta_p\n",
+    b"roles = miner:1:coinprune\nparams = delta_p=0\n",
+    b"roles = archivist:1:coinprune\n",
+    b"roles = miner:1:coinprune\nseed = \xff\n",
+    b"roles = miner:1:coinprune\nneighbors = -1\n",
+    b"roles = miner:1:coinprune\nseed = 9223372036854775808\n",
+], ids=["count", "param-pair", "param-value", "role", "not-utf8",
+        "neighbors", "seed"])
+def test_sim_bootstrap_rejects_bad_scenario(tmp_path, capsys, raw):
+    scn = tmp_path / "bad.scn"
+    scn.write_bytes(raw)
+    code = main(["sim", "bootstrap", "--scenario", str(scn),
+                 "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: cannot load scenario") \
+        and "Traceback" not in err
+
+
 def test_sim_bootstrap_run(tmp_path, capsys):
     scn = tmp_path / "plain.scn"
     scn.write_text(SCENARIO)

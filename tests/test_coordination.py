@@ -4,8 +4,7 @@ from hypothesis import strategies as st
 
 from coinprune.coordination import (FRAME_SIZE, TAG_PREFIX, TAG_SUFFIX,
                                     CoordinationError, PulseOutcome,
-                                    PulseParams, dynamic_params,
-                                    encode_coinbase_tag, estimate_support,
+                                    PulseParams, encode_coinbase_tag,
                                     latest_closed_pulse, parse_coinbase_tag,
                                     pulse_for_height, pulse_height,
                                     tally_window, window_range)
@@ -167,25 +166,3 @@ def test_tally_against_counter_oracle(tags):
         assert outcome == PulseOutcome(True, top, n)
     else:
         assert not outcome.accepted
-
-
-# --- support estimate and the parameter schedule --------------------------------
-
-def test_estimate_support():
-    tags = _window((TAG_A, 10), (TAG_B, 10))
-    assert estimate_support(tags) == 20 / 50
-    with pytest.raises(CoordinationError):
-        estimate_support([])
-
-
-def test_dynamic_params_schedule():
-    low = dynamic_params(0.09, P)
-    assert (low.delta_p, low.delta_r) == (100, 100)
-    high = dynamic_params(0.10, P)
-    assert (high.delta_p, high.delta_r) == (10000, 1000)
-    # the cutoff boundary itself counts as supported
-    for params in (low, high):
-        assert params.delta_d == P.delta_d
-        assert params.k == P.k
-    with pytest.raises(CoordinationError):
-        dynamic_params(1.5, P)

@@ -10,15 +10,18 @@ snapshot, and legacy nodes stay untouched by the protocol overlay.
 import struct
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coinprune import scripts
 from coinprune.chain import ChainParams, TxOutput, coinbase_tx, make_block
 from coinprune.coordination import PulseParams
 from coinprune.hashing import hash256
 from coinprune.appdata import combined_tag
-from coinprune.netsim import (NodeConfig, SimError, SimScenario, Simulation,
-                              format_scenario, parse_scenario, run_simulation)
-from coinprune.snapshot import serialize_utxo_set
+from coinprune.netsim import (MAX_BOOTSTRAP_ATTEMPTS, NodeConfig, SimError,
+                              SimScenario, Simulation, format_scenario,
+                              parse_scenario, run_simulation)
+from coinprune.snapshot import serialize_utxo_set, wire_size
 
 PARAMS = PulseParams(delta_p=200, delta_r=50, delta_d=6, k=5)
 
@@ -147,8 +150,8 @@ def test_majority_bogus_tags_reaffirm_forged_state():
         NodeConfig("full0", "full"),
         NodeConfig("jcp", "joining"),
     )
-    sim, _ = run_simulation(_scenario(nodes=nodes, faults=("bogus_tags",),
-                                      seed=5))
+    sim, report = run_simulation(_scenario(nodes=nodes,
+                                           faults=("bogus_tags",), seed=5))
     accepted = [rec for rec in sim.pulses.values()
                 if rec.outcome is not None and rec.outcome.accepted]
     assert accepted and all(r.outcome.tag == r.bogus_tag for r in accepted)
@@ -161,6 +164,9 @@ def test_majority_bogus_tags_reaffirm_forged_state():
     assert outcome.snapshot_id == rec.bogus_snap.id
     forged_txid = hash256(b"forged-riches" + struct.pack("<I", rec.height))
     assert (forged_txid, 0) in sim.join_utxo["jcp"]
+    # the storage report sizes the snapshot the joiner holds
+    row = next(r for r in report.breakdown if r[0] == "jcp")
+    assert row[3] == wire_size(rec.bogus_snap) != wire_size(rec.genuine_snap)
 
 
 def test_eclipsed_joiner_aborts_then_recovers():
@@ -239,7 +245,7 @@ def test_legacy_joiner_needs_an_unpruned_peer():
     outcome = sim.join_results["jleg"]
     assert not outcome.accepted
     assert outcome.reason == "no neighbor serves historic blocks"
-    assert outcome.attempts == scenario.max_bootstrap_attempts
+    assert outcome.attempts == MAX_BOOTSTRAP_ATTEMPTS
     assert ("jleg", "aborted", outcome.reason, outcome.attempts,
             sim.nodes["jleg"].rx_bytes) in report.join_outcomes
 
@@ -342,3 +348,37 @@ def test_scenario_validation():
         _scenario(nodes=(NodeConfig("a", "full"),))
     with pytest.raises(SimError):
         _scenario(faults=("gremlins",))
+
+
+# scenario text built from the format's own words, so that generated
+# files reach the conversions; every number stays below 1000, which
+# keeps the node count small
+_WORD = st.one_of(
+    st.sampled_from(["miner", "full", "joining", "coinprune", "legacy",
+                     "adversarial", "delta_p", "delta_r", "delta_d", "k",
+                     "eclipse", "true", "no", ""]),
+    st.integers(-3, 999).map(str),
+    st.text(max_size=3))
+_ROLE = st.tuples(st.sampled_from(["miner", "full", "joining", "archivist"]),
+                  st.one_of(st.integers(-1, 3).map(str), _WORD),
+                  st.sampled_from(["coinprune", "legacy", "adversarial", "x"])
+                  ).map(":".join)
+_PAIR = st.lists(_WORD, min_size=1, max_size=3).map("=".join)
+_LINE = st.tuples(
+    st.sampled_from(["seed", "blocks", "nodes", "roles", "params", "faults",
+                     "obfuscate", "appdata", "prune", "txs_per_block",
+                     "neighbors", "other"]),
+    st.lists(st.one_of(_ROLE, _PAIR, _WORD), max_size=3).map(" ".join)
+).map(" = ".join)
+_SCENARIO = st.tuples(
+    st.lists(_ROLE, min_size=1, max_size=3).map(" ".join),
+    st.lists(_LINE, max_size=8)
+).map(lambda parts: "\n".join([f"roles = {parts[0]}", *parts[1]]))
+
+
+@given(st.one_of(st.text(), _SCENARIO))
+def test_parse_scenario_fails_closed(text):
+    try:
+        parse_scenario(text)
+    except SimError:
+        pass

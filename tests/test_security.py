@@ -15,7 +15,6 @@ from scipy import stats
 
 from coinprune.security import (CellResult, SweepConfig, TrialOutcome,
                                 adversary_count, evaluate_cell, percent_grid,
-                                run_trial_binomial, run_trial_blockwise,
                                 support_count, sweep)
 
 # exact (p_correct, p_adversary, p_skipped), frozen at 6 decimals
@@ -75,14 +74,16 @@ def test_counts_survive_float_rounding():
 
 
 def test_trivial_outcomes():
-    rng = np.random.default_rng(0)
-    for trial in (run_trial_binomial, run_trial_blockwise):
-        assert all(trial(0.0, 0.5, 50, 5, rng) is TrialOutcome.SKIPPED_PULSE
-                   for _ in range(20))
-        assert all(trial(1.0, 1.0, 50, 5, rng) is TrialOutcome.ADVERSARY_ACCEPTED
-                   for _ in range(20))
-        assert all(trial(1.0, 0.0, 50, 5, rng) is TrialOutcome.CORRECT_ACCEPTED
-                   for _ in range(20))
+    # (p_correct, p_adversary, p_skipped) of the three cells whose
+    # outcome is certain, in both trial modes
+    certain = {(0.0, 0.5): (0.0, 0.0, 1.0),
+               (1.0, 1.0): (0.0, 1.0, 0.0),
+               (1.0, 0.0): (1.0, 0.0, 0.0)}
+    for mode in ("binomial", "blockwise"):
+        for (f_c, f_a), expected in certain.items():
+            config = _single_cell_config(f_c, f_a, 50, 5, trials=20, mode=mode)
+            cell = evaluate_cell(config, 50, 5, 0, 0)
+            assert tuple(cell[4:]) == expected, (mode, cell)
     cell = evaluate_cell(_single_cell_config(0.8, 0.0, 100, 5), 100, 5, 0, 0)
     assert cell.p_adversary == 0.0
 
