@@ -17,8 +17,7 @@ from typing import NamedTuple
 from .hashing import hash256
 from . import scripts
 from .chain import Block
-from .snapshot import (Snapshot, SnapshotError, SnapshotHeader, chunk_records,
-                       layered_id)
+from .snapshot import Snapshot, SnapshotError, chunk_records, decode_records
 
 
 class AppDataEntry(NamedTuple):
@@ -90,19 +89,14 @@ class AppDataStore:
 
     def snapshot_at(self, height: int, block_id: bytes) -> Snapshot:
         """Chunked store of all entries up to height, identified like a snapshot."""
-        records = [e.serialize() for h, e in self._entries if h <= height]
-        chunks = chunk_records(records)
-        header = SnapshotHeader(height, block_id, len(chunks))
-        return Snapshot(header, tuple(chunks), layered_id(header, chunks))
+        return Snapshot.assemble(height, block_id, chunk_records(
+            e.serialize() for h, e in self._entries if h <= height))
 
 
 def parse_store(snapshot: Snapshot) -> AppDataStore:
     """Rebuild a store from a fetched app-data snapshot."""
     store = AppDataStore()
-    data = b"".join(snapshot.chunks)
-    offset = 0
-    while offset < len(data):
-        entry, offset = AppDataEntry.decode(data, offset)
+    for entry in decode_records(snapshot, AppDataEntry.decode):
         store.add_entry(snapshot.header.height, entry)
     return store
 

@@ -86,9 +86,11 @@ class ChainBuilder:
         self.mix_names, self.mix_weights = profile.normalized_mixture()
         self.utxo = UtxoSet()
         self.blocks: list[Block] = []
+        self.ids: list[bytes] = []  # block ids, as validation computed them
         self.wallet: list[WalletUtxo] = []
         gen = genesis_block(params)
-        validate_and_apply_block(self.utxo, gen, 0, b"\x00" * 32, params)
+        self.ids.append(validate_and_apply_block(self.utxo, gen, 0,
+                                                 b"\x00" * 32, params))
         self.blocks.append(gen)
 
     @property
@@ -96,7 +98,7 @@ class ChainBuilder:
         return len(self.blocks) - 1
 
     def tip_id(self) -> bytes:
-        return self.blocks[-1].block_id()
+        return self.ids[-1]
 
     def next_block(self, coinbase_extra: bytes = b"") -> Block:
         """Mine, validate and apply the next block."""
@@ -112,7 +114,8 @@ class ChainBuilder:
         block = make_block(prev_id, [coinbase] + txs,
                            self.params.genesis_timestamp + height * BLOCK_INTERVAL,
                            self.params.bits)
-        validate_and_apply_block(self.utxo, block, height, prev_id, self.params)
+        self.ids.append(validate_and_apply_block(self.utxo, block, height,
+                                                 prev_id, self.params))
         self.blocks.append(block)
         # wallet bookkeeping only after the block is accepted
         spent_set = set(spent)

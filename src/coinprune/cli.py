@@ -31,9 +31,8 @@ from .chaingen import light_profile, generate_chain
 from .netsim import SimError, format_scenario, parse_scenario, run_simulation
 from .security import (COMPROMISE_RATE, SweepConfig, SweepResult,
                        percent_grid, sweep)
-from .snapshot import (SnapshotError, build_snapshot, chunk_hashes,
-                       read_snapshot_file, verify_snapshot, wire_size,
-                       write_snapshot_file)
+from .snapshot import (SnapshotError, build_snapshot, read_snapshot_file,
+                       verify_snapshot, wire_size, write_snapshot_file)
 
 OUT_DIR_ENV = "COINPRUNE_OUT"
 
@@ -257,7 +256,7 @@ def _cmd_snapshot_create(args) -> int:
     # sidecar manifest mirrors the per-chunk hash list a booting node
     # would learn from the inventory advert; it lets verify localize
     sidecar = _hashes_sidecar(out_path)
-    sidecar.write_text("".join(f"{h.hex()}\n" for h in chunk_hashes(snap)))
+    sidecar.write_text("".join(f"{h.hex()}\n" for h in snap.digests))
     print(f"snapshot id {snap.id.hex()}")
     print(f"height {args.height}, {len(snap.chunks)} chunks, "
           f"{len(utxo)} outputs, {wire_size(snap)} bytes")

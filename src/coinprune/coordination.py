@@ -41,6 +41,9 @@ class PulseParams:
             raise CoordinationError("acceptance threshold must be at least 1")
         # delta_d + delta_r may exceed delta_p; windows stay disjoint
         # as long as delta_r <= delta_p
+        if self.delta_r > self.delta_p:
+            raise CoordinationError(
+                "reaffirmation windows overlap: delta_r exceeds delta_p")
 
 
 def pulse_height(index: int, params: PulseParams) -> int:

@@ -24,9 +24,8 @@ from . import appdata as appdata_mod
 from . import coordination
 from . import scripts
 from . import snapshot as snapshot_mod
-from .chain import (Block, ChainError, ChainParams, UtxoEntry, UtxoSet,
-                    header_record, replay_blocks, verify_headerchain,
-                    work_from_bits)
+from .chain import (ChainError, ChainParams, UtxoEntry, UtxoSet,
+                    replay_blocks, verify_headerchain)
 from .chaingen import ChainBuilder, WorkloadProfile, light_profile
 from .coordination import CoordinationError, PulseParams
 from .scripts import CompressedTxOut
@@ -36,10 +35,11 @@ from .snapshot import Snapshot
 FLAG_NETWORK = 1
 FLAG_COINPRUNE = 2
 
-# inventory object kinds
-STATE_HEADER = "state_header"
-STATE_CHUNK = "state_chunk"
-APPDATA_CHUNK = "appdata_chunk"
+# advertised object kinds, in fetch order: the UTXO snapshot, then the
+# app-data store; an advert holds (kind, header digest, chunk digests)
+# for each object a peer serves
+STATE = "state"
+APPDATA = "appdata"
 
 # A message's wire size is MSG_OVERHEAD plus its payload: 26 bytes for
 # version, 40 for a state header, an 8-byte index plus the data for a
@@ -204,8 +204,6 @@ class Simulation:
         self.joiners = [n for n in scenario.nodes if n.role == "joining"]
         self.miners = [n for n in scenario.nodes if n.role == "miner"]
         self.block_bytes: list[int] = [len(self.builder.blocks[0].serialize())]
-        self.records = [header_record(self.builder.blocks[0], 0,
-                                      work_from_bits(self.chain_params.bits))]
         self.appstore = appdata_mod.AppDataStore()
         self.appstore.add_block(self.builder.blocks[0], 0)
         self.pulses: dict[int, PulseRecord] = {}
@@ -250,13 +248,9 @@ class Simulation:
             block = self.builder.next_block(extra)
             raw_size = len(block.serialize())
             self.block_bytes.append(raw_size)
-            prev = self.records[-1]
-            self.records.append(header_record(
-                block, height, prev.cumulative_work
-                + work_from_bits(self.chain_params.bits)))
             self.appstore.add_block(block, height)
             self._gossip(miner.name, raw_size)
-            self._pulse_bookkeeping(height, block)
+            self._pulse_bookkeeping(height)
         for joiner in self.joiners:
             outcome = self.bootstrap(joiner)
             self.join_results[joiner.name] = outcome
@@ -292,11 +286,11 @@ class Simulation:
                     nxt.append(dst)
             frontier = nxt
 
-    def _pulse_bookkeeping(self, height: int, block: Block) -> None:
+    def _pulse_bookkeeping(self, height: int) -> None:
         params = self.params
         if height % params.delta_p == 0:
             index = height // params.delta_p
-            self.pulses[index] = self._make_pulse_record(index, height, block)
+            self.pulses[index] = self._make_pulse_record(index, height)
             rec = self.pulses[index]
             self.trace.add(f"pulse {index} height {height} "
                            f"tag {rec.genuine_tag.hex()}")
@@ -305,8 +299,8 @@ class Simulation:
                 and height == coordination.window_range(index, params)[-1]:
             self._close_window(index, height)
 
-    def _make_pulse_record(self, index: int, height: int, block: Block) -> PulseRecord:
-        block_id = block.block_id()
+    def _make_pulse_record(self, index: int, height: int) -> PulseRecord:
+        block_id = self.builder.ids[height]
         snap = snapshot_mod.build_snapshot(self.builder.utxo, height, block_id,
                                            obfuscate=self.scenario.obfuscate)
         app = self.appstore.snapshot_at(height, block_id) \
@@ -376,13 +370,9 @@ class Simulation:
         if served is None:
             return None
         rec, bogus = served
-        snap, app = rec.served(bogus)
-        objects = [(STATE_HEADER, hash256(snap.header.serialize()))]
-        objects += [(STATE_CHUNK, h) for h in snapshot_mod.chunk_hashes(snap)]
-        if app is not None:
-            objects.append((STATE_HEADER, hash256(app.header.serialize())))
-            objects += [(APPDATA_CHUNK, h) for h in snapshot_mod.chunk_hashes(app)]
-        return tuple(objects), rec, bogus
+        return tuple((kind, hash256(obj.header.serialize()), obj.digests)
+                     for kind, obj in zip((STATE, APPDATA), rec.served(bogus))
+                     if obj is not None), rec, bogus
 
     def _serve_chunk(self, cfg: NodeConfig, snap: Snapshot, index: int) -> bytes:
         data = snap.chunks[index]
@@ -448,8 +438,8 @@ class Simulation:
                 if advert is None:
                     self._send(peer.name, name, "inv", 4)
                     continue
-                self._send(peer.name, name, "inv",
-                           4 + INV_ENTRY_SIZE * len(advert[0]))
+                self._send(peer.name, name, "inv", 4 + INV_ENTRY_SIZE * sum(
+                    1 + len(digests) for _, _, digests in advert[0]))
                 snapshot_peers.append(peer)
                 adverts[peer.name] = advert
             self._round(name, neighbors)
@@ -463,68 +453,45 @@ class Simulation:
         for peer in snapshot_peers:
             groups.setdefault(adverts[peer.name][0], []).append(peer)
 
-        def advert_id(objects: tuple) -> bytes:
-            digest = objects[0][1]
-            chunk_digests = b"".join(h for kind, h in objects
-                                     if kind == STATE_CHUNK)
-            return hash256(digest + chunk_digests)
-
         def group_key(item: tuple) -> tuple:
             objects, peers = item
             rec = adverts[peers[0].name][1]
-            return (-len(peers), -rec.height, advert_id(objects))
+            _, head_digest, digests = objects[0]
+            return (-len(peers), -rec.height,
+                    snapshot_mod.layered_id(head_digest, digests))
 
         objects, group = sorted(groups.items(), key=group_key)[0]
         group = sorted(group, key=lambda c: c.name)
         rec, bogus = adverts[group[0].name][1], adverts[group[0].name][2]
-        served_snap, served_app = rec.served(bogus)
+        served = [obj for obj in rec.served(bogus) if obj is not None]
 
         head_peer = group[0]
         tip_height = self._sync_headers(name, head_peer)
 
-        # snapshot header objects: snapshot first, then app data
-        header_objs = [(k, h) for k, h in objects if k == STATE_HEADER]
-        chunk_hashes = [h for k, h in objects if k == STATE_CHUNK]
-        app_chunk_hashes = [h for k, h in objects if k == APPDATA_CHUNK]
+        # one header per advertised object: snapshot first, then app data
         self._send(name, head_peer.name, "getdata",
-                   4 + INV_ENTRY_SIZE * len(header_objs))
-        self._send(head_peer.name, name, "stateheader", 40)
-        app_header = None
-        if len(header_objs) > 1 and served_app is not None:
+                   4 + INV_ENTRY_SIZE * len(objects))
+        for _ in objects:
             self._send(head_peer.name, name, "stateheader", 40)
-            app_header = served_app.header
         self._round(name, [head_peer])
 
-        snap_header = served_snap.header
-        height = snap_header.height
+        height = served[0].header.height
         if height % self.params.delta_p != 0 or height == 0:
             return abort("snapshot height is not a pulse")
         index = height // self.params.delta_p
-        if height > tip_height or self.records[height].block_id != snap_header.block_id:
+        if height > tip_height \
+                or self.builder.ids[height] != served[0].header.block_id:
             return abort("snapshot header contradicts headerchain")
         if (coordination.latest_closed_pulse(tip_height, self.params) or 0) < index:
             return abort("reaffirmation window still open")
 
-        # chunk download: round-robin waves, hash-checked, re-requested
-        chunks = self._fetch_chunks(name, group, served_snap, chunk_hashes,
-                                    STATE_CHUNK)
-        if chunks is None:
-            return abort("chunk retry budget exhausted")
-        snap = Snapshot(snap_header, tuple(chunks),
-                        snapshot_mod.layered_id(snap_header, chunks))
-        expected_id = advert_id(objects)
-        check = snapshot_mod.verify_snapshot(snap, expected_id, chunk_hashes)
-        if not check.ok:
-            return abort(f"snapshot verification: {check.reason}")
-
-        app_snap = None
-        if app_header is not None:
-            app_chunks = self._fetch_chunks(name, group, served_app,
-                                            app_chunk_hashes, APPDATA_CHUNK)
-            if app_chunks is None:
-                return abort("appdata chunk retry budget exhausted")
-            app_snap = Snapshot(app_header, tuple(app_chunks),
-                                snapshot_mod.layered_id(app_header, app_chunks))
+        fetched = []
+        for entry, obj in zip(objects, served):
+            got = self._fetch_object(name, group, entry, obj)
+            if isinstance(got, str):
+                return abort(got)
+            fetched.append(got)
+        snap, app_snap = fetched[0], fetched[1] if len(fetched) > 1 else None
 
         try:
             utxo = snapshot_mod.apply_snapshot(snap)
@@ -551,11 +518,15 @@ class Simulation:
                            None if app_snap is None else app_snap.id,
                            outcome.tag, index)
 
-    def _fetch_chunks(self, name: str, group: list[NodeConfig],
-                      served: Snapshot, advertised: list[bytes],
-                      kind: str) -> list[bytes] | None:
-        """Round-robin chunk download with digest checks and re-requests."""
-        total = len(advertised)
+    def _fetch_object(self, name: str, group: list[NodeConfig], entry: tuple,
+                      served: Snapshot) -> Snapshot | str:
+        """Download one advertised object: round-robin chunk waves, each
+        chunk hashed once against its advertised digest and re-requested
+        on a mismatch, then its header checked against the advertised
+        header digest and chunk count. The object, or why to abort."""
+        kind, head_digest, digests = entry
+        prefix = "" if kind == STATE else f"{kind} "
+        total = len(digests)
         chunks: list[bytes | None] = [None] * total
         attempts = [0] * total
         pending = list(range(total))
@@ -573,17 +544,23 @@ class Simulation:
                 data = self._serve_chunk(peer, served, chunk_index)
                 self._send(peer.name, name, "statechunk", 8 + len(data))
                 attempts[chunk_index] += 1
-                if hash256(data) == advertised[chunk_index]:
+                if hash256(data) == digests[chunk_index]:
                     chunks[chunk_index] = data
                     done.add(chunk_index)
                 else:
-                    self.trace.add(f"chunk {kind} {chunk_index} mismatch from "
-                                   f"{peer.name}")
+                    self.trace.add(f"chunk {kind}_chunk {chunk_index} "
+                                   f"mismatch from {peer.name}")
                     if attempts[chunk_index] >= CHUNK_RETRY:
-                        return None
+                        return f"{prefix}chunk retry budget exhausted"
             self._round(name, [peer for _, peer in wave])
             pending = [i for i in pending if i not in done]
-        return [c for c in chunks if c is not None]
+        header = served.header
+        if header.chunk_count != total:
+            return f"{prefix}snapshot verification: chunk count mismatch"
+        if hash256(header.serialize()) != head_digest:
+            return f"{prefix}snapshot verification: snapshot id mismatch"
+        return Snapshot.assemble(header.height, header.block_id, chunks,
+                                 digests)
 
     def _full_sync(self, joiner: NodeConfig, neighbors: list[NodeConfig],
                    attempts: int) -> JoinOutcome:
@@ -638,10 +615,10 @@ class Simulation:
         """Validate and apply the downloaded blocks; they must end at the
         headerchain's block at the last height."""
         start = heights[0]
-        prev_id = self.records[start - 1].block_id if start else b"\x00" * 32
+        prev_id = self.builder.ids[start - 1] if start else b"\x00" * 32
         tip_id = replay_blocks(utxo, self.builder.blocks, heights, prev_id,
                                self.chain_params)
-        if tip_id != self.records[heights[-1]].block_id:
+        if tip_id != self.builder.ids[heights[-1]]:
             raise SimError(f"block {heights[-1]} does not match headerchain")
 
     def _keep_join(self, name: str, utxo: UtxoSet,

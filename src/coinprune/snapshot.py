@@ -13,7 +13,7 @@ rest, and an empty set still has a well-defined id.
 """
 
 import struct
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .hashing import hash256
 from . import scripts
@@ -49,7 +49,21 @@ class SnapshotHeader(NamedTuple):
 class Snapshot(NamedTuple):
     header: SnapshotHeader
     chunks: tuple
+    digests: tuple  # HASH256 of each chunk, in chunk order
     id: bytes
+
+    @classmethod
+    def assemble(cls, height: int, block_id: bytes, chunks: Iterable[bytes],
+                 digests: Iterable[bytes] | None = None) -> "Snapshot":
+        """The one way to make a snapshot of the state after `block_id`
+        at `height`. Pass `digests` only when they were already checked
+        against these chunks; otherwise each chunk is hashed here, once."""
+        chunks = tuple(chunks)
+        digests = tuple(hash256(c) for c in chunks) if digests is None \
+            else tuple(digests)
+        header = SnapshotHeader(height, block_id, len(chunks))
+        return cls(header, chunks, digests,
+                   layered_id(hash256(header.serialize()), digests))
 
 
 class SnapshotCheck(NamedTuple):
@@ -109,21 +123,16 @@ def chunk_records(records: Iterable[bytes]) -> list[bytes]:
     return chunks
 
 
-def layered_id(header: SnapshotHeader, chunks: Iterable[bytes]) -> bytes:
-    digest = hash256(header.serialize())
-    return hash256(digest + b"".join(hash256(c) for c in chunks))
+def layered_id(header_digest: bytes, chunk_digests: Iterable[bytes]) -> bytes:
+    """The id formula of the module docstring, from the piece digests."""
+    return hash256(header_digest + b"".join(chunk_digests))
 
 
 def build_snapshot(utxo: UtxoSet, height: int, block_id: bytes,
                    obfuscate: bool = False) -> Snapshot:
     entries = sorted(utxo.entries(), key=lambda e: (e.txid, e.vout))
-    chunks = chunk_records(encode_record(e, obfuscate) for e in entries)
-    header = SnapshotHeader(height, block_id, len(chunks))
-    return Snapshot(header, tuple(chunks), layered_id(header, chunks))
-
-
-def chunk_hashes(snapshot: Snapshot) -> list[bytes]:
-    return [hash256(c) for c in snapshot.chunks]
+    return Snapshot.assemble(height, block_id, chunk_records(
+        encode_record(e, obfuscate) for e in entries))
 
 
 def verify_snapshot(snapshot: Snapshot, expected_id: bytes,
@@ -133,7 +142,7 @@ def verify_snapshot(snapshot: Snapshot, expected_id: bytes,
     When the advertised per-chunk hashes are available, a failure is
     localized to the first mismatching chunk index.
     """
-    header, chunks, _ = snapshot
+    header, chunks = snapshot.header, snapshot.chunks
     if header.chunk_count != len(chunks):
         return SnapshotCheck(False, None, "chunk count mismatch")
     hashes = [hash256(c) for c in chunks]
@@ -143,19 +152,27 @@ def verify_snapshot(snapshot: Snapshot, expected_id: bytes,
         for i, (got, want) in enumerate(zip(hashes, expected_chunk_hashes)):
             if got != want:
                 return SnapshotCheck(False, i, f"chunk {i} digest mismatch")
-    recomputed = hash256(hash256(header.serialize()) + b"".join(hashes))
+    recomputed = layered_id(hash256(header.serialize()), hashes)
     if recomputed != expected_id:
         return SnapshotCheck(False, None, "snapshot id mismatch")
     return SnapshotCheck(True, None, "")
 
 
-def apply_snapshot(snapshot: Snapshot) -> UtxoSet:
-    """Materialize the UTXO set. Verify the snapshot before calling this."""
-    utxo = UtxoSet()
+def decode_records(snapshot: Snapshot,
+                   decode: Callable[[bytes, int], tuple]) -> Iterator:
+    """Every record of a snapshot in order; `decode(buf, offset)` returns
+    one record and the offset after it, or raises SnapshotError."""
     data = b"".join(snapshot.chunks)
     offset = 0
     while offset < len(data):
-        entry, offset = decode_record(data, offset)
+        record, offset = decode(data, offset)
+        yield record
+
+
+def apply_snapshot(snapshot: Snapshot) -> UtxoSet:
+    """Materialize the UTXO set. Verify the snapshot before calling this."""
+    utxo = UtxoSet()
+    for entry in decode_records(snapshot, decode_record):
         if (entry.txid, entry.vout) in utxo:
             raise SnapshotError(
                 f"duplicate outpoint {entry.txid.hex()}:{entry.vout}")
@@ -193,4 +210,4 @@ def read_snapshot_file(path) -> Snapshot:
         offset += size
     if offset != len(data):
         raise SnapshotError("trailing bytes after final chunk")
-    return Snapshot(header, tuple(chunks), layered_id(header, chunks))
+    return Snapshot.assemble(header.height, header.block_id, chunks)

@@ -8,6 +8,7 @@ from coinprune.chain import ChainParams, UtxoSet, validate_and_apply_block
 from coinprune.chaingen import WorkloadProfile, generate_chain
 from coinprune.hashing import hash256
 from coinprune.scripts import decompress, is_op_return
+from coinprune.snapshot import Snapshot, SnapshotError
 
 # hash256 of thirty-two 0x01 bytes followed by thirty-two 0x02 bytes
 COMBINED_GOLDEN = "39ce20bede82c96b8908bec4a157b09c549b3db90b9b474bda9ae9b9030310b4"
@@ -100,3 +101,21 @@ def test_combined_tag_rejects_bad_lengths():
         combined_tag(b"\x01" * 31, b"\x02" * 32)
     with pytest.raises(ValueError):
         combined_tag(b"\x01" * 32, b"")
+
+
+# chunk bytes: well-formed entries mixed with arbitrary bytes
+entry_soup = st.lists(st.one_of(
+    st.builds(AppDataEntry, st.binary(max_size=80),
+              st.binary(min_size=32, max_size=32),
+              st.binary(min_size=32, max_size=32)).map(AppDataEntry.serialize),
+    st.binary(max_size=100)), max_size=5).map(b"".join)
+
+
+@given(st.lists(entry_soup, max_size=3))
+def test_parse_store_fails_closed(chunks):
+    snap = Snapshot.assemble(1, b"\x00" * 32, chunks)
+    try:
+        store = parse_store(snap)
+    except SnapshotError:
+        return
+    assert b"".join(e.serialize() for e in store.entries()) == b"".join(chunks)

@@ -132,8 +132,11 @@ def test_snapshot_create_rejects_truncated_chain(tmp_path, capsys, raw):
     b"roles = miner:1:coinprune\nseed = \xff\n",
     b"roles = miner:1:coinprune\nneighbors = -1\n",
     b"roles = miner:1:coinprune\nseed = 9223372036854775808\n",
+    b"seed = 1\nblocks = 80\n"
+    b"roles = miner:3:coinprune full:1:coinprune joining:1:coinprune\n"
+    b"params = delta_p=10 delta_r=20 delta_d=1 k=2\n",
 ], ids=["count", "param-pair", "param-value", "role", "not-utf8",
-        "neighbors", "seed"])
+        "neighbors", "seed", "overlapping-windows"])
 def test_sim_bootstrap_rejects_bad_scenario(tmp_path, capsys, raw):
     scn = tmp_path / "bad.scn"
     scn.write_bytes(raw)

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coinprune import scripts
-from coinprune.chain import ChainParams, TxOutput, coinbase_tx, make_block
+from coinprune import netsim, scripts
+from coinprune import snapshot as snapshot_mod
+from coinprune.chain import (BlockHeader, ChainParams, TxOutput, coinbase_tx,
+                             make_block)
 from coinprune.coordination import PulseParams
 from coinprune.hashing import hash256
 from coinprune.appdata import combined_tag
@@ -290,6 +292,74 @@ def test_join_rejects_a_foreign_tip_block(joiner):
     outcome = sim.bootstrap(cfg)
     assert not outcome.accepted
     assert outcome.reason.endswith(f"block {tip} does not match headerchain")
+
+
+def test_join_hashes_each_received_chunk_once(monkeypatch):
+    # a joiner checks each chunk it receives against its advertised
+    # digest, once; answering GETSTATE reads the digests a snapshot keeps
+    nodes = (NodeConfig("m0", "miner"), NodeConfig("m1", "miner"),
+             NodeConfig("full0", "full"), NodeConfig("jcp", "joining"))
+    phase: list[str] = []
+    hashed: dict[str, list[bytes]] = {"join": [], "advert": []}
+    served: list[bytes] = []
+    real_hash256 = netsim.hash256
+    real_bootstrap = Simulation.bootstrap
+    real_advert = Simulation._advert
+    real_serve_chunk = Simulation._serve_chunk
+
+    def counting_hash256(data):
+        if phase:
+            hashed[phase[-1]].append(bytes(data))
+        return real_hash256(data)
+
+    def in_phase(name, fn):
+        def wrapper(*args):
+            phase.append(name)
+            try:
+                return fn(*args)
+            finally:
+                phase.pop()
+        return wrapper
+
+    def serve_chunk(*args):
+        data = real_serve_chunk(*args)
+        served.append(data)
+        return data
+
+    monkeypatch.setattr(netsim, "hash256", counting_hash256)
+    monkeypatch.setattr(snapshot_mod, "hash256", counting_hash256)
+    monkeypatch.setattr(Simulation, "bootstrap", in_phase("join", real_bootstrap))
+    monkeypatch.setattr(Simulation, "_advert", in_phase("advert", real_advert))
+    monkeypatch.setattr(Simulation, "_serve_chunk", serve_chunk)
+    sim, _ = run_simulation(_scenario(nodes=nodes, chain_length=260))
+    outcome = sim.join_results["jcp"]
+    assert outcome.accepted and outcome.via_snapshot
+    rec = sim.pulses[outcome.pulse_index]
+    chunks = rec.genuine_snap.chunks + rec.genuine_app.chunks
+    assert chunks and hashed["advert"]
+    for chunk in chunks:
+        assert served.count(chunk) >= 1
+        assert hashed["join"].count(chunk) == served.count(chunk)
+    assert not set(hashed["advert"]) & set(chunks)
+
+
+def test_mining_hashes_each_header_once_per_use(monkeypatch):
+    # validation computes each block id, and the builder hands it on to
+    # the next block's prev hash, pulse records and the joiner's checks;
+    # only the app-data extraction hashes the header again
+    calls = []
+    real_block_id = BlockHeader.block_id
+
+    def block_id(self):
+        calls.append(self)
+        return real_block_id(self)
+
+    monkeypatch.setattr(BlockHeader, "block_id", block_id)
+    nodes = (NodeConfig("m0", "miner"), NodeConfig("full0", "full"))
+    run_simulation(_scenario(nodes=nodes, chain_length=100,
+                             params=PulseParams(delta_p=20, delta_r=5,
+                                                delta_d=1, k=2)))
+    assert len(calls) == 2 * 101
 
 
 def test_obfuscated_snapshot_bootstrap_equivalence():

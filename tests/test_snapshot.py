@@ -9,8 +9,8 @@ from coinprune.hashing import hash256
 from coinprune.scripts import compress, p2pkh_script
 from coinprune.snapshot import (CHUNK_SIZE, Snapshot, SnapshotError,
                                 SnapshotHeader, apply_snapshot,
-                                build_snapshot, chunk_hashes, chunk_records,
-                                decode_record, encode_record, layered_id,
+                                build_snapshot, chunk_records,
+                                decode_record, encode_record,
                                 read_snapshot_file, serialize_utxo_set,
                                 verify_snapshot, wire_size,
                                 write_snapshot_file)
@@ -50,9 +50,8 @@ def test_empty_snapshot_golden_id():
 
 
 def test_single_chunk_golden_id():
-    header = SnapshotHeader(7, b"\x11" * 32, 1)
     chunk = bytes(range(256)) * 4
-    assert layered_id(header, [chunk]).hex() == ONE_CHUNK_ID
+    assert Snapshot.assemble(7, b"\x11" * 32, [chunk]).id.hex() == ONE_CHUNK_ID
 
 
 def test_layered_id_dual_route():
@@ -61,6 +60,7 @@ def test_layered_id_dual_route():
     manual = hash256(hash256(snap.header.serialize())
                      + b"".join(hash256(c) for c in snap.chunks))
     assert snap.id == manual
+    assert snap.digests == tuple(hash256(c) for c in snap.chunks)
 
 
 # --- records ------------------------------------------------------------------
@@ -157,13 +157,13 @@ def test_verify_accepts_untampered():
 
 def test_verify_localizes_tampered_chunk():
     snap = build_snapshot(_filled_set(20000), 5, b"\x02" * 32)
-    hashes = chunk_hashes(snap)
+    hashes = list(snap.digests)
     bad_idx = 1
     tampered = list(snap.chunks)
     flipped = bytearray(tampered[bad_idx])
     flipped[10] ^= 0xFF
     tampered[bad_idx] = bytes(flipped)
-    forged = Snapshot(snap.header, tuple(tampered), snap.id)
+    forged = snap._replace(chunks=tuple(tampered))
 
     with_hashes = verify_snapshot(forged, snap.id, hashes)
     assert not with_hashes.ok
@@ -176,7 +176,7 @@ def test_verify_localizes_tampered_chunk():
 
 def test_verify_rejects_wrong_chunk_count():
     snap = build_snapshot(_filled_set(10), 5, b"\x02" * 32)
-    forged = Snapshot(snap.header._replace(chunk_count=2), snap.chunks, snap.id)
+    forged = snap._replace(header=snap.header._replace(chunk_count=2))
     assert not verify_snapshot(forged, snap.id).ok
 
 
@@ -192,9 +192,8 @@ def test_apply_roundtrip():
 
 def test_apply_rejects_duplicate_outpoints():
     record = encode_record(_entry(1))
-    header = SnapshotHeader(1, b"\x00" * 32, 1)
     chunk = record + record
-    snap = Snapshot(header, (chunk,), layered_id(header, [chunk]))
+    snap = Snapshot.assemble(1, b"\x00" * 32, [chunk])
     with pytest.raises(SnapshotError):
         apply_snapshot(snap)
 
@@ -222,3 +221,38 @@ def test_header_roundtrip():
     raw = header.serialize()
     assert len(raw) == 40
     assert SnapshotHeader.parse(raw) == header
+
+
+# --- parsers fail closed -------------------------------------------------------
+
+# chunk bytes: well-formed records mixed with arbitrary bytes
+record_soup = st.lists(st.one_of(entries.map(encode_record),
+                                 st.binary(max_size=60)),
+                       max_size=5).map(b"".join)
+
+
+@given(st.one_of(
+    st.binary(max_size=200),
+    st.builds(lambda count, body: SnapshotHeader(1, b"\x00" * 32, count)
+              .serialize() + body,
+              st.integers(0, 2 ** 32 - 1), st.binary(max_size=200))))
+def test_read_snapshot_file_fails_closed(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "fuzz.snap"
+    path.write_bytes(raw)
+    try:
+        snap = read_snapshot_file(path)
+    except SnapshotError:
+        return
+    write_snapshot_file(path, snap)
+    assert path.read_bytes() == raw
+
+
+@given(st.lists(record_soup, max_size=3))
+def test_apply_snapshot_fails_closed(chunks):
+    snap = Snapshot.assemble(1, b"\x00" * 32, chunks)
+    try:
+        utxo = apply_snapshot(snap)
+    except SnapshotError:
+        return
+    assert sum(len(encode_record(e)) for e in utxo.entries()) \
+        == sum(len(c) for c in chunks)
