@@ -46,9 +46,9 @@ class AppDataEntry(NamedTuple):
         return cls(payload, txid, block_id), end
 
 
-def extract_op_return(block: Block) -> list[AppDataEntry]:
-    """All OP_RETURN payloads of a block, in transaction/output order."""
-    block_id = block.block_id()
+def extract_op_return(block: Block, block_id: bytes) -> list[AppDataEntry]:
+    """All OP_RETURN payloads of a block, in transaction/output order;
+    block_id is the id its caller already computed."""
     entries = []
     for tx in block.transactions:
         txid = None
@@ -71,8 +71,9 @@ class AppDataStore:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def add_block(self, block: Block, height: int) -> list[AppDataEntry]:
-        added = extract_op_return(block)
+    def add_block(self, block: Block, height: int,
+                  block_id: bytes) -> list[AppDataEntry]:
+        added = extract_op_return(block, block_id)
         for entry in added:
             self.add_entry(height, entry)
         return added
@@ -83,9 +84,6 @@ class AppDataStore:
 
     def lookup(self, txid: bytes) -> list[AppDataEntry]:
         return list(self._by_txid.get(txid, ()))
-
-    def entries(self) -> list[AppDataEntry]:
-        return [e for _, e in self._entries]
 
     def snapshot_at(self, height: int, block_id: bytes) -> Snapshot:
         """Chunked store of all entries up to height, identified like a snapshot."""

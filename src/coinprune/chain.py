@@ -8,6 +8,7 @@ data. Amounts are 64-bit integers in base units; fees are implicit and
 must be claimed exactly by the coinbase.
 """
 
+import functools
 import struct
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
@@ -245,21 +246,13 @@ class ChainParams:
     genesis_message: bytes = b"coinprune simulation genesis"
 
 
-_GENESIS_CACHE: dict = {}
-
-
+@functools.cache
 def genesis_block(params: ChainParams) -> Block:
-    key = (params.bits, params.subsidy, params.genesis_timestamp,
-           params.genesis_message)
-    cached = _GENESIS_CACHE.get(key)
-    if cached is None:
-        out = TxOutput(params.subsidy,
-                       scripts.p2pkh_script(hash256(params.genesis_message)[:20]))
-        tx = coinbase_tx(0, [out], params.genesis_message[:96])
-        cached = make_block(b"\x00" * 32, [tx], params.genesis_timestamp,
-                            params.bits)
-        _GENESIS_CACHE[key] = cached
-    return cached
+    out = TxOutput(params.subsidy,
+                   scripts.p2pkh_script(hash256(params.genesis_message)[:20]))
+    tx = coinbase_tx(0, [out], params.genesis_message[:96])
+    return make_block(b"\x00" * 32, [tx], params.genesis_timestamp,
+                      params.bits)
 
 
 # --- UTXO set -------------------------------------------------------------
@@ -436,16 +429,6 @@ class PersistedHeaderRecord(NamedTuple):
         assert len(out) == HEADER_RECORD_SIZE
         return out
 
-    @classmethod
-    def parse(cls, data: bytes) -> "PersistedHeaderRecord":
-        if len(data) != HEADER_RECORD_SIZE:
-            raise ChainError(f"header record must be {HEADER_RECORD_SIZE} bytes")
-        header = BlockHeader.parse(data[32:112])
-        (height,) = struct.unpack_from("<I", data, 112)
-        work = int.from_bytes(data[116:132], "little")
-        tx_count, timestamp = struct.unpack_from("<II", data, 132)
-        return cls(data[:32], header, height, work, tx_count, timestamp)
-
 
 def header_record(block: Block, height: int, cumulative_work: int) -> PersistedHeaderRecord:
     return PersistedHeaderRecord(block.block_id(), block.header, height,
@@ -464,32 +447,12 @@ class HeaderIndex:
                 f"record height {record.height} breaks contiguity at {len(self.records)}")
         self.records.append(record)
 
-    def tip(self) -> PersistedHeaderRecord:
-        if not self.records:
-            raise ChainError("empty header index")
-        return self.records[-1]
-
     def serialize(self) -> bytes:
         return b"".join(r.serialize() for r in self.records)
-
-    @classmethod
-    def parse(cls, data: bytes) -> "HeaderIndex":
-        if len(data) % HEADER_RECORD_SIZE:
-            raise ChainError("header index not a multiple of the record size")
-        index = cls()
-        for off in range(0, len(data), HEADER_RECORD_SIZE):
-            index.append(PersistedHeaderRecord.parse(
-                data[off:off + HEADER_RECORD_SIZE]))
-        return index
 
     def write(self, path) -> None:
         with open(path, "wb") as fh:
             fh.write(self.serialize())
-
-    @classmethod
-    def read(cls, path) -> "HeaderIndex":
-        with open(path, "rb") as fh:
-            return cls.parse(fh.read())
 
 
 def verify_headerchain(headers: list[BlockHeader],

@@ -9,8 +9,9 @@ Subcommands:
   sim security     run the Monte Carlo sweep, write CSVs and SVG charts
   report           redraw SVG charts from previously written CSVs
 
-Exit status is 0 on success, 1 on any verification failure, and 2 on
-usage errors (argparse's own convention). Output lands in --out-dir,
+Exit status is 0 on success, 1 on any verification failure, unreadable
+input or unwritable output, and 2 on usage errors, out-of-range numbers
+included (argparse's own convention). Output lands in --out-dir,
 falling back to $COINPRUNE_OUT, falling back to the working directory.
 Every run is reproducible from its flags: reports embed the seed.
 """
@@ -20,6 +21,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -50,6 +52,24 @@ def _out_dir(args) -> Path:
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return VERIFY_FAILED
+
+
+def _int_at_least(least: int):
+    """An argparse type: an integer no smaller than least."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse says "invalid int value" for non-ints
+    return parse
+
+
+def _require_finite(values) -> None:
+    """ValueError if any value read from an input file is inf or nan."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError("non-finite number")
 
 
 # --- SVG line charts --------------------------------------------------------
@@ -417,6 +437,7 @@ def _cmd_report(args) -> int:
     if args.sweep:
         try:
             result = SweepResult.from_csv(Path(args.sweep).read_text())
+            _require_finite(v for row in result.rows for v in row)
         except (OSError, KeyError, TypeError, ValueError) as exc:
             return _fail(f"cannot read sweep csv: {exc}")
         charts = _sweep_charts(prefix, result, f"source={args.sweep}")
@@ -428,6 +449,7 @@ def _cmd_report(args) -> int:
             with open(args.storage, newline="") as fh:
                 reader = csv.DictReader(fh)
                 bars = [(r["node"], float(r["bytes_stored"])) for r in reader]
+            _require_finite(v for _, v in bars)
         except (OSError, KeyError, TypeError, ValueError) as exc:
             return _fail(f"cannot read storage csv: {exc}")
         chart = svg_bar_chart("Per-node storage", "bytes", bars,
@@ -456,9 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
     chain_p = sub.add_parser("chain", help="chain generation")
     chain_sub = chain_p.add_subparsers(dest="chain_command", required=True)
     gen = chain_sub.add_parser("gen", help="generate a synthetic chain")
-    gen.add_argument("--blocks", type=int, required=True)
+    gen.add_argument("--blocks", type=_int_at_least(0), required=True)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--txs-per-block", type=int, default=8)
+    gen.add_argument("--txs-per-block", type=_int_at_least(0), default=8)
     gen.add_argument("--out", default="chain.blk")
     gen.add_argument("--headers", default=None,
                      help="also write a header index file")
@@ -496,11 +518,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_out_dir(boot)
     boot.set_defaults(func=_cmd_sim_bootstrap)
     sec = sim_sub.add_parser("security", help="adversary resilience sweep")
-    sec.add_argument("--delta-r", type=int, nargs="+", default=[1000])
-    sec.add_argument("--k", type=int, nargs="+", default=[5])
+    sec.add_argument("--delta-r", type=_int_at_least(1), nargs="+",
+                     default=[1000])
+    sec.add_argument("--k", type=_int_at_least(1), nargs="+", default=[5])
     sec.add_argument("--trials", type=int, default=1000)
     sec.add_argument("--seed", type=int, default=0)
-    sec.add_argument("--jobs", type=int, default=1,
+    sec.add_argument("--jobs", type=_int_at_least(1), default=1,
                      help="parallel sweep cells; never changes the output")
     sec.add_argument("--mode", choices=("binomial", "blockwise"),
                      default="binomial")
@@ -524,7 +547,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # an output directory or file that cannot be written
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -1,15 +1,15 @@
 """Deterministic message-level simulation of snapshot-based bootstrapping.
 
 The simulator advances one canonical chain in rounds: each round a
-miner is chosen proportionally to hash power, builds a block from the
-workload profile, and (when inside a reaffirmation window) embeds its
-tag in the coinbase. Honest replicas share the canonical storage;
-adversarial nodes differ only in what they mine and serve. Joining
-nodes run the real client protocol against their neighbors: handshake
-with service flags, header sync, snapshot discovery via GETSTATE/INV,
-chunk download with per-chunk hash verification and re-requests,
-chaintail replay with full validation, and the window tally check that
-the applied snapshot was actually reaffirmed on-chain.
+miner chosen uniformly at random builds a block from the workload
+profile and (when inside a reaffirmation window) embeds its tag in the
+coinbase. Honest replicas share the canonical storage; adversarial
+nodes differ only in what they mine and serve. Joining nodes run the
+real client protocol against their neighbors: handshake, header sync,
+snapshot discovery via GETSTATE/INV, chunk download with per-chunk
+hash verification and re-requests, chaintail replay with full
+validation, and the window tally check that the applied snapshot was
+actually reaffirmed on-chain.
 
 Every message is metered and traced; identical scenarios (same seed)
 produce byte-identical traces and reports.
@@ -30,10 +30,6 @@ from .chaingen import ChainBuilder, WorkloadProfile, light_profile
 from .coordination import CoordinationError, PulseParams
 from .scripts import CompressedTxOut
 from .snapshot import Snapshot
-
-# service flags exchanged in the Version handshake
-FLAG_NETWORK = 1
-FLAG_COINPRUNE = 2
 
 # advertised object kinds, in fetch order: the UTXO snapshot, then the
 # app-data store; an advert holds (kind, header digest, chunk digests)
@@ -68,19 +64,12 @@ class NodeConfig:
     role: str  # "miner" | "full" | "joining"
     coinprune: bool = True
     adversarial: bool = False
-    hash_power: float = 1.0
-    latency: int = 1
 
     def __post_init__(self) -> None:
         if self.role not in ("miner", "full", "joining"):
             raise SimError(f"unknown role {self.role!r}")
         if self.adversarial and not self.coinprune:
             raise SimError("adversarial nodes signal snapshot support")
-        if self.hash_power < 0 or self.latency < 1:
-            raise SimError("bad hash power or latency")
-
-    def service_flags(self) -> int:
-        return FLAG_NETWORK | (FLAG_COINPRUNE if self.coinprune else 0)
 
 
 @dataclass(frozen=True)
@@ -205,7 +194,7 @@ class Simulation:
         self.miners = [n for n in scenario.nodes if n.role == "miner"]
         self.block_bytes: list[int] = [len(self.builder.blocks[0].serialize())]
         self.appstore = appdata_mod.AppDataStore()
-        self.appstore.add_block(self.builder.blocks[0], 0)
+        self.appstore.add_block(self.builder.blocks[0], 0, self.builder.ids[0])
         self.pulses: dict[int, PulseRecord] = {}
         self.topology = self._build_topology()
         self.join_results: dict[str, JoinOutcome] = {}
@@ -243,22 +232,18 @@ class Simulation:
 
     def run(self) -> RunReport:
         for height in range(1, self.scenario.chain_length + 1):
-            miner = self._pick_miner()
+            miner = self.rng.choices(self.miners)[0]
             extra = self._coinbase_extra(miner, height)
             block = self.builder.next_block(extra)
             raw_size = len(block.serialize())
             self.block_bytes.append(raw_size)
-            self.appstore.add_block(block, height)
+            self.appstore.add_block(block, height, self.builder.ids[height])
             self._gossip(miner.name, raw_size)
             self._pulse_bookkeeping(height)
         for joiner in self.joiners:
             outcome = self.bootstrap(joiner)
             self.join_results[joiner.name] = outcome
         return self._report()
-
-    def _pick_miner(self) -> NodeConfig:
-        weights = [m.hash_power for m in self.miners]
-        return self.rng.choices(self.miners, weights=weights)[0]
 
     def _coinbase_extra(self, miner: NodeConfig, height: int) -> bytes:
         pulse = coordination.pulse_for_height(height, self.params)
@@ -407,9 +392,8 @@ class Simulation:
             self.trace.add(f"join {name} aborted: {outcome.reason}")
         return JoinOutcome(False, last_reason, MAX_BOOTSTRAP_ATTEMPTS, False)
 
-    def _round(self, joiner: str, peers: list[NodeConfig]) -> None:
-        cost = max((p.latency for p in peers), default=1)
-        self.nodes[joiner].sync_rounds += cost
+    def _round(self, joiner: str) -> None:
+        self.nodes[joiner].sync_rounds += 1
 
     def _bootstrap_once(self, joiner: NodeConfig, neighbors: list[NodeConfig],
                         attempt: int) -> JoinOutcome:
@@ -419,19 +403,19 @@ class Simulation:
         def abort(reason: str) -> JoinOutcome:
             return JoinOutcome(False, reason, attempts, True)
 
-        # handshake: learn service flags
+        # handshake: a peer's version tells whether it serves snapshots
         for peer in neighbors:
             self._send(name, peer.name, "version", 26)
             self._send(peer.name, name, "version", 26)
             self._send(peer.name, name, "verack")
             self._send(name, peer.name, "verack")
-        self._round(name, neighbors)
+        self._round(name)
 
         snapshot_peers: list[NodeConfig] = []
         adverts: dict[str, tuple] = {}
         if joiner.coinprune:
             for peer in neighbors:
-                if not peer.service_flags() & FLAG_COINPRUNE:
+                if not peer.coinprune:
                     continue
                 self._send(name, peer.name, "getstate")
                 advert = self._advert(peer)
@@ -442,7 +426,7 @@ class Simulation:
                     1 + len(digests) for _, _, digests in advert[0]))
                 snapshot_peers.append(peer)
                 adverts[peer.name] = advert
-            self._round(name, neighbors)
+            self._round(name)
 
         if not adverts:
             return self._full_sync(joiner, neighbors, attempts)
@@ -473,7 +457,7 @@ class Simulation:
                    4 + INV_ENTRY_SIZE * len(objects))
         for _ in objects:
             self._send(head_peer.name, name, "stateheader", 40)
-        self._round(name, [head_peer])
+        self._round(name)
 
         height = served[0].header.height
         if height % self.params.delta_p != 0 or height == 0:
@@ -552,7 +536,7 @@ class Simulation:
                                    f"mismatch from {peer.name}")
                     if attempts[chunk_index] >= CHUNK_RETRY:
                         return f"{prefix}chunk retry budget exhausted"
-            self._round(name, [peer for _, peer in wave])
+            self._round(name)
             pending = [i for i in pending if i not in done]
         header = served.header
         if header.chunk_count != total:
@@ -589,7 +573,7 @@ class Simulation:
         self._send(name, peer.name, "getheaders", 4)
         headers = [b.header for b in self.builder.blocks]
         self._send(peer.name, name, "headers", 4 + 80 * len(headers))
-        self._round(name, [peer])
+        self._round(name)
         verify_headerchain(headers, self.chain_params)
         return len(headers) - 1
 
@@ -598,7 +582,6 @@ class Simulation:
         """Batches of BLOCK_BATCH heights, one batch per peer per round."""
         pos = 0
         while pos < len(heights):
-            wave_peers = []
             for peer in peers:
                 take = heights[pos:pos + BLOCK_BATCH]
                 if not take:
@@ -608,8 +591,7 @@ class Simulation:
                            4 + INV_ENTRY_SIZE * len(take))
                 for h in take:
                     self._send(peer.name, name, "block", self.block_bytes[h])
-                wave_peers.append(peer)
-            self._round(name, wave_peers)
+            self._round(name)
 
     def _replay(self, utxo: UtxoSet, heights: range) -> None:
         """Validate and apply the downloaded blocks; they must end at the
@@ -625,7 +607,7 @@ class Simulation:
                    store: appdata_mod.AppDataStore, heights: range) -> None:
         """Record a join's state, its app data extended over the replay."""
         for h in heights:
-            store.add_block(self.builder.blocks[h], h)
+            store.add_block(self.builder.blocks[h], h, self.builder.ids[h])
         self.join_utxo[name] = utxo
         self.join_stores[name] = store
 

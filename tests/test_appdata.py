@@ -8,7 +8,7 @@ from coinprune.chain import ChainParams, UtxoSet, validate_and_apply_block
 from coinprune.chaingen import WorkloadProfile, generate_chain
 from coinprune.hashing import hash256
 from coinprune.scripts import decompress, is_op_return
-from coinprune.snapshot import Snapshot, SnapshotError
+from coinprune.snapshot import Snapshot, SnapshotError, decode_records
 
 # hash256 of thirty-two 0x01 bytes followed by thirty-two 0x02 bytes
 COMBINED_GOLDEN = "39ce20bede82c96b8908bec4a157b09c549b3db90b9b474bda9ae9b9030310b4"
@@ -36,19 +36,29 @@ def _oracle_entries(blocks):
     return found
 
 
-def test_extraction_matches_independent_scan(op_return_chain):
+def _store(blocks) -> AppDataStore:
     store = AppDataStore()
-    for height, block in enumerate(op_return_chain):
-        store.add_block(block, height)
+    for height, block in enumerate(blocks):
+        store.add_block(block, height, block.block_id())
+    return store
+
+
+def _entries(store: AppDataStore, blocks) -> list[AppDataEntry]:
+    """The store's entries in order, read back through its snapshot."""
+    tip = len(blocks) - 1
+    return list(decode_records(store.snapshot_at(tip, blocks[tip].block_id()),
+                               AppDataEntry.decode))
+
+
+def test_extraction_matches_independent_scan(op_return_chain):
+    store = _store(op_return_chain)
     expected = _oracle_entries(op_return_chain)
     assert len(store) == len(expected) > 50
-    assert store.entries() == [e for _, e in expected]
+    assert _entries(store, op_return_chain) == [e for _, e in expected]
 
 
 def test_lookup_by_txid(op_return_chain):
-    store = AppDataStore()
-    for height, block in enumerate(op_return_chain):
-        store.add_block(block, height)
+    store = _store(op_return_chain)
     for _, entry in _oracle_entries(op_return_chain):
         assert entry in store.lookup(entry.txid)
     assert store.lookup(b"\x00" * 32) == []
@@ -77,14 +87,13 @@ def test_entry_roundtrip(payload, txid, block_id):
 
 
 def test_snapshot_roundtrip(op_return_chain):
-    store = AppDataStore()
-    for height, block in enumerate(op_return_chain):
-        store.add_block(block, height)
+    store = _store(op_return_chain)
     tip = len(op_return_chain) - 1
     snap = store.snapshot_at(tip, op_return_chain[tip].block_id())
     assert snap.header.height == tip
     restored = parse_store(snap)
-    assert restored.entries() == store.entries()
+    assert _entries(restored, op_return_chain) \
+        == _entries(store, op_return_chain)
     # same seed, same chain, same snapshot id
     again = store.snapshot_at(tip, op_return_chain[tip].block_id())
     assert again.id == snap.id
@@ -118,4 +127,6 @@ def test_parse_store_fails_closed(chunks):
         store = parse_store(snap)
     except SnapshotError:
         return
-    assert b"".join(e.serialize() for e in store.entries()) == b"".join(chunks)
+    entries = decode_records(store.snapshot_at(1, b"\x00" * 32),
+                             AppDataEntry.decode)
+    assert b"".join(e.serialize() for e in entries) == b"".join(chunks)

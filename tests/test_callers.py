@@ -1,15 +1,23 @@
-"""Every public function in the package has a caller in the package.
+"""Every public function in the package runs on a command path.
 
 A public module-level function or public method that no command or
-simulation path uses is dead weight with its own tests. This reads the
-source text with `ast`: each such name must be referenced (as a name or
-an attribute) somewhere in `src/coinprune` outside `__init__.py`, or be
-listed below with the reason it stays. The check is by name, so a
-method passes if any object's attribute of that name is used.
+simulation path uses is dead weight with its own tests. This runs the
+README's commands in-process on small inputs under `sys.setprofile` and
+records every code object that executes: each public function or
+method defined in `src/coinprune` (found with `ast`) must be among
+them, or be listed below with the reason it stays.
 """
 
+import argparse
 import ast
+import contextlib
+import io
+import sys
 from pathlib import Path
+
+import pytest
+
+from coinprune import chain, cli
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "coinprune"
 
@@ -24,45 +32,125 @@ ALLOWED = {
                                    "benchmark compare joined states against",
 }
 
+# small enough to run in about a second under the profiler; the joiner's
+# eclipsed first attempt is offered the forged snapshot and re-requests a
+# bogus chunk before it aborts, and the legacy joiner falls back to a
+# full sync
+SCENARIO = """\
+seed = 1
+blocks = 100
+roles = miner:2:coinprune full:1:coinprune full:1:legacy \
+full:1:adversarial joining:1:coinprune joining:1:legacy
+params = delta_p=40 delta_r=10 delta_d=2 k=3
+faults = bogus_chunks eclipse bogus_snapshot
+obfuscate = true
+"""
 
-def _public_functions(tree: ast.Module):
-    """(qualified name, bare name) of public functions and methods."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+
+def _commands(d: Path) -> list[list[str]]:
+    """The README's commands, in an order where each finds its inputs;
+    snapshot verify's id is filled in from snapshot id's output."""
+    out = ["--out-dir", str(d)]
+    sec = ["sim", "security", "--delta-r", "20", "--k", "5", "--trials",
+           "20", "--step", "50", "--prefix", "sec"]
+    return [
+        ["chain", "gen", "--blocks", "40", "--seed", "5", "--out", "chain.blk",
+         "--headers", "chain.hdr"] + out,
+        ["snapshot", "create", "--chain", str(d / "chain.blk"),
+         "--height", "30", "--out", "state.snap"] + out,
+        ["snapshot", "id", "--snap", str(d / "state.snap")],
+        ["snapshot", "verify", "--snap", str(d / "state.snap"), "--id"],
+        ["sim", "bootstrap", "--scenario", str(d / "probe.scn"), "--trace",
+         "--prefix", "run"] + out,
+        sec + out,
+        sec + ["--mode", "blockwise"] + out,
+        ["report", "--sweep", str(d / "sec_sweep.csv"),
+         "--storage", str(d / "run_storage.csv"), "--prefix", "rep"] + out,
+    ]
+
+
+def _leaf_commands(parser: argparse.ArgumentParser, prefix=()):
+    """Every runnable subcommand path of the parser, e.g. ("snapshot", "id")."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield prefix
+        return
+    for name, child in subs[0].choices.items():
+        yield from _leaf_commands(child, prefix + (name,))
+
+
+def _public_functions():
+    """(module.qualified name, (file, first line of its code object))."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defs = [(node.name, node) for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                defs += [(f"{cls.name}.{item.name}", item) for item in cls.body
+                         if isinstance(item, (ast.FunctionDef,
+                                              ast.AsyncFunctionDef))]
+        for qualified, node in defs:
             if not node.name.startswith("_"):
-                yield node.name, node.name
-        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                        and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}", item.name
+                # a decorated function's code starts at its first decorator
+                line = min([d.lineno for d in node.decorator_list]
+                           + [node.lineno])
+                yield f"{path.stem}.{qualified}", (str(path), line)
 
 
-def _uncalled() -> set[str]:
-    """module.qualified names of public functions nothing references."""
-    modules = {path.stem: ast.parse(path.read_text(), filename=str(path))
-               for path in sorted(SRC.glob("*.py"))}
-    used: set[str] = set()
-    for stem, tree in modules.items():
-        if stem == "__init__":
-            continue
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    return {f"{stem}.{qualified}"
-            for stem, tree in modules.items()
-            for qualified, bare in _public_functions(tree)
-            if bare not in used}
+@pytest.fixture(scope="module")
+def executed(tmp_path_factory):
+    """(file, first line) of every package code object the commands ran."""
+    d = tmp_path_factory.mktemp("probe")
+    (d / "probe.scn").write_text(SCENARIO)
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    # a cached function's body runs only on a miss
+    chain.genesis_block.cache_clear()
+    snap_id = None
+    for argv in _commands(d):
+        if argv[-1] == "--id":
+            argv = argv + [snap_id]
+        stdout = io.StringIO()
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+        finally:
+            sys.setprofile(previous)
+        assert code == 0, (argv, code)
+        if argv[:2] == ["snapshot", "id"]:
+            snap_id = stdout.getvalue().split()[-1]
+    return {(str(Path(c.co_filename).resolve()), c.co_firstlineno)
+            for c in seen}
 
 
-def test_every_public_function_has_a_caller():
-    uncalled = sorted(_uncalled() - ALLOWED.keys())
-    assert not uncalled, f"public functions without a caller: {uncalled}"
+def _uncalled(executed) -> set[str]:
+    return {name for name, where in _public_functions()
+            if where not in executed}
 
 
-def test_allowlist_holds_only_uncalled_functions():
+def test_commands_cover_every_subcommand(tmp_path):
+    commands = _commands(tmp_path)
+    missing = [" ".join(leaf) for leaf in _leaf_commands(cli.build_parser())
+               if not any(tuple(argv[:len(leaf)]) == leaf
+                          for argv in commands)]
+    assert not missing, f"subcommands the probe never runs: {missing}"
+
+
+def test_every_public_function_has_a_caller(executed):
+    uncalled = sorted(_uncalled(executed) - ALLOWED.keys())
+    assert not uncalled, f"public functions no command runs: {uncalled}"
+
+
+def test_allowlist_holds_only_uncalled_functions(executed):
     # an allowlisted name that was deleted or gained a caller goes too
-    stale = sorted(ALLOWED.keys() - _uncalled())
-    assert not stale, f"allowlisted but defined and called, or gone: {stale}"
+    stale = sorted(ALLOWED.keys() - _uncalled(executed))
+    assert not stale, f"allowlisted but run by a command, or gone: {stale}"

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from coinprune.chain import (BlockValidationError, ChainError, ChainParams,
                              HEADER_RECORD_SIZE, Block, BlockHeader,
-                             HeaderIndex, PersistedHeaderRecord, Transaction,
+                             HeaderIndex, Transaction,
                              TxInput, TxOutput, UtxoSet, best_tip, check_pow,
                              coinbase_tx, genesis_block, header_record,
                              make_block, merkle_root, read_block_file,
@@ -244,10 +244,17 @@ def test_replay_matches_set_difference_oracle():
 # --- persisted records and files ---------------------------------------------------
 
 def test_header_record_is_exactly_140_bytes(light_chain):
-    record = header_record(light_chain[3], 3, 4 * work_from_bits(PARAMS.bits))
-    raw = record.serialize()
+    block = light_chain[3]
+    work = 4 * work_from_bits(PARAMS.bits)
+    raw = header_record(block, 3, work).serialize()
     assert len(raw) == HEADER_RECORD_SIZE == 140
-    assert PersistedHeaderRecord.parse(raw) == record
+    # id 32 | header 80 | height u32 | work u128 | tx_count u32 | timestamp u32
+    assert raw[:32] == block.block_id()
+    assert raw[32:112] == block.header.serialize()
+    assert struct.unpack_from("<I", raw, 112) == (3,)
+    assert int.from_bytes(raw[116:132], "little") == work
+    assert struct.unpack_from("<II", raw, 132) \
+        == (len(block.transactions), block.header.timestamp)
 
 
 def test_header_index_contiguity_and_file_roundtrip(tmp_path, light_chain):
@@ -261,8 +268,7 @@ def test_header_index_contiguity_and_file_roundtrip(tmp_path, light_chain):
     path = tmp_path / "headers.dat"
     index.write(path)
     assert path.stat().st_size == 20 * HEADER_RECORD_SIZE
-    loaded = HeaderIndex.read(path)
-    assert loaded.records == index.records
+    assert path.read_bytes() == b"".join(r.serialize() for r in index.records)
 
 
 def test_verify_headerchain_and_corruption_position(light_chain):

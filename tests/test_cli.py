@@ -268,3 +268,58 @@ def test_unknown_subcommand_is_usage_error(capsys):
         main([])
     assert err.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["chain", "gen", "--blocks", "5"],
+    ["snapshot", "create", "--chain", "chain.blk", "--height", "5"],
+    ["sim", "bootstrap", "--scenario", "plain.scn"],
+    ["sim", "security", "--trials", "10", "--step", "50"],
+    ["report", "--storage", "storage.csv"],
+], ids=["chain-gen", "snapshot-create", "sim-bootstrap", "sim-security",
+        "report"])
+def test_unwritable_out_dir_fails_closed(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(["chain", "gen", "--blocks", "5"]) == 0
+    (tmp_path / "plain.scn").write_text(SCENARIO)
+    (tmp_path / "storage.csv").write_text("node,bytes_stored\nm0,10\n")
+    capsys.readouterr()
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file where a directory should go")
+    code = main(argv + ["--out-dir", str(blocker / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["chain", "gen", "--blocks", "-5"],
+    ["chain", "gen", "--blocks", "5", "--txs-per-block", "-1"],
+    ["sim", "security", "--delta-r", "0"],
+    ["sim", "security", "--k", "5", "0"],
+    ["sim", "security", "--jobs", "0"],
+], ids=["blocks", "txs-per-block", "delta-r", "k", "jobs"])
+def test_out_of_range_arguments_are_usage_errors(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--out-dir", str(tmp_path)])
+    assert err.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("kind,text", [
+    ("storage", "node,bytes_stored\nm0,10\nm1,inf\n"),
+    ("storage", "node,bytes_stored\nm0,nan\n"),
+    ("sweep", "f_C,f_A,delta_r,k,p_correct,p_adversary,p_skipped\n"
+              "1.0,0.0,100,5,1.0,inf,0.0\n"),
+    ("sweep", "f_C,f_A,delta_r,k,p_correct,p_adversary,p_skipped\n"
+              "1.0,0.0,100,5,1.0,0.0,nan\n"),
+], ids=["storage-inf", "storage-nan", "sweep-inf", "sweep-nan"])
+def test_report_rejects_non_finite_numbers(tmp_path, capsys, kind, text):
+    source = tmp_path / f"{kind}.csv"
+    source.write_text(text)
+    code = main(["report", f"--{kind}", str(source),
+                 "--out-dir", str(tmp_path / "charts")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read {kind} csv")
+    assert not any((tmp_path / "charts").iterdir())
