@@ -32,28 +32,22 @@ DEFAULT_MIXTURE = (
     ("p2ms", 0.005),
     ("nonstandard", 0.005),
 )
+MIX_NAMES = [name for name, _ in DEFAULT_MIXTURE]
+MIX_WEIGHTS = [w / sum(w for _, w in DEFAULT_MIXTURE)
+               for _, w in DEFAULT_MIXTURE]
 
 BLOCK_INTERVAL = 600
+FEE = 1000  # paid by every generated transaction
+TWO_INPUT_RATE = 0.5  # chance a transaction spends two wallet outputs
+TWO_OUTPUT_RATE = 0.5  # chance it pays to two outputs
 
 
 @dataclass(frozen=True)
 class WorkloadProfile:
     txs_per_block: int = 50
     spend_probability: float = 0.04
-    two_input_rate: float = 0.5
-    two_output_rate: float = 0.5
     op_return_rate: float = 0.05
-    fee: int = 1000
-    mixture: tuple = DEFAULT_MIXTURE
     seed: int = 0
-
-    def normalized_mixture(self) -> tuple[list[str], list[float]]:
-        names = [name for name, _ in self.mixture]
-        weights = [w for _, w in self.mixture]
-        total = sum(weights)
-        if total <= 0:
-            raise ValueError("mixture weights must sum to a positive value")
-        return names, [w / total for w in weights]
 
 
 def light_profile(seed: int = 0, txs_per_block: int = 8) -> WorkloadProfile:
@@ -83,7 +77,6 @@ class ChainBuilder:
         self.profile = profile
         self.params = params
         self.rng = random.Random(profile.seed if seed is None else seed)
-        self.mix_names, self.mix_weights = profile.normalized_mixture()
         self.utxo = UtxoSet()
         self.blocks: list[Block] = []
         self.ids: list[bytes] = []  # block ids, as validation computed them
@@ -146,14 +139,14 @@ class ChainBuilder:
         while i < len(victims) and len(txs) < profile.txs_per_block:
             group = [victims[i]]
             i += 1
-            if i < len(victims) and rng.random() < profile.two_input_rate:
+            if i < len(victims) and rng.random() < TWO_INPUT_RATE:
                 group.append(victims[i])
                 i += 1
             tx = self._spend_tx(group, created)
             if tx is None:
                 continue
             txs.append(tx)
-            fees += profile.fee
+            fees += FEE
             spent.extend((w.txid, w.vout) for w in group)
         return txs, fees, spent, created
 
@@ -184,15 +177,15 @@ class ChainBuilder:
         profile = self.profile
         rng = self.rng
         total = sum(w.amount for w in group)
-        n_outputs = 2 if rng.random() < profile.two_output_rate else 1
-        if total <= profile.fee + n_outputs:
+        n_outputs = 2 if rng.random() < TWO_OUTPUT_RATE else 1
+        if total <= FEE + n_outputs:
             return None  # dust group; leave the outputs unspent
-        budget = total - profile.fee
+        budget = total - FEE
         amounts = self._split(budget, n_outputs)
         outputs = []
         out_materials = []
         for amount in amounts:
-            kind = rng.choices(self.mix_names, weights=self.mix_weights)[0]
+            kind = rng.choices(MIX_NAMES, weights=MIX_WEIGHTS)[0]
             script, material = self._make_output(kind)
             outputs.append(TxOutput(amount, script))
             out_materials.append((kind, material))

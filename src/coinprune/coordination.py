@@ -37,8 +37,9 @@ class PulseParams:
     def __post_init__(self) -> None:
         if self.delta_p <= 0 or self.delta_r <= 0 or self.delta_d < 0:
             raise CoordinationError("pulse intervals must be positive")
-        if self.k < 1:
-            raise CoordinationError("acceptance threshold must be at least 1")
+        if not 1 <= self.k <= self.delta_r:
+            raise CoordinationError(
+                "acceptance threshold must be between 1 and delta_r")
         # delta_d + delta_r may exceed delta_p; windows stay disjoint
         # as long as delta_r <= delta_p
         if self.delta_r > self.delta_p:

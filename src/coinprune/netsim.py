@@ -24,8 +24,8 @@ from . import appdata as appdata_mod
 from . import coordination
 from . import scripts
 from . import snapshot as snapshot_mod
-from .chain import (ChainError, ChainParams, UtxoEntry, UtxoSet,
-                    replay_blocks, verify_headerchain)
+from .chain import (HEADER_RECORD_SIZE, ChainError, ChainParams, UtxoEntry,
+                    UtxoSet, replay_blocks, verify_headerchain)
 from .chaingen import ChainBuilder, WorkloadProfile, light_profile
 from .coordination import CoordinationError, PulseParams
 from .scripts import CompressedTxOut
@@ -50,6 +50,9 @@ KNOWN_FAULTS = ("bogus_tags", "bogus_chunks", "bogus_snapshot", "eclipse")
 MAX_BOOTSTRAP_ATTEMPTS = 3  # neighbor samples a joiner tries before giving up
 CHUNK_RETRY = 2  # deliveries of one chunk before an attempt aborts
 BLOCK_BATCH = 16  # blocks requested from one peer per round
+
+SCENARIO_KEYS = {"seed", "blocks", "nodes", "roles", "params", "faults",
+                 "obfuscate", "appdata", "txs_per_block", "neighbors"}
 
 
 class SimError(Exception):
@@ -81,7 +84,6 @@ class SimScenario:
     profile: WorkloadProfile | None = None
     obfuscate: bool = False
     preserve_appdata: bool = True
-    prune: bool = True
     faults: tuple = ()
     neighbor_count: int = 8
 
@@ -115,15 +117,21 @@ class PulseRecord:
     genuine_app: Snapshot | None
     genuine_tag: bytes
     bogus_snap: Snapshot | None = None
-    bogus_app: Snapshot | None = None
     bogus_tag: bytes | None = None
     outcome: coordination.PulseOutcome | None = None
 
     def served(self, bogus: bool) -> tuple[Snapshot, Snapshot | None]:
-        """(snapshot, app-data snapshot) served for this pulse."""
-        if bogus:
-            return self.bogus_snap, self.bogus_app
-        return self.genuine_snap, self.genuine_app
+        """(snapshot, app-data snapshot) served for this pulse; a forged
+        state comes with the genuine app data."""
+        return self.bogus_snap if bogus else self.genuine_snap, self.genuine_app
+
+    def status(self) -> tuple[str, str, int]:
+        """(open | accepted | skipped, tag hex or "-", count) of the window."""
+        if self.outcome is None:
+            return "open", "-", 0
+        if self.outcome.accepted:
+            return "accepted", self.outcome.tag.hex(), self.outcome.count
+        return "skipped", "-", 0
 
 
 @dataclass
@@ -133,6 +141,7 @@ class NodeState:
     tx_bytes: int = 0
     pruned_below: int = 0  # block heights below this are discarded
     sync_rounds: int = 0
+    held: tuple[PulseRecord, bool] | None = None  # snapshot kept: (record, bogus)
 
 
 @dataclass
@@ -192,6 +201,8 @@ class Simulation:
         self.established = [n for n in scenario.nodes if n.role != "joining"]
         self.joiners = [n for n in scenario.nodes if n.role == "joining"]
         self.miners = [n for n in scenario.nodes if n.role == "miner"]
+        for cfg in self.joiners:  # a joiner holds no block before it joins
+            self.nodes[cfg.name].pruned_below = scenario.chain_length + 1
         self.block_bytes: list[int] = [len(self.builder.blocks[0].serialize())]
         self.appstore = appdata_mod.AppDataStore()
         self.appstore.add_block(self.builder.blocks[0], 0, self.builder.ids[0])
@@ -293,38 +304,45 @@ class Simulation:
         rec = PulseRecord(index, height, snap, app,
                           appdata_mod.pulse_tag(snap, app))
         if any(n.adversarial for n in self.scenario.nodes):
-            rec.bogus_snap, rec.bogus_app, rec.bogus_tag = \
-                self._forge_snapshot(height, block_id, app)
+            rec.bogus_snap = self._forge_snapshot(height, block_id)
+            rec.bogus_tag = appdata_mod.pulse_tag(rec.bogus_snap, app)
         return rec
 
-    def _forge_snapshot(self, height: int, block_id: bytes,
-                        app: Snapshot | None):
+    def _forge_snapshot(self, height: int, block_id: bytes) -> Snapshot:
         """A self-consistent snapshot of a state that never existed."""
         forged = self.builder.utxo.copy()
         payload = hash256(b"forged-riches" + struct.pack("<I", height))
         forged.add(UtxoEntry(payload, 0, 21_000_000 * 100_000_000, height,
                              False, CompressedTxOut(scripts.CASE_P2PKH,
                                                     payload[:20])))
-        snap = snapshot_mod.build_snapshot(forged, height, block_id,
+        return snapshot_mod.build_snapshot(forged, height, block_id,
                                            obfuscate=self.scenario.obfuscate)
-        return snap, app, appdata_mod.pulse_tag(snap, app)
 
     def _close_window(self, index: int, tip_height: int) -> None:
-        rec = self.pulses.get(index)
-        if rec is None:
-            return
+        """Tally the window. On acceptance the coinprune established nodes
+        keep this pulse's snapshot and, when it is the genuine one, prune
+        below it."""
+        rec = self.pulses[index]
         rec.outcome = coordination.tally_window(self._window_tags(index),
                                                 self.params)
-        status = "accepted" if rec.outcome.accepted else "skipped"
-        tag_hex = rec.outcome.tag.hex() if rec.outcome.tag else "-"
+        status, tag_hex, count = rec.status()
         self.trace.add(f"window {index} closed at {tip_height} {status} "
-                       f"{tag_hex} count {rec.outcome.count}")
-        if rec.outcome.accepted and rec.outcome.tag == rec.genuine_tag \
-                and self.scenario.prune:
-            for cfg in self.established:
-                if cfg.coinprune:
-                    node = self.nodes[cfg.name]
-                    node.pruned_below = max(node.pruned_below, rec.height + 1)
+                       f"{tag_hex} count {count}")
+        if not rec.outcome.accepted:
+            return
+        genuine = rec.outcome.tag == rec.genuine_tag
+        # an adversary keeps the forged state if its tag won or it forges anyway
+        forged = "bogus_snapshot" in self.scenario.faults \
+            or rec.outcome.tag == rec.bogus_tag
+        for cfg in self.established:
+            node = self.nodes[cfg.name]
+            if cfg.adversarial and forged:
+                node.held = rec, True
+            elif cfg.coinprune and genuine:
+                node.held = rec, False
+            if cfg.coinprune and genuine:
+                node.pruned_below = rec.height + 1
+        if genuine:
             self.trace.add(f"prune below {rec.height + 1}")
 
     def _window_tags(self, index: int) -> list[bytes | None]:
@@ -334,30 +352,13 @@ class Simulation:
 
     # --- serving side -------------------------------------------------------
 
-    def _served_record(self, cfg: NodeConfig) -> tuple[PulseRecord, bool] | None:
-        """Latest reaffirmed snapshot this node holds: (record, is_bogus)."""
-        for index in sorted(self.pulses, reverse=True):
-            rec = self.pulses[index]
-            if rec.outcome is None or not rec.outcome.accepted:
-                continue
-            if cfg.adversarial and "bogus_snapshot" in self.scenario.faults \
-                    and rec.bogus_snap is not None:
-                return rec, True
-            if rec.outcome.tag == rec.genuine_tag:
-                return rec, False
-            if cfg.adversarial and rec.bogus_tag is not None \
-                    and rec.outcome.tag == rec.bogus_tag:
-                return rec, True
-        return None
-
-    def _advert(self, cfg: NodeConfig) -> tuple | None:
-        served = self._served_record(cfg)
-        if served is None:
+    def _advert(self, node: NodeState) -> tuple | None:
+        if node.held is None:
             return None
-        rec, bogus = served
         return tuple((kind, hash256(obj.header.serialize()), obj.digests)
-                     for kind, obj in zip((STATE, APPDATA), rec.served(bogus))
-                     if obj is not None), rec, bogus
+                     for kind, obj in zip((STATE, APPDATA),
+                                          node.held[0].served(node.held[1]))
+                     if obj is not None)
 
     def _serve_chunk(self, cfg: NodeConfig, snap: Snapshot, index: int) -> bytes:
         data = snap.chunks[index]
@@ -411,21 +412,19 @@ class Simulation:
             self._send(name, peer.name, "verack")
         self._round(name)
 
-        snapshot_peers: list[NodeConfig] = []
-        adverts: dict[str, tuple] = {}
+        adverts: dict[NodeConfig, tuple] = {}
         if joiner.coinprune:
             for peer in neighbors:
                 if not peer.coinprune:
                     continue
                 self._send(name, peer.name, "getstate")
-                advert = self._advert(peer)
+                advert = self._advert(self.nodes[peer.name])
                 if advert is None:
                     self._send(peer.name, name, "inv", 4)
                     continue
                 self._send(peer.name, name, "inv", 4 + INV_ENTRY_SIZE * sum(
-                    1 + len(digests) for _, _, digests in advert[0]))
-                snapshot_peers.append(peer)
-                adverts[peer.name] = advert
+                    1 + len(digests) for _, _, digests in advert))
+                adverts[peer] = advert
             self._round(name)
 
         if not adverts:
@@ -434,20 +433,20 @@ class Simulation:
         # plurality by advertised object list; ties prefer the higher
         # snapshot height, then the lexicographically smaller id
         groups: dict[tuple, list[NodeConfig]] = {}
-        for peer in snapshot_peers:
-            groups.setdefault(adverts[peer.name][0], []).append(peer)
+        for peer, advert in adverts.items():
+            groups.setdefault(advert, []).append(peer)
 
         def group_key(item: tuple) -> tuple:
             objects, peers = item
-            rec = adverts[peers[0].name][1]
+            rec = self.nodes[peers[0].name].held[0]
             _, head_digest, digests = objects[0]
             return (-len(peers), -rec.height,
                     snapshot_mod.layered_id(head_digest, digests))
 
         objects, group = sorted(groups.items(), key=group_key)[0]
         group = sorted(group, key=lambda c: c.name)
-        rec, bogus = adverts[group[0].name][1], adverts[group[0].name][2]
-        served = [obj for obj in rec.served(bogus) if obj is not None]
+        held = self.nodes[group[0].name].held
+        served = [obj for obj in held[0].served(held[1]) if obj is not None]
 
         head_peer = group[0]
         tip_height = self._sync_headers(name, head_peer)
@@ -497,7 +496,7 @@ class Simulation:
 
         store = appdata_mod.parse_store(app_snap) if app_snap is not None \
             else appdata_mod.AppDataStore()
-        self._keep_join(name, utxo, store, chaintail)
+        self._keep_join(name, utxo, store, chaintail, held)
         return JoinOutcome(True, "", attempts, True, snap.id,
                            None if app_snap is None else app_snap.id,
                            outcome.tag, index)
@@ -604,10 +603,14 @@ class Simulation:
             raise SimError(f"block {heights[-1]} does not match headerchain")
 
     def _keep_join(self, name: str, utxo: UtxoSet,
-                   store: appdata_mod.AppDataStore, heights: range) -> None:
-        """Record a join's state, its app data extended over the replay."""
+                   store: appdata_mod.AppDataStore, heights: range,
+                   held: tuple[PulseRecord, bool] | None = None) -> None:
+        """Record a join's state, its app data extended over the replay;
+        the joiner keeps the replayed blocks and the applied snapshot."""
         for h in heights:
             store.add_block(self.builder.blocks[h], h, self.builder.ids[h])
+        node = self.nodes[name]
+        node.pruned_below, node.held = heights.start, held
         self.join_utxo[name] = utxo
         self.join_stores[name] = store
 
@@ -616,27 +619,13 @@ class Simulation:
     def node_storage(self, name: str) -> tuple[int, int, int, int]:
         """(header, block, snapshot, appdata) bytes currently stored."""
         node = self.nodes[name]
-        cfg = node.cfg
-        tip = len(self.block_bytes) - 1
-        header_bytes = 140 * (tip + 1)
-        if cfg.role == "joining":
-            outcome = self.join_results.get(name)
-            if outcome is None or not outcome.accepted:
-                return header_bytes, 0, 0, 0
-            if not outcome.via_snapshot:
-                return header_bytes, sum(self.block_bytes), 0, 0
-            rec = self.pulses[outcome.pulse_index]
-            held = rec, outcome.snapshot_id != rec.genuine_snap.id
-            block_total = sum(self.block_bytes[rec.height + 1:])
-        else:
-            held = self._served_record(cfg) if cfg.coinprune else None
-            block_total = sum(self.block_bytes[node.pruned_below:])
-        if held is None:
-            return header_bytes, block_total, 0, 0
-        rec, bogus = held
-        snap, app = rec.served(bogus)
-        app_bytes = 0 if app is None else snapshot_mod.wire_size(app)
-        return header_bytes, block_total, snapshot_mod.wire_size(snap), app_bytes
+        snap_bytes = app_bytes = 0
+        if node.held is not None:
+            snap, app = node.held[0].served(node.held[1])
+            snap_bytes = snapshot_mod.wire_size(snap)
+            app_bytes = 0 if app is None else snapshot_mod.wire_size(app)
+        return (HEADER_RECORD_SIZE * len(self.block_bytes),
+                sum(self.block_bytes[node.pruned_below:]), snap_bytes, app_bytes)
 
     def _report(self) -> RunReport:
         rows = []
@@ -647,16 +636,8 @@ class Simulation:
             rows.append((cfg.name, h + b + s + a, node.rx_bytes,
                          node.tx_bytes, node.sync_rounds))
             breakdown.append((cfg.name, h, b, s, a))
-        pulse_rows = []
-        for index in sorted(self.pulses):
-            rec = self.pulses[index]
-            if rec.outcome is None:
-                pulse_rows.append((index, rec.height, "open", "-", 0))
-            elif rec.outcome.accepted:
-                pulse_rows.append((index, rec.height, "accepted",
-                                   rec.outcome.tag.hex(), rec.outcome.count))
-            else:
-                pulse_rows.append((index, rec.height, "skipped", "-", 0))
+        pulse_rows = [(index, rec.height, *rec.status())
+                      for index, rec in sorted(self.pulses.items())]
         join_rows = [(name, "accepted" if o.accepted else "aborted",
                       o.reason, o.attempts, self.nodes[name].rx_bytes)
                      for name, o in sorted(self.join_results.items())]
@@ -682,6 +663,9 @@ def parse_scenario(text: str) -> SimScenario:
             raise SimError(f"bad scenario line: {raw!r}")
         key, value = line.split("=", 1)
         fields[key.strip()] = value.strip()
+    unknown = fields.keys() - SCENARIO_KEYS
+    if unknown:
+        raise SimError(f"unknown scenario key(s): {', '.join(sorted(unknown))}")
 
     def get_bool(key: str, default: bool) -> bool:
         if key not in fields:
@@ -739,7 +723,6 @@ def parse_scenario(text: str) -> SimScenario:
             profile=profile,
             obfuscate=get_bool("obfuscate", False),
             preserve_appdata=get_bool("appdata", True),
-            prune=get_bool("prune", True),
             faults=faults,
             neighbor_count=int(fields.get("neighbors", "8")),
         )
@@ -771,7 +754,6 @@ def format_scenario(scenario: SimScenario) -> str:
         f"faults = {' '.join(scenario.faults)}".rstrip(),
         f"obfuscate = {str(scenario.obfuscate).lower()}",
         f"appdata = {str(scenario.preserve_appdata).lower()}",
-        f"prune = {str(scenario.prune).lower()}",
         f"txs_per_block = {profile.txs_per_block}",
         f"neighbors = {scenario.neighbor_count}",
     ]

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coordination import PulseParams, tally_window
+from .coordination import CoordinationError, PulseParams, tally_window
 from .hashing import hash256
 
 # Fixed 32-byte tags for the blockwise oracle. Their values never
@@ -118,6 +118,12 @@ class SweepConfig:
                 raise ValueError("fraction grids must be nonempty within [0, 1]")
         if not self.delta_r_values or not self.k_values:
             raise ValueError("delta_r and k grids must be nonempty")
+        for delta_r in self.delta_r_values:
+            for k in self.k_values:
+                try:
+                    PulseParams(delta_p=delta_r, delta_r=delta_r, k=k)
+                except CoordinationError as exc:
+                    raise ValueError(f"delta_r={delta_r}, k={k}: {exc}") from None
 
 
 class CellResult(NamedTuple):

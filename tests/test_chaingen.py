@@ -124,8 +124,3 @@ def test_unfundable_profile_degrades_to_coinbase_blocks():
     profile = WorkloadProfile(txs_per_block=50, spend_probability=0.0, seed=3)
     blocks = generate_chain(profile, 20)
     assert all(len(b.transactions) == 1 for b in blocks[1:])
-
-
-def test_bad_mixture_rejected():
-    with pytest.raises(ValueError):
-        WorkloadProfile(mixture=(("p2pkh", 0.0),)).normalized_mixture()

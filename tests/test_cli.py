@@ -135,8 +135,11 @@ def test_snapshot_create_rejects_truncated_chain(tmp_path, capsys, raw):
     b"seed = 1\nblocks = 80\n"
     b"roles = miner:3:coinprune full:1:coinprune joining:1:coinprune\n"
     b"params = delta_p=10 delta_r=20 delta_d=1 k=2\n",
+    b"roles = miner:1:coinprune\nprune = false\n",
+    b"roles = miner:1:coinprune\nblcoks = 10\n",
 ], ids=["count", "param-pair", "param-value", "role", "not-utf8",
-        "neighbors", "seed", "overlapping-windows"])
+        "neighbors", "seed", "overlapping-windows", "prune-key",
+        "misspelt-key"])
 def test_sim_bootstrap_rejects_bad_scenario(tmp_path, capsys, raw):
     scn = tmp_path / "bad.scn"
     scn.write_bytes(raw)
@@ -208,6 +211,14 @@ def test_sim_security_rejects_bad_step(tmp_path, capsys):
     assert main(["sim", "security", "--step", "7",
                  "--out-dir", str(tmp_path)]) == 2
     assert "step" in capsys.readouterr().err
+
+
+def test_sim_security_rejects_k_above_delta_r(tmp_path, capsys):
+    # a 10-block window can never hold 50 reaffirmations
+    assert main(["sim", "security", "--k", "50", "--delta-r", "10",
+                 "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not any(tmp_path.iterdir())
 
 
 def test_report_from_csvs(tmp_path, capsys):
@@ -322,4 +333,15 @@ def test_report_rejects_non_finite_numbers(tmp_path, capsys, kind, text):
                  "--out-dir", str(tmp_path / "charts")])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: cannot read {kind} csv")
+    assert not any((tmp_path / "charts").iterdir())
+
+
+def test_report_rejects_negative_delta_r(tmp_path, capsys):
+    source = tmp_path / "sweep.csv"
+    source.write_text("f_C,f_A,delta_r,k,p_correct,p_adversary,p_skipped\n"
+                      "1.0,0.0,-100,5,1.0,0.0,0.0\n")
+    code = main(["report", "--sweep", str(source),
+                 "--out-dir", str(tmp_path / "charts")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: cannot read sweep csv")
     assert not any((tmp_path / "charts").iterdir())

@@ -67,6 +67,8 @@ def test_param_validation():
         PulseParams(delta_p=0, delta_r=10)
     with pytest.raises(CoordinationError):
         PulseParams(delta_p=10, delta_r=10, k=0)
+    with pytest.raises(CoordinationError):  # k reaffirmations cannot fit
+        PulseParams(delta_p=10, delta_r=10, k=11)
     with pytest.raises(CoordinationError):  # windows 1 and 2 would overlap
         PulseParams(delta_p=10, delta_r=20, delta_d=1, k=2)
 

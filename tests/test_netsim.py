@@ -169,9 +169,15 @@ def test_majority_bogus_tags_reaffirm_forged_state():
     assert outcome.snapshot_id == rec.bogus_snap.id
     forged_txid = hash256(b"forged-riches" + struct.pack("<I", rec.height))
     assert (forged_txid, 0) in sim.join_utxo["jcp"]
-    # the storage report sizes the snapshot the joiner holds
-    row = next(r for r in report.breakdown if r[0] == "jcp")
-    assert row[3] == wire_size(rec.bogus_snap) != wire_size(rec.genuine_snap)
+    # the storage report sizes the snapshot each node holds: the joiner
+    # and the adversaries (no bogus_snapshot fault) the forged one whose
+    # tag won, the honest nodes none, as no genuine tag was reaffirmed
+    parts = {r[0]: r for r in report.breakdown}
+    assert parts["jcp"][3] == wire_size(rec.bogus_snap) \
+        != wire_size(rec.genuine_snap)
+    for name in ("adv0", "adv1", "adv2"):
+        assert parts[name][3] == wire_size(rec.bogus_snap)
+    assert parts["m0"][3] == parts["full0"][3] == 0
 
 
 def test_eclipsed_joiner_aborts_then_recovers():
@@ -386,7 +392,6 @@ params = delta_p=200 delta_r=50 delta_d=6 k=5
 faults = bogus_tags
 obfuscate = false
 appdata = true
-prune = true
 txs_per_block = 8
 neighbors = 6
 """
@@ -439,8 +444,8 @@ _ROLE = st.tuples(st.sampled_from(["miner", "full", "joining", "archivist"]),
 _PAIR = st.lists(_WORD, min_size=1, max_size=3).map("=".join)
 _LINE = st.tuples(
     st.sampled_from(["seed", "blocks", "nodes", "roles", "params", "faults",
-                     "obfuscate", "appdata", "prune", "txs_per_block",
-                     "neighbors", "other"]),
+                     "obfuscate", "appdata", "txs_per_block", "neighbors",
+                     "other"]),
     st.lists(st.one_of(_ROLE, _PAIR, _WORD), max_size=3).map(" ".join)
 ).map(" = ".join)
 _SCENARIO = st.tuples(
