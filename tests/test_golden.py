@@ -49,7 +49,7 @@ CLI_PINS = {
     "run_joins.csv":
         "af5f5acd7e7b371c6f4cfdcb0460933b15ba1d1a993277b10d275adf2f80cc80",
     "run_meta.json":
-        "75d39abd634c733b3a9675b22b45c4765b823e0ddb7ed6b7d684d4b8dcdeeb84",
+        "ce2148c2c976e6a93e141d946cb3b3c89e6df609442a8946bb4a812893cea4fa",
     "run_pulses.csv":
         "5a59a81c1fd7bad276e0474d4ac6a3e14b9b03a7242072119acc4619f93cff52",
     "run_storage.csv":
