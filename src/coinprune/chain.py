@@ -255,7 +255,31 @@ def genesis_block(params: ChainParams) -> Block:
                       params.bits)
 
 
-# --- UTXO set -------------------------------------------------------------
+# --- UTXO records and the UTXO set ----------------------------------------
+#
+# A coin is held as its snapshot record, the bytes a snapshot chunk
+# carries for it:
+#
+#     txid (32) | vout u32 | amount u64 | height u32 | coinbase u8
+#     | case u8 | payload (scripts.payload_size(case) bytes)
+#
+# all little-endian. This is the one home of the record format: the set,
+# block validation and the snapshot module all go through it.
+
+_RECORD_HEAD = struct.Struct("<32sIQIBB")
+RECORD_HEAD_SIZE = _RECORD_HEAD.size
+assert RECORD_HEAD_SIZE == 50
+_OUTPOINT = struct.Struct("<32sI")
+_COINBASE_AT = 48
+_CASE_AT = 49  # obfuscation rewrites this byte and the payload behind it
+# the record length each case byte implies; every byte value is a case
+_RECORD_SIZE = tuple(RECORD_HEAD_SIZE + scripts.payload_size(case)
+                     for case in range(256))
+
+
+class SnapshotError(ChainError):
+    """Malformed snapshot bytes: a record, a chunk or the file holding them."""
+
 
 class UtxoEntry(NamedTuple):
     txid: bytes
@@ -266,37 +290,101 @@ class UtxoEntry(NamedTuple):
     compressed: CompressedTxOut
 
 
-class UtxoSet:
-    """Mutable map of unspent outputs keyed by outpoint."""
+def _pack_record(txid: bytes, vout: int, amount: int, height: int,
+                 coinbase: bool, comp: CompressedTxOut) -> bytes:
+    record = _RECORD_HEAD.pack(txid, vout, amount, height,
+                               1 if coinbase else 0, comp.case) + comp.payload
+    if len(txid) != 32 or len(record) != _RECORD_SIZE[comp.case]:
+        raise ChainError(f"coin {txid.hex()}:{vout} has no record form")
+    return record
 
-    def __init__(self) -> None:
-        self._entries: dict[tuple[bytes, int], UtxoEntry] = {}
+
+def obfuscate_record(record: bytes) -> bytes:
+    """The record with its output passed through `scripts.obfuscate`."""
+    comp = CompressedTxOut(record[_CASE_AT], record[RECORD_HEAD_SIZE:])
+    hidden = scripts.obfuscate(comp)
+    if hidden is comp:
+        return record
+    return record[:_CASE_AT] + bytes((hidden.case,)) + hidden.payload
+
+
+def encode_record(entry: UtxoEntry, obfuscate: bool = False) -> bytes:
+    record = _pack_record(*entry)
+    return obfuscate_record(record) if obfuscate else record
+
+
+def split_record(buf: bytes, offset: int = 0) -> tuple[tuple, int]:
+    """((outpoint, record bytes), offset after it) for the record at
+    `offset`. Checks the head: SnapshotError on a coinbase flag other
+    than 0/1 or a record that runs past the end of `buf`."""
+    if offset + RECORD_HEAD_SIZE > len(buf):
+        raise SnapshotError(f"truncated record at byte {offset}")
+    if buf[offset + _COINBASE_AT] > 1:
+        raise SnapshotError(f"bad coinbase flag at byte {offset}")
+    end = offset + _RECORD_SIZE[buf[offset + _CASE_AT]]
+    if end > len(buf):
+        raise SnapshotError(f"truncated record payload at byte {offset}")
+    return (_OUTPOINT.unpack_from(buf, offset), buf[offset:end]), end
+
+
+def decode_record(buf: bytes, offset: int = 0) -> tuple[UtxoEntry, int]:
+    """The entry of the record at `offset` and the offset after it;
+    SnapshotError where `split_record` finds the head malformed."""
+    (_, record), end = split_record(buf, offset)
+    return _entry(record), end
+
+
+def _entry(record: bytes) -> UtxoEntry:
+    """Decode a record that was checked or packed before."""
+    txid, vout, amount, height, coinbase, case = _RECORD_HEAD.unpack_from(record)
+    # tuple.__new__ skips the named tuples' Python-level constructors,
+    # which are half the cost of a decode
+    return tuple.__new__(UtxoEntry, (
+        txid, vout, amount, height, coinbase == 1,
+        tuple.__new__(CompressedTxOut, (case, record[RECORD_HEAD_SIZE:]))))
+
+
+class UtxoSet:
+    """Mutable map of unspent outputs keyed by outpoint. Each coin is
+    held as its record; `get` and `entries` decode on demand."""
+
+    def __init__(self, records: dict[tuple[bytes, int], bytes] | None = None) -> None:
+        """`records` maps outpoints to records already checked or packed."""
+        self._records = {} if records is None else records
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._records)
 
     def __contains__(self, outpoint: tuple[bytes, int]) -> bool:
-        return outpoint in self._entries
+        return outpoint in self._records
 
     def get(self, outpoint: tuple[bytes, int]) -> UtxoEntry | None:
-        return self._entries.get(outpoint)
+        record = self._records.get(outpoint)
+        return None if record is None else _entry(record)
 
     def add(self, entry: UtxoEntry) -> None:
         key = (entry.txid, entry.vout)
-        if key in self._entries:
+        if key in self._records:
             raise ChainError("duplicate outpoint created")
-        self._entries[key] = entry
+        self._records[key] = encode_record(entry)
 
-    def remove(self, outpoint: tuple[bytes, int]) -> UtxoEntry:
-        return self._entries.pop(outpoint)
+    def add_records(self, records: dict[tuple[bytes, int], bytes]) -> None:
+        """Insert packed records whose outpoints the set does not hold."""
+        self._records.update(records)
+
+    def remove(self, outpoint: tuple[bytes, int]) -> None:
+        del self._records[outpoint]
 
     def entries(self) -> Iterator[UtxoEntry]:
-        return iter(self._entries.values())
+        return map(_entry, self._records.values())
+
+    def records(self) -> list[bytes]:
+        """Every record, sorted by (txid, vout): the canonical order."""
+        records = self._records
+        return [records[key] for key in sorted(records)]
 
     def copy(self) -> "UtxoSet":
-        dup = UtxoSet()
-        dup._entries = dict(self._entries)
-        return dup
+        return UtxoSet(dict(self._records))
 
 
 def validate_and_apply_block(utxo: UtxoSet, block: Block, height: int,
@@ -328,7 +416,7 @@ def validate_and_apply_block(utxo: UtxoSet, block: Block, height: int,
         raise BlockValidationError(f"height {height}: oversized coinbase data")
 
     spent: set[tuple[bytes, int]] = set()
-    created: dict[tuple[bytes, int], UtxoEntry] = {}
+    created: dict[tuple[bytes, int], bytes] = {}  # outpoint -> record
     fees = 0
     for tx, txid in zip(block.transactions[1:], txids[1:]):
         if tx.is_coinbase():
@@ -341,9 +429,8 @@ def validate_and_apply_block(utxo: UtxoSet, block: Block, height: int,
             if outpoint in spent:
                 raise BlockValidationError(
                     f"height {height}: double spend of {txin.prev_txid.hex()}:{txin.prev_vout}")
-            entry = created.get(outpoint)
-            if entry is None:
-                entry = utxo.get(outpoint)
+            record = created.get(outpoint)
+            entry = utxo.get(outpoint) if record is None else _entry(record)
             if entry is None:
                 raise BlockValidationError(
                     f"height {height}: missing outpoint {txin.prev_txid.hex()}:{txin.prev_vout}")
@@ -375,8 +462,7 @@ def validate_and_apply_block(utxo: UtxoSet, block: Block, height: int,
             del created[outpoint]
         else:
             utxo.remove(outpoint)
-    for entry in created.values():
-        utxo.add(entry)
+    utxo.add_records(created)
     return block_id
 
 
@@ -404,7 +490,7 @@ def _check_outputs(tx: Transaction, txid: bytes, height: int,
         total += txout.amount
         if scripts.is_op_return(txout.script):
             continue  # provably unspendable, never enters the set
-        created[(txid, vout)] = UtxoEntry(
+        created[(txid, vout)] = _pack_record(
             txid, vout, txout.amount, height, coinbase,
             scripts.compress(txout.script))
     return total

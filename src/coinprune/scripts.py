@@ -117,10 +117,14 @@ def payload_size(case: int) -> int:
 
 # --- script template builders -------------------------------------------
 
+_P2PKH_HEAD = bytes([OP_DUP, OP_HASH160, 20])
+_P2PKH_TAIL = bytes([OP_EQUALVERIFY, OP_CHECKSIG])
+
+
 def p2pkh_script(key_hash: bytes) -> bytes:
     if len(key_hash) != 20:
         raise ScriptError("P2PKH needs a 20-byte key hash")
-    return bytes([OP_DUP, OP_HASH160, 20]) + key_hash + bytes([OP_EQUALVERIFY, OP_CHECKSIG])
+    return _P2PKH_HEAD + key_hash + _P2PKH_TAIL
 
 
 def p2sh_script(script_hash: bytes) -> bytes:
@@ -265,25 +269,32 @@ _COMPRESS_CASE = {
 }
 
 
+# lengths of the other compressible templates: P2SH, P2PK compressed
+# and uncompressed
+_TEMPLATE_LENGTHS = frozenset((23, 35, 67))
+
+
 def compress(script: bytes) -> CompressedTxOut:
     """Compress a script for UTXO storage.
 
     The six single-key standard patterns drop to code + mutable value;
     everything else is carried verbatim behind a length-derived code.
+    P2PKH, most outputs, is recognized by its fixed head and tail; only
+    scripts of another template's length go through `classify`.
     """
-    cls = classify(script)
-    case = _COMPRESS_CASE.get(cls)
-    if case == CASE_P2PKH:
-        return CompressedTxOut(case, script[3:23])
-    if case == CASE_P2SH:
-        return CompressedTxOut(case, script[2:22])
-    if case in (CASE_P2PK_EVEN, CASE_P2PK_ODD):
-        return CompressedTxOut(case, script[2:34])
-    if case in (CASE_P2PK_UNCOMP_EVEN, CASE_P2PK_UNCOMP_ODD):
-        return CompressedTxOut(case, script[2:34])
-    if len(script) > MAX_SCRIPT_SIZE:
-        raise ScriptError(f"script too large to store: {len(script)} bytes")
-    return CompressedTxOut(CASE_UNCOMPRESSED_BASE + len(script), bytes(script))
+    n = len(script)
+    if n == 25:
+        if script[:3] == _P2PKH_HEAD and script[23:] == _P2PKH_TAIL:
+            return CompressedTxOut(CASE_P2PKH, script[3:23])
+    elif n in _TEMPLATE_LENGTHS:
+        case = _COMPRESS_CASE.get(classify(script))
+        if case == CASE_P2SH:
+            return CompressedTxOut(case, script[2:22])
+        if case is not None:  # P2PK: the 32-byte x behind push and prefix
+            return CompressedTxOut(case, script[2:34])
+    if n > MAX_SCRIPT_SIZE:
+        raise ScriptError(f"script too large to store: {n} bytes")
+    return CompressedTxOut(CASE_UNCOMPRESSED_BASE + n, bytes(script))
 
 
 def decompress(entry: CompressedTxOut) -> bytes:

@@ -16,18 +16,12 @@ import struct
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .hashing import hash256
-from . import scripts
-from .chain import ChainError, UtxoEntry, UtxoSet
-from .scripts import CompressedTxOut
+# the record codec lives in chain, beside the set that holds records;
+# encode_record and decode_record are also reached from here
+from .chain import (SnapshotError, UtxoSet, decode_record, encode_record,
+                    obfuscate_record, split_record)
 
 CHUNK_SIZE = 1 << 20
-
-_RECORD_FIXED = "<32sIQIBB"
-_RECORD_FIXED_SIZE = struct.calcsize(_RECORD_FIXED)  # 50
-
-
-class SnapshotError(ChainError):
-    pass
 
 
 class SnapshotHeader(NamedTuple):
@@ -72,37 +66,15 @@ class SnapshotCheck(NamedTuple):
     reason: str
 
 
-def encode_record(entry: UtxoEntry, obfuscate: bool = False) -> bytes:
-    comp = scripts.obfuscate(entry.compressed) if obfuscate else entry.compressed
-    return struct.pack(_RECORD_FIXED, entry.txid, entry.vout, entry.amount,
-                       entry.height, 1 if entry.coinbase else 0,
-                       comp.case) + comp.payload
-
-
-def decode_record(buf: bytes, offset: int = 0) -> tuple[UtxoEntry, int]:
-    if offset + _RECORD_FIXED_SIZE > len(buf):
-        raise SnapshotError(f"truncated record at byte {offset}")
-    txid, vout, amount, height, cb_flag, case = struct.unpack_from(
-        _RECORD_FIXED, buf, offset)
-    if cb_flag not in (0, 1):
-        raise SnapshotError(f"bad coinbase flag at byte {offset}")
-    try:
-        size = scripts.payload_size(case)
-    except scripts.ScriptError as exc:
-        raise SnapshotError(f"byte {offset}: {exc}") from None
-    start = offset + _RECORD_FIXED_SIZE
-    payload = buf[start:start + size]
-    if len(payload) != size:
-        raise SnapshotError(f"truncated record payload at byte {offset}")
-    entry = UtxoEntry(txid, vout, amount, height, bool(cb_flag),
-                      CompressedTxOut(case, bytes(payload)))
-    return entry, start + size
+def _records(utxo: UtxoSet, obfuscate: bool) -> Iterable[bytes]:
+    """The set's records in canonical order, each obfuscated if asked."""
+    records = utxo.records()
+    return map(obfuscate_record, records) if obfuscate else records
 
 
 def serialize_utxo_set(utxo: UtxoSet, obfuscate: bool = False) -> bytes:
     """Canonical byte form: records sorted by (txid, vout)."""
-    entries = sorted(utxo.entries(), key=lambda e: (e.txid, e.vout))
-    return b"".join(encode_record(e, obfuscate) for e in entries)
+    return b"".join(_records(utxo, obfuscate))
 
 
 def chunk_records(records: Iterable[bytes]) -> list[bytes]:
@@ -130,9 +102,8 @@ def layered_id(header_digest: bytes, chunk_digests: Iterable[bytes]) -> bytes:
 
 def build_snapshot(utxo: UtxoSet, height: int, block_id: bytes,
                    obfuscate: bool = False) -> Snapshot:
-    entries = sorted(utxo.entries(), key=lambda e: (e.txid, e.vout))
-    return Snapshot.assemble(height, block_id, chunk_records(
-        encode_record(e, obfuscate) for e in entries))
+    return Snapshot.assemble(height, block_id,
+                             chunk_records(_records(utxo, obfuscate)))
 
 
 def verify_snapshot(snapshot: Snapshot, expected_id: bytes,
@@ -160,24 +131,27 @@ def verify_snapshot(snapshot: Snapshot, expected_id: bytes,
 
 def decode_records(snapshot: Snapshot,
                    decode: Callable[[bytes, int], tuple]) -> Iterator:
-    """Every record of a snapshot in order; `decode(buf, offset)` returns
-    one record and the offset after it, or raises SnapshotError."""
-    data = b"".join(snapshot.chunks)
-    offset = 0
-    while offset < len(data):
-        record, offset = decode(data, offset)
-        yield record
+    """Every record of a snapshot in order; `decode(chunk, offset)` returns
+    one record and the offset after it, or raises SnapshotError. Each
+    chunk is walked in place, so a record that crosses a chunk boundary
+    (chunk_records never writes one) is truncated and fails."""
+    for chunk in snapshot.chunks:
+        offset = 0
+        while offset < len(chunk):
+            record, offset = decode(chunk, offset)
+            yield record
 
 
 def apply_snapshot(snapshot: Snapshot) -> UtxoSet:
-    """Materialize the UTXO set. Verify the snapshot before calling this."""
-    utxo = UtxoSet()
-    for entry in decode_records(snapshot, decode_record):
-        if (entry.txid, entry.vout) in utxo:
+    """Materialize the UTXO set. Verify the snapshot before calling this.
+    Each record is checked by its head and kept as it came."""
+    records: dict[tuple[bytes, int], bytes] = {}
+    for outpoint, record in decode_records(snapshot, split_record):
+        if outpoint in records:
             raise SnapshotError(
-                f"duplicate outpoint {entry.txid.hex()}:{entry.vout}")
-        utxo.add(entry)
-    return utxo
+                f"duplicate outpoint {outpoint[0].hex()}:{outpoint[1]}")
+        records[outpoint] = record
+    return UtxoSet(records)
 
 
 def wire_size(snapshot: Snapshot) -> int:

@@ -112,6 +112,13 @@ def test_combined_tag_rejects_bad_lengths():
         combined_tag(b"\x01" * 32, b"")
 
 
+def test_parse_store_rejects_an_entry_split_across_chunks():
+    raw = AppDataEntry(b"anchored", b"\x01" * 32, b"\x02" * 32).serialize()
+    snap = Snapshot.assemble(1, b"\x00" * 32, [raw[:20], raw[20:]])
+    with pytest.raises(SnapshotError):
+        parse_store(snap)
+
+
 # chunk bytes: well-formed entries mixed with arbitrary bytes
 entry_soup = st.lists(st.one_of(
     st.builds(AppDataEntry, st.binary(max_size=80),

@@ -127,6 +127,56 @@ def test_compress_decompress_roundtrip_standard(kh, sh, key, x, prog32):
 
 # --- obfuscation ---------------------------------------------------------------
 
+# compress's reference: classify, then the documented slice of each
+# single-key template (the mutable value behind the push or prefix)
+REFERENCE_CASE = {
+    ScriptClass.P2PKH: (CASE_P2PKH, slice(3, 23)),
+    ScriptClass.P2SH: (CASE_P2SH, slice(2, 22)),
+    ScriptClass.P2PK_COMPRESSED_EVEN: (CASE_P2PK_EVEN, slice(2, 34)),
+    ScriptClass.P2PK_COMPRESSED_ODD: (CASE_P2PK_ODD, slice(2, 34)),
+    ScriptClass.P2PK_UNCOMPRESSED_EVEN: (CASE_P2PK_UNCOMP_EVEN, slice(2, 34)),
+    ScriptClass.P2PK_UNCOMPRESSED_ODD: (CASE_P2PK_UNCOMP_ODD, slice(2, 34)),
+}
+
+
+def reference_compress(script: bytes) -> CompressedTxOut:
+    if classify(script) in REFERENCE_CASE:
+        case, value = REFERENCE_CASE[classify(script)]
+        return CompressedTxOut(case, script[value])
+    return CompressedTxOut(CASE_UNCOMPRESSED_BASE + len(script), script)
+
+
+def _flip(script: bytes, where: int) -> bytes:
+    """The script with one byte inverted: a near-miss of its template."""
+    return script[:where] + bytes([script[where] ^ 0xFF]) + script[where + 1:]
+
+
+template_scripts = st.one_of(
+    bytes20.map(p2pkh_script),
+    bytes20.map(p2sh_script),
+    st.builds(lambda prefix, x: p2pk_script(bytes([prefix]) + x),
+              st.integers(0, 255), bytes32),
+    bytes32.map(lambda x: p2pk_script(uncompressed_pubkey(x))),
+    st.binary(min_size=64, max_size=64).map(lambda xy: p2pk_script(b"\x04" + xy)),
+    st.lists(pubkeys, min_size=1, max_size=3).map(lambda ks: p2ms_script(1, ks)),
+    bytes20.map(p2wpkh_script),
+    bytes32.map(p2wsh_script),
+    st.binary(max_size=80).map(op_return_script))
+
+
+@given(st.one_of(template_scripts,
+                 st.binary(max_size=MAX_SCRIPT_SIZE)))
+def test_compress_matches_classify_reference(script):
+    assert compress(script) == reference_compress(script)
+
+
+@given(template_scripts)
+def test_compress_matches_reference_on_every_near_miss(script):
+    for where in range(len(script)):
+        flipped = _flip(script, where)
+        assert compress(flipped) == reference_compress(flipped)
+
+
 def test_obfuscation_golden_vector():
     entry = compress(p2pkh_script(b"\x11" * 20))
     obf = obfuscate(entry)

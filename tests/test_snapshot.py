@@ -1,4 +1,6 @@
 import random
+import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -6,7 +8,8 @@ from hypothesis import strategies as st
 
 from coinprune.chain import UtxoEntry, UtxoSet
 from coinprune.hashing import hash256
-from coinprune.scripts import compress, p2pkh_script
+from coinprune.scripts import (compress, obfuscate, p2pk_script, p2pkh_script,
+                               p2sh_script, p2wpkh_script, p2wsh_script)
 from coinprune.snapshot import (CHUNK_SIZE, Snapshot, SnapshotError,
                                 SnapshotHeader, apply_snapshot,
                                 build_snapshot, chunk_records,
@@ -190,6 +193,43 @@ def test_apply_roundtrip():
         {(e.txid, e.vout): e for e in utxo.entries()}
 
 
+def test_apply_rejects_a_bad_coinbase_flag():
+    record = bytearray(encode_record(_entry(1)))
+    record[48] = 2  # the byte after txid, vout, amount and height
+    with pytest.raises(SnapshotError):
+        decode_record(bytes(record))
+    with pytest.raises(SnapshotError):
+        apply_snapshot(Snapshot.assemble(1, b"\x00" * 32, [bytes(record)]))
+
+
+def test_apply_rejects_a_record_split_across_chunks():
+    record = encode_record(_entry(1))
+    snap = Snapshot.assemble(1, b"\x00" * 32, [record[:60], record[60:]])
+    with pytest.raises(SnapshotError):
+        apply_snapshot(snap)
+
+
+def test_applied_set_holds_under_300_traced_bytes_per_coin():
+    # a coin as a decoded entry (two named tuples, two ints, the payload)
+    # traced about 420 bytes; as its record it traces about 250
+    rng = random.Random(20)
+    utxo = UtxoSet()
+    for _ in range(20_000):
+        utxo.add(UtxoEntry(rng.randbytes(32), rng.randrange(4),
+                           rng.randrange(1, 10 ** 12), rng.randrange(1, 800_000),
+                           False, compress(p2pkh_script(rng.randbytes(20)))))
+    snap = build_snapshot(utxo, 7, b"\x05" * 32)
+    del utxo
+    tracemalloc.start()
+    try:
+        applied = apply_snapshot(snap)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(applied) == 20_000
+    assert held / 20_000 < 300
+
+
 def test_apply_rejects_duplicate_outpoints():
     record = encode_record(_entry(1))
     chunk = record + record
@@ -256,3 +296,52 @@ def test_apply_snapshot_fails_closed(chunks):
         return
     assert sum(len(encode_record(e)) for e in utxo.entries()) \
         == sum(len(c) for c in chunks)
+
+
+# --- the record-backed set against an independent oracle ---------------------
+
+def _oracle_bytes(coins) -> bytes:
+    """The documented record layout, packed here rather than by chain."""
+    return b"".join(
+        struct.pack("<32sIQIBB", e.txid, e.vout, e.amount, e.height,
+                    1 if e.coinbase else 0, e.compressed.case)
+        + e.compressed.payload
+        for e in sorted(coins, key=lambda e: (e.txid, e.vout)))
+
+
+# every obfuscatable template, so an obfuscated apply holds cases 0x06-0x09
+coin_scripts = st.one_of(
+    st.binary(min_size=20, max_size=20).map(p2pkh_script),
+    st.binary(min_size=20, max_size=20).map(p2sh_script),
+    st.binary(min_size=20, max_size=20).map(p2wpkh_script),
+    st.binary(min_size=32, max_size=32).map(p2wsh_script),
+    st.binary(min_size=32, max_size=32).map(lambda x: p2pk_script(b"\x03" + x)),
+    st.binary(min_size=1, max_size=60).filter(lambda s: s[0] != 0x6a))
+coins = st.builds(UtxoEntry, st.binary(min_size=32, max_size=32),
+                  st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 64 - 1),
+                  st.integers(0, 2 ** 32 - 1), st.booleans(),
+                  coin_scripts.map(compress))
+
+
+@given(st.lists(coins, max_size=25, unique_by=lambda e: (e.txid, e.vout)))
+def test_record_backed_set_matches_oracle(added):
+    utxo = UtxoSet()
+    for entry in added:
+        utxo.add(entry)
+    assert len(utxo) == len(added)
+    assert all(utxo.get((e.txid, e.vout)) == e for e in added)
+    assert serialize_utxo_set(utxo) == _oracle_bytes(added)
+
+    hidden = [e._replace(compressed=obfuscate(e.compressed)) for e in added]
+    applied = apply_snapshot(build_snapshot(utxo, 3, b"\x06" * 32,
+                                            obfuscate=True))
+    assert all(applied.get((e.txid, e.vout)) == e for e in hidden)
+    assert serialize_utxo_set(applied) == _oracle_bytes(hidden)
+    assert serialize_utxo_set(utxo, obfuscate=True) == _oracle_bytes(hidden)
+
+    spent, kept = added[::2], added[1::2]
+    for entry in spent:
+        utxo.remove((entry.txid, entry.vout))
+        assert utxo.get((entry.txid, entry.vout)) is None
+    assert sorted(utxo.entries()) == sorted(kept)
+    assert serialize_utxo_set(utxo) == _oracle_bytes(kept)
