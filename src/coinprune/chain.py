@@ -267,11 +267,10 @@ def genesis_block(params: ChainParams) -> Block:
 # block validation and the snapshot module all go through it.
 
 _RECORD_HEAD = struct.Struct("<32sIQIBB")
-RECORD_HEAD_SIZE = _RECORD_HEAD.size
-assert RECORD_HEAD_SIZE == 50
+RECORD_HEAD_SIZE = _RECORD_HEAD.size  # 50
 _OUTPOINT = struct.Struct("<32sI")
-_COINBASE_AT = 48
-_CASE_AT = 49  # obfuscation rewrites this byte and the payload behind it
+_CASE_AT = RECORD_HEAD_SIZE - 1  # obfuscation rewrites it and the payload
+_COINBASE_AT = _CASE_AT - 1
 # the record length each case byte implies; every byte value is a case
 _RECORD_SIZE = tuple(RECORD_HEAD_SIZE + scripts.payload_size(case)
                      for case in range(256))

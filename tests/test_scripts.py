@@ -125,8 +125,6 @@ def test_compress_decompress_roundtrip_standard(kh, sh, key, x, prog32):
         assert decompress(compress(script)) == script
 
 
-# --- obfuscation ---------------------------------------------------------------
-
 # compress's reference: classify, then the documented slice of each
 # single-key template (the mutable value behind the push or prefix)
 REFERENCE_CASE = {
@@ -140,8 +138,9 @@ REFERENCE_CASE = {
 
 
 def reference_compress(script: bytes) -> CompressedTxOut:
-    if classify(script) in REFERENCE_CASE:
-        case, value = REFERENCE_CASE[classify(script)]
+    cls = classify(script)
+    if cls in REFERENCE_CASE:
+        case, value = REFERENCE_CASE[cls]
         return CompressedTxOut(case, script[value])
     return CompressedTxOut(CASE_UNCOMPRESSED_BASE + len(script), script)
 
@@ -176,6 +175,8 @@ def test_compress_matches_reference_on_every_near_miss(script):
         flipped = _flip(script, where)
         assert compress(flipped) == reference_compress(flipped)
 
+
+# --- obfuscation ---------------------------------------------------------------
 
 def test_obfuscation_golden_vector():
     entry = compress(p2pkh_script(b"\x11" * 20))

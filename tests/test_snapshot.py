@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coinprune.chain import UtxoEntry, UtxoSet
+from coinprune.chain import ChainError, UtxoEntry, UtxoSet
 from coinprune.hashing import hash256
-from coinprune.scripts import (compress, obfuscate, p2pk_script, p2pkh_script,
-                               p2sh_script, p2wpkh_script, p2wsh_script)
+from coinprune.scripts import (CompressedTxOut, compress, obfuscate,
+                               p2pk_script, p2pkh_script, p2sh_script,
+                               p2wpkh_script, p2wsh_script)
 from coinprune.snapshot import (CHUNK_SIZE, Snapshot, SnapshotError,
                                 SnapshotHeader, apply_snapshot,
                                 build_snapshot, chunk_records,
@@ -345,3 +346,11 @@ def test_record_backed_set_matches_oracle(added):
         assert utxo.get((entry.txid, entry.vout)) is None
     assert sorted(utxo.entries()) == sorted(kept)
     assert serialize_utxo_set(utxo) == _oracle_bytes(kept)
+
+
+def test_add_rejects_an_entry_with_no_record_form():
+    entry = _entry(1)
+    for bad in (entry._replace(txid=entry.txid[:31]),
+                entry._replace(compressed=CompressedTxOut(0x00, b"\x01" * 19))):
+        with pytest.raises(ChainError):
+            UtxoSet().add(bad)
