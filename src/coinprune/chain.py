@@ -11,7 +11,7 @@ must be claimed exactly by the coinbase.
 import functools
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .hashing import hash256
 from . import scripts
@@ -265,10 +265,14 @@ def genesis_block(params: ChainParams) -> Block:
 #
 # all little-endian. This is the one home of the record format: the set,
 # block validation and the snapshot module all go through it.
+#
+# The set keys each coin by its outpoint packed into 36 bytes, txid then
+# vout as a big-endian u32, so sorting the keys as bytes gives the
+# canonical (txid, vout) order.
 
 _RECORD_HEAD = struct.Struct("<32sIQIBB")
 RECORD_HEAD_SIZE = _RECORD_HEAD.size  # 50
-_OUTPOINT = struct.Struct("<32sI")
+_OUTPOINT = struct.Struct("<32sI")  # a record's head reads 32 bytes exactly
 _CASE_AT = RECORD_HEAD_SIZE - 1  # obfuscation rewrites it and the payload
 _COINBASE_AT = _CASE_AT - 1
 # the record length each case byte implies; every byte value is a case
@@ -298,6 +302,21 @@ def _pack_record(txid: bytes, vout: int, amount: int, height: int,
     return record
 
 
+def _key(txid: bytes, vout: int) -> bytes:
+    """The set's key for an outpoint. Concatenation, not struct's "32s",
+    which pads a short txid and cuts a long one: a txid that is not 32
+    bytes, or a vout outside u32, gives a key no coin has."""
+    try:
+        return txid + vout.to_bytes(4, "big")
+    except OverflowError:
+        return b""
+
+
+def _key_name(key: bytes) -> str:
+    """`<txid hex>:<vout>` of an outpoint key, for error messages."""
+    return f"{key[:32].hex()}:{int.from_bytes(key[32:], 'big')}"
+
+
 def obfuscate_record(record: bytes) -> bytes:
     """The record with its output passed through `scripts.obfuscate`."""
     comp = CompressedTxOut(record[_CASE_AT], record[RECORD_HEAD_SIZE:])
@@ -313,7 +332,7 @@ def encode_record(entry: UtxoEntry, obfuscate: bool = False) -> bytes:
 
 
 def split_record(buf: bytes, offset: int = 0) -> tuple[tuple, int]:
-    """((outpoint, record bytes), offset after it) for the record at
+    """((outpoint key, record bytes), offset after it) for the record at
     `offset`. Checks the head: SnapshotError on a coinbase flag other
     than 0/1 or a record that runs past the end of `buf`."""
     if offset + RECORD_HEAD_SIZE > len(buf):
@@ -323,7 +342,9 @@ def split_record(buf: bytes, offset: int = 0) -> tuple[tuple, int]:
     end = offset + _RECORD_SIZE[buf[offset + _CASE_AT]]
     if end > len(buf):
         raise SnapshotError(f"truncated record payload at byte {offset}")
-    return (_OUTPOINT.unpack_from(buf, offset), buf[offset:end]), end
+    txid, vout = _OUTPOINT.unpack_from(buf, offset)
+    # the set's key, as _key builds it; a vout read as u32 always fits
+    return (txid + vout.to_bytes(4, "big"), buf[offset:end]), end
 
 
 def decode_record(buf: bytes, offset: int = 0) -> tuple[UtxoEntry, int]:
@@ -345,40 +366,55 @@ def _entry(record: bytes) -> UtxoEntry:
 
 class UtxoSet:
     """Mutable map of unspent outputs keyed by outpoint. Each coin is
-    held as its record; `get` and `entries` decode on demand."""
+    held as its record under its 36-byte outpoint key; `get` and
+    `entries` decode on demand."""
 
-    def __init__(self, records: dict[tuple[bytes, int], bytes] | None = None) -> None:
-        """`records` maps outpoints to records already checked or packed."""
+    def __init__(self, records: dict[bytes, bytes] | None = None) -> None:
+        """`records` maps outpoint keys to records already checked or
+        packed."""
         self._records = {} if records is None else records
+
+    @classmethod
+    def from_records(cls, pairs: Iterable[tuple[bytes, bytes]]) -> "UtxoSet":
+        """The set of the (outpoint key, record) pairs `split_record`
+        returns; SnapshotError on an outpoint that comes twice."""
+        records = {}
+        for key, record in pairs:
+            if key in records:
+                raise SnapshotError(f"duplicate outpoint {_key_name(key)}")
+            records[key] = record
+        return cls(records)
 
     def __len__(self) -> int:
         return len(self._records)
 
     def __contains__(self, outpoint: tuple[bytes, int]) -> bool:
-        return outpoint in self._records
+        return _key(*outpoint) in self._records
 
     def get(self, outpoint: tuple[bytes, int]) -> UtxoEntry | None:
-        record = self._records.get(outpoint)
+        record = self._records.get(_key(*outpoint))
         return None if record is None else _entry(record)
 
     def add(self, entry: UtxoEntry) -> None:
-        key = (entry.txid, entry.vout)
+        record = encode_record(entry)
+        key = _key(entry.txid, entry.vout)
         if key in self._records:
             raise ChainError("duplicate outpoint created")
-        self._records[key] = encode_record(entry)
+        self._records[key] = record
 
-    def add_records(self, records: dict[tuple[bytes, int], bytes]) -> None:
-        """Insert packed records whose outpoints the set does not hold."""
+    def add_records(self, records: dict[bytes, bytes]) -> None:
+        """Insert packed records whose keys the set does not hold."""
         self._records.update(records)
 
     def remove(self, outpoint: tuple[bytes, int]) -> None:
-        del self._records[outpoint]
+        del self._records[_key(*outpoint)]
 
     def entries(self) -> Iterator[UtxoEntry]:
         return map(_entry, self._records.values())
 
     def records(self) -> list[bytes]:
-        """Every record, sorted by (txid, vout): the canonical order."""
+        """Every record, sorted by (txid, vout): the canonical order,
+        which is the keys' byte order."""
         records = self._records
         return [records[key] for key in sorted(records)]
 
@@ -414,8 +450,8 @@ def validate_and_apply_block(utxo: UtxoSet, block: Block, height: int,
     if len(coinbase.inputs[0].unlock) > MAX_COINBASE_DATA:
         raise BlockValidationError(f"height {height}: oversized coinbase data")
 
-    spent: set[tuple[bytes, int]] = set()
-    created: dict[tuple[bytes, int], bytes] = {}  # outpoint -> record
+    spent: dict[bytes, tuple[bytes, int]] = {}  # outpoint key -> outpoint
+    created: dict[bytes, bytes] = {}  # outpoint key -> record
     fees = 0
     for tx, txid in zip(block.transactions[1:], txids[1:]):
         if tx.is_coinbase():
@@ -425,10 +461,11 @@ def validate_and_apply_block(utxo: UtxoSet, block: Block, height: int,
         in_value = 0
         for txin in tx.inputs:
             outpoint = (txin.prev_txid, txin.prev_vout)
-            if outpoint in spent:
+            key = _key(*outpoint)
+            if key in spent:
                 raise BlockValidationError(
                     f"height {height}: double spend of {txin.prev_txid.hex()}:{txin.prev_vout}")
-            record = created.get(outpoint)
+            record = created.get(key)
             entry = utxo.get(outpoint) if record is None else _entry(record)
             if entry is None:
                 raise BlockValidationError(
@@ -437,7 +474,7 @@ def validate_and_apply_block(utxo: UtxoSet, block: Block, height: int,
             if not scripts.validate_spend(entry.compressed, txin.unlock, ctx):
                 raise BlockValidationError(
                     f"height {height}: invalid unlock for {txin.prev_txid.hex()}:{txin.prev_vout}")
-            spent.add(outpoint)
+            spent[key] = outpoint
             in_value += entry.amount
         out_value = _check_outputs(tx, txid, height, created)
         if out_value > in_value:
@@ -451,14 +488,14 @@ def validate_and_apply_block(utxo: UtxoSet, block: Block, height: int,
         raise BlockValidationError(
             f"height {height}: coinbase claims {coinbase_value}, "
             f"expected {params.subsidy + fees}")
-    for outpoint in created:
-        if outpoint in utxo:
+    for key in created:
+        if key in utxo._records:
             raise BlockValidationError(
-                f"height {height}: duplicate outpoint {outpoint[0].hex()}:{outpoint[1]}")
+                f"height {height}: duplicate outpoint {_key_name(key)}")
 
-    for outpoint in spent:
-        if outpoint in created:
-            del created[outpoint]
+    for key, outpoint in spent.items():
+        if key in created:
+            del created[key]
         else:
             utxo.remove(outpoint)
     utxo.add_records(created)
@@ -489,7 +526,7 @@ def _check_outputs(tx: Transaction, txid: bytes, height: int,
         total += txout.amount
         if scripts.is_op_return(txout.script):
             continue  # provably unspendable, never enters the set
-        created[(txid, vout)] = _pack_record(
+        created[_key(txid, vout)] = _pack_record(
             txid, vout, txout.amount, height, coinbase,
             scripts.compress(txout.script))
     return total
@@ -593,22 +630,41 @@ def write_block_file(path, blocks: list[Block]) -> None:
             fh.write(raw)
 
 
-def read_block_file(path) -> list[Block]:
+class BlockFile:
+    """The blocks of a block file, in height order. The framing is checked
+    when the file is read; each block is parsed when it is looked up and
+    not kept, so a replay holds one parsed block at a time."""
+
+    def __init__(self, data: bytes, spans: list[tuple[int, int]]) -> None:
+        self._data = data
+        self._spans = spans  # (start, end) of each block record
+
+    def __len__(self) -> int:
+        return len(self._spans)
+
+    def __getitem__(self, height: int) -> Block:
+        start, end = self._spans[height]
+        block, used = Block.parse(self._data[start:end])
+        if used != end - start:
+            raise ChainError("trailing bytes inside block record")
+        return block
+
+
+def read_block_file(path) -> BlockFile:
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != BLOCK_FILE_MAGIC:
         raise ChainError("not a block file")
     count = _u32(data, 4, "block count")
     offset = 8
-    blocks = []
+    spans = []
     for _ in range(count):
         size = _u32(data, offset, "block record size")
         offset += 4
-        block, end = Block.parse(data[offset:offset + size])
-        if end != size:
-            raise ChainError("trailing bytes inside block record")
-        blocks.append(block)
+        if offset + size > len(data):
+            raise ChainError(f"truncated block record at offset {offset}")
+        spans.append((offset, offset + size))
         offset += size
     if offset != len(data):
         raise ChainError("trailing bytes after final block")
-    return blocks
+    return BlockFile(data, spans)

@@ -26,9 +26,9 @@ import os
 import sys
 from pathlib import Path
 
-from .chain import (ChainError, ChainParams, HeaderIndex, UtxoSet,
-                    header_record, read_block_file, replay_blocks,
-                    work_from_bits, write_block_file)
+from .chain import (BlockValidationError, ChainError, ChainParams,
+                    HeaderIndex, UtxoSet, header_record, read_block_file,
+                    replay_blocks, work_from_bits, write_block_file)
 from .chaingen import light_profile, generate_chain
 from .netsim import SimError, format_scenario, parse_scenario, run_simulation
 from .security import (COMPROMISE_RATE, SweepConfig, SweepResult,
@@ -263,14 +263,24 @@ def _cmd_snapshot_create(args) -> int:
         return _fail(f"cannot read chain: {exc}")
     if not 0 <= args.height < len(blocks):
         return _fail(f"height {args.height} outside chain of {len(blocks)} blocks")
+    # each block is parsed as it is reached and then dropped; a malformed
+    # block anywhere in the file is a read error, ahead of a block that
+    # fails validation, so the rest of the file is parsed too
     utxo = UtxoSet()
+    invalid = None
     try:
-        replay_blocks(utxo, blocks, range(args.height + 1), b"\x00" * 32,
-                      ChainParams())
+        try:
+            tip_id = replay_blocks(utxo, blocks, range(args.height + 1),
+                                   b"\x00" * 32, ChainParams())
+        except BlockValidationError as exc:
+            invalid = exc
+        for height in range(0 if invalid else args.height + 1, len(blocks)):
+            blocks[height]
     except ChainError as exc:
-        return _fail(f"chain invalid: {exc}")
-    snap = build_snapshot(utxo, args.height, blocks[args.height].block_id(),
-                          obfuscate=args.obfuscate)
+        return _fail(f"cannot read chain: {exc}")
+    if invalid is not None:
+        return _fail(f"chain invalid: {invalid}")
+    snap = build_snapshot(utxo, args.height, tip_id, obfuscate=args.obfuscate)
     out_path = out_dir / args.out
     write_snapshot_file(out_path, snap)
     # sidecar manifest mirrors the per-chunk hash list a booting node

@@ -12,6 +12,7 @@ so a verifier can localize a corrupted chunk without re-downloading the
 rest, and an empty set still has a well-defined id.
 """
 
+import os
 import struct
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -145,13 +146,7 @@ def decode_records(snapshot: Snapshot,
 def apply_snapshot(snapshot: Snapshot) -> UtxoSet:
     """Materialize the UTXO set. Verify the snapshot before calling this.
     Each record is checked by its head and kept as it came."""
-    records: dict[tuple[bytes, int], bytes] = {}
-    for outpoint, record in decode_records(snapshot, split_record):
-        if outpoint in records:
-            raise SnapshotError(
-                f"duplicate outpoint {outpoint[0].hex()}:{outpoint[1]}")
-        records[outpoint] = record
-    return UtxoSet(records)
+    return UtxoSet.from_records(decode_records(snapshot, split_record))
 
 
 def wire_size(snapshot: Snapshot) -> int:
@@ -168,20 +163,21 @@ def write_snapshot_file(path, snapshot: Snapshot) -> None:
 
 
 def read_snapshot_file(path) -> Snapshot:
+    """Read the header, then each length prefix and chunk in turn, so no
+    second copy of the chunks is held."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    header = SnapshotHeader.parse(data[:40])
-    offset = 40
-    chunks = []
-    for _ in range(header.chunk_count):
-        if offset + 4 > len(data):
-            raise SnapshotError("truncated chunk length")
-        (size,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        if offset + size > len(data):
-            raise SnapshotError("truncated chunk")
-        chunks.append(data[offset:offset + size])
-        offset += size
-    if offset != len(data):
+        left = os.fstat(fh.fileno()).st_size - 40
+        header = SnapshotHeader.parse(fh.read(40))
+        chunks = []
+        for _ in range(header.chunk_count):
+            if left < 4:
+                raise SnapshotError("truncated chunk length")
+            (size,) = struct.unpack("<I", fh.read(4))
+            left -= 4 + size
+            # checked before the read, which would allocate `size` bytes
+            if left < 0:
+                raise SnapshotError("truncated chunk")
+            chunks.append(fh.read(size))
+    if left:
         raise SnapshotError("trailing bytes after final chunk")
     return Snapshot.assemble(header.height, header.block_id, chunks)

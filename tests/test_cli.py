@@ -6,6 +6,7 @@ Exit codes are part of the contract: 0 success, 1 verification failure,
 
 import csv
 import json
+import tracemalloc
 
 import pytest
 
@@ -122,6 +123,55 @@ def test_snapshot_create_rejects_truncated_chain(tmp_path, capsys, raw):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: cannot read chain") and "Traceback" not in err
+
+
+def _block_starts(raw: bytes) -> list[int]:
+    """Where each block record of a block file begins (after its size)."""
+    starts, offset = [], 8
+    for _ in range(int.from_bytes(raw[4:8], "little")):
+        starts.append(offset + 4)
+        offset += 4 + int.from_bytes(raw[offset:offset + 4], "little")
+    return starts
+
+
+@pytest.mark.parametrize("case", ["malformed", "invalid", "both"])
+def test_snapshot_create_reports_the_first_fault_of_the_file(
+        chain_dir, tmp_path, capsys, case):
+    # blocks are parsed as the replay reaches them, yet a malformed block
+    # past --height is still a read error, and it wins over an earlier
+    # block that fails validation, as when the whole file was parsed first
+    raw = bytearray((chain_dir / "chain.blk").read_bytes())
+    starts = _block_starts(bytes(raw))
+    if case != "invalid":  # the last block claims more transactions than it has
+        raw[starts[-1] + 80:starts[-1] + 84] = b"\xff" * 4
+    if case != "malformed":  # block 10 names another parent
+        raw[starts[10] + 4] ^= 1
+    chain = tmp_path / "edited.blk"
+    chain.write_bytes(raw)
+    code = main(["snapshot", "create", "--chain", str(chain), "--height",
+                 "400", "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: chain invalid: height 10" if case == "invalid"
+                          else "error: cannot read chain")
+    assert "Traceback" not in err
+
+
+def test_snapshot_create_holds_one_parsed_block_at_a_time(chain_dir, tmp_path,
+                                                          capsys):
+    # parsing the whole 420-block file first traced 4.5 times its size;
+    # streaming it holds the file's bytes and the set, about 1.5 times
+    chain = chain_dir / "chain.blk"
+    tracemalloc.start()
+    try:
+        code = main(["snapshot", "create", "--chain", str(chain), "--height",
+                     "400", "--out-dir", str(tmp_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 2.5 * chain.stat().st_size
 
 
 @pytest.mark.parametrize("raw", [

@@ -210,9 +210,10 @@ def test_apply_rejects_a_record_split_across_chunks():
         apply_snapshot(snap)
 
 
-def test_applied_set_holds_under_300_traced_bytes_per_coin():
+def test_applied_set_holds_under_210_traced_bytes_per_coin():
     # a coin as a decoded entry (two named tuples, two ints, the payload)
-    # traced about 420 bytes; as its record it traces about 250
+    # traced about 420 bytes; as its record under a (txid, vout) tuple key
+    # about 250; under a 36-byte packed key about 200
     rng = random.Random(20)
     utxo = UtxoSet()
     for _ in range(20_000):
@@ -228,14 +229,15 @@ def test_applied_set_holds_under_300_traced_bytes_per_coin():
     finally:
         tracemalloc.stop()
     assert len(applied) == 20_000
-    assert held / 20_000 < 300
+    assert held / 20_000 < 210
 
 
 def test_apply_rejects_duplicate_outpoints():
-    record = encode_record(_entry(1))
+    entry = _entry(1, vout=258)
+    record = encode_record(entry)
     chunk = record + record
     snap = Snapshot.assemble(1, b"\x00" * 32, [chunk])
-    with pytest.raises(SnapshotError):
+    with pytest.raises(SnapshotError, match=f"{entry.txid.hex()}:258$"):
         apply_snapshot(snap)
 
 
@@ -354,3 +356,41 @@ def test_add_rejects_an_entry_with_no_record_form():
                 entry._replace(compressed=CompressedTxOut(0x00, b"\x01" * 19))):
         with pytest.raises(ChainError):
             UtxoSet().add(bad)
+
+
+def test_canonical_order_holds_past_one_byte_of_vout():
+    # one txid, so only the vouts order the records; a key holding the
+    # vout little-endian would put 256 before 1
+    txid = hash256(b"one txid, many outputs")
+    vouts = [0, 1, 255, 256, 65535, 65536, 2 ** 32 - 1]
+    added = [UtxoEntry(txid, vout, 1000 + vout, 5, False,
+                       compress(p2pkh_script(txid[:20]))) for vout in vouts]
+    random.Random(9).shuffle(added)
+    utxo = UtxoSet()
+    for entry in added:
+        utxo.add(entry)
+    assert serialize_utxo_set(utxo) == _oracle_bytes(added)
+    applied = apply_snapshot(build_snapshot(utxo, 3, b"\x06" * 32))
+    assert serialize_utxo_set(applied) == _oracle_bytes(added)
+    for entry in added:
+        assert utxo.get((txid, entry.vout)) == entry
+        assert applied.get((txid, entry.vout)) == entry
+
+
+def test_malformed_outpoints_match_nothing():
+    # struct's "32s" would pad the short txid and cut the long one to a
+    # held coin's txid
+    entry = _entry(3)
+    padded = entry._replace(txid=entry.txid[:31] + b"\x00")
+    utxo = UtxoSet()
+    for coin in (entry, padded):
+        utxo.add(coin)
+    for txid in (entry.txid[:31], entry.txid + b"\x00"):
+        assert utxo.get((txid, entry.vout)) is None
+        assert (txid, entry.vout) not in utxo
+        with pytest.raises(KeyError):
+            utxo.remove((txid, entry.vout))
+    for vout in (-1, 2 ** 32):
+        assert utxo.get((entry.txid, vout)) is None
+        assert (entry.txid, vout) not in utxo
+    assert len(utxo) == 2 and utxo.get((entry.txid, entry.vout)) == entry
