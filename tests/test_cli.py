@@ -134,33 +134,36 @@ def _block_starts(raw: bytes) -> list[int]:
     return starts
 
 
-@pytest.mark.parametrize("case", ["malformed", "invalid", "both"])
+@pytest.mark.parametrize("malformed, invalid", [
+    (420, None), (None, 10), (420, 10), (200, 10)],
+    ids=["malformed-past-height", "invalid", "both", "both-below-height"])
 def test_snapshot_create_reports_the_first_fault_of_the_file(
-        chain_dir, tmp_path, capsys, case):
+        chain_dir, tmp_path, capsys, malformed, invalid):
     # blocks are parsed as the replay reaches them, yet a malformed block
     # past --height is still a read error, and it wins over an earlier
     # block that fails validation, as when the whole file was parsed first
     raw = bytearray((chain_dir / "chain.blk").read_bytes())
     starts = _block_starts(bytes(raw))
-    if case != "invalid":  # the last block claims more transactions than it has
-        raw[starts[-1] + 80:starts[-1] + 84] = b"\xff" * 4
-    if case != "malformed":  # block 10 names another parent
-        raw[starts[10] + 4] ^= 1
+    if malformed is not None:  # claims more transactions than it holds
+        raw[starts[malformed] + 80:starts[malformed] + 84] = b"\xff" * 4
+    if invalid is not None:  # names another parent
+        raw[starts[invalid] + 4] ^= 1
     chain = tmp_path / "edited.blk"
     chain.write_bytes(raw)
     code = main(["snapshot", "create", "--chain", str(chain), "--height",
                  "400", "--out-dir", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error: chain invalid: height 10" if case == "invalid"
-                          else "error: cannot read chain")
+    assert err.startswith("error: cannot read chain" if malformed
+                          else f"error: chain invalid: height {invalid}")
     assert "Traceback" not in err
 
 
 def test_snapshot_create_holds_one_parsed_block_at_a_time(chain_dir, tmp_path,
                                                           capsys):
-    # parsing the whole 420-block file first traced 4.5 times its size;
-    # streaming it holds the file's bytes and the set, about 1.5 times
+    # the bound sits between a parse of the whole 420-block file (traced
+    # peak about 4.5 times its size) and a streamed one (about 1.5 times:
+    # the file's bytes plus the set)
     chain = chain_dir / "chain.blk"
     tracemalloc.start()
     try:
