@@ -8,8 +8,13 @@ data. Amounts are 64-bit integers in base units; fees are implicit and
 must be claimed exactly by the coinbase.
 """
 
+import copy
 import functools
+import heapq
+import itertools
 import struct
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
@@ -273,6 +278,9 @@ def genesis_block(params: ChainParams) -> Block:
 _RECORD_HEAD = struct.Struct("<32sIQIBB")
 RECORD_HEAD_SIZE = _RECORD_HEAD.size  # 50
 _OUTPOINT = struct.Struct("<32sI")  # a record's head reads 32 bytes exactly
+_VOUT = struct.Struct("<I")
+# a txid's first 8 bytes as a number; numeric order is their byte order
+_PREFIX = struct.Struct(">Q")
 _CASE_AT = RECORD_HEAD_SIZE - 1  # obfuscation rewrites it and the payload
 _COINBASE_AT = _CASE_AT - 1
 # the record length each case byte implies; every byte value is a case
@@ -295,9 +303,14 @@ class UtxoEntry(NamedTuple):
 
 def _pack_record(txid: bytes, vout: int, amount: int, height: int,
                  coinbase: bool, comp: CompressedTxOut) -> bytes:
-    record = _RECORD_HEAD.pack(txid, vout, amount, height,
-                               1 if coinbase else 0, comp.case) + comp.payload
-    if len(txid) != 32 or len(record) != _RECORD_SIZE[comp.case]:
+    try:
+        record = _RECORD_HEAD.pack(txid, vout, amount, height,
+                                   1 if coinbase else 0, comp.case) \
+            + comp.payload
+        fits = len(txid) == 32 and len(record) == _RECORD_SIZE[comp.case]
+    except struct.error:  # a field outside its unsigned width
+        fits = False
+    if not fits:
         raise ChainError(f"coin {txid.hex()}:{vout} has no record form")
     return record
 
@@ -312,9 +325,10 @@ def _key(txid: bytes, vout: int) -> bytes:
         return b""
 
 
-def _key_name(key: bytes) -> str:
-    """`<txid hex>:<vout>` of an outpoint key, for error messages."""
-    return f"{key[:32].hex()}:{int.from_bytes(key[32:], 'big')}"
+def _record_key(record: bytes) -> bytes:
+    """The outpoint key of a record: its txid, then its vout's four
+    little-endian bytes reversed."""
+    return record[:32] + record[35:31:-1]
 
 
 def obfuscate_record(record: bytes) -> bytes:
@@ -331,10 +345,10 @@ def encode_record(entry: UtxoEntry, obfuscate: bool = False) -> bytes:
     return obfuscate_record(record) if obfuscate else record
 
 
-def split_record(buf: bytes, offset: int = 0) -> tuple[tuple, int]:
-    """((outpoint key, record bytes), offset after it) for the record at
-    `offset`. Checks the head: SnapshotError on a coinbase flag other
-    than 0/1 or a record that runs past the end of `buf`."""
+def _record_end(buf: bytes, offset: int) -> int:
+    """The offset after the record at `offset`. Checks the head:
+    SnapshotError on a coinbase flag other than 0/1 or a record that
+    runs past the end of `buf`."""
     if offset + RECORD_HEAD_SIZE > len(buf):
         raise SnapshotError(f"truncated record at byte {offset}")
     if buf[offset + _COINBASE_AT] > 1:
@@ -342,16 +356,14 @@ def split_record(buf: bytes, offset: int = 0) -> tuple[tuple, int]:
     end = offset + _RECORD_SIZE[buf[offset + _CASE_AT]]
     if end > len(buf):
         raise SnapshotError(f"truncated record payload at byte {offset}")
-    txid, vout = _OUTPOINT.unpack_from(buf, offset)
-    # the set's key, as _key builds it; a vout read as u32 always fits
-    return (txid + vout.to_bytes(4, "big"), buf[offset:end]), end
+    return end
 
 
 def decode_record(buf: bytes, offset: int = 0) -> tuple[UtxoEntry, int]:
     """The entry of the record at `offset` and the offset after it;
-    SnapshotError where `split_record` finds the head malformed."""
-    (_, record), end = split_record(buf, offset)
-    return _entry(record), end
+    SnapshotError where `_record_end` finds the head malformed."""
+    end = _record_end(buf, offset)
+    return _entry(buf[offset:end]), end
 
 
 def _entry(record: bytes) -> UtxoEntry:
@@ -365,61 +377,180 @@ def _entry(record: bytes) -> UtxoEntry:
 
 
 class UtxoSet:
-    """Mutable map of unspent outputs keyed by outpoint. Each coin is
-    held as its record under its 36-byte outpoint key; `get` and
-    `entries` decode on demand."""
+    """Mutable map of unspent outputs keyed by outpoint, each coin held
+    as its record; `get` and `entries` decode on demand.
 
-    def __init__(self, records: dict[bytes, bytes] | None = None) -> None:
-        """`records` maps outpoint keys to records already checked or
-        packed."""
-        self._records = {} if records is None else records
+    A set made by `from_chunks` reads its base coins from the snapshot
+    chunks in place. It finds them through a sorted index with one slot
+    per record: the txid's first 8 bytes, and the chunk number and
+    offset. A base coin spent, or read by `get` (which moves it to the
+    dict), is marked at its slot. Coins added since, and every coin of
+    a set that never had a snapshot, sit in a dict from 36-byte
+    outpoint key to record.
+    """
+
+    def __init__(self) -> None:
+        self._records: dict[bytes, bytes] = {}
+        self._chunks: tuple = ()
+        self._prefixes = array("Q")  # sorted, as the records are
+        self._places = array("Q")  # chunk number << 32 | offset
+        self._gone = bytearray()  # 1 where the base no longer holds the coin
+        self._live = 0  # base coins the base still holds
 
     @classmethod
-    def from_records(cls, pairs: Iterable[tuple[bytes, bytes]]) -> "UtxoSet":
-        """The set of the (outpoint key, record) pairs `split_record`
-        returns; SnapshotError on an outpoint that comes twice."""
-        records = {}
-        for key, record in pairs:
-            if key in records:
-                raise SnapshotError(f"duplicate outpoint {_key_name(key)}")
-            records[key] = record
-        return cls(records)
+    def from_chunks(cls, chunks: Iterable[bytes]) -> "UtxoSet":
+        """The set of the records in `chunks`, which it keeps and reads
+        in place. Checks each record's head once; SnapshotError on a
+        malformed head, a record that runs past its chunk, or records
+        not in strictly ascending (txid, vout) order, which the index's
+        bisection needs."""
+        utxo = cls()
+        utxo._chunks = chunks = tuple(chunks)
+        add_prefix, add_place = utxo._prefixes.append, utxo._places.append
+        last = (b"", -1)
+        for number, chunk in enumerate(chunks):
+            offset = 0
+            while offset < len(chunk):
+                end = _record_end(chunk, offset)
+                outpoint = _OUTPOINT.unpack_from(chunk, offset)
+                if outpoint <= last:
+                    if outpoint == last:
+                        raise SnapshotError("duplicate outpoint "
+                                            f"{outpoint[0].hex()}:{outpoint[1]}")
+                    raise SnapshotError(f"record out of order at byte {offset} "
+                                        f"of chunk {number}")
+                last = outpoint
+                add_prefix(_PREFIX.unpack_from(chunk, offset)[0])
+                add_place(number << 32 | offset)
+                offset = end
+        utxo._live = len(utxo._prefixes)
+        utxo._gone = bytearray(utxo._live)
+        return utxo
+
+    def _base_outpoint(self, slot: int) -> tuple[bytes, int]:
+        place = self._places[slot]
+        return _OUTPOINT.unpack_from(self._chunks[place >> 32],
+                                     place & 0xFFFFFFFF)
+
+    def _base_record(self, slot: int) -> bytes:
+        place = self._places[slot]
+        chunk, offset = self._chunks[place >> 32], place & 0xFFFFFFFF
+        return chunk[offset:offset + _RECORD_SIZE[chunk[offset + _CASE_AT]]]
+
+    def _base_slot(self, outpoint: tuple[bytes, int]) -> int:
+        """The slot of the coin at `outpoint` if the base still holds
+        it, else -1."""
+        txid, vout = outpoint
+        if len(txid) != 32:  # a longer one could match by its start
+            return -1
+        prefixes = self._prefixes
+        prefix = _PREFIX.unpack_from(txid)[0]
+        lo = bisect_left(prefixes, prefix)
+        if lo == len(prefixes) or prefixes[lo] != prefix:
+            return -1
+        place = self._places[lo]
+        chunk, offset = self._chunks[place >> 32], place & 0xFFFFFFFF
+        if not chunk.startswith(txid, offset) \
+                or _VOUT.unpack_from(chunk, offset + 32)[0] != vout:
+            # the outputs of one txid share a prefix: bisect by outpoint
+            hi = bisect_right(prefixes, prefix, lo)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if self._base_outpoint(mid) <= outpoint:
+                    lo = mid
+                else:
+                    hi = mid
+            if self._base_outpoint(lo) != outpoint:
+                return -1
+        return -1 if self._gone[lo] else lo
+
+    def _base_records(self) -> Iterator[bytes]:
+        """The records of the coins the base still holds, in slot order."""
+        gone = self._gone
+        return (self._base_record(slot) for slot in range(len(gone))
+                if not gone[slot])
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._records) + self._live
 
     def __contains__(self, outpoint: tuple[bytes, int]) -> bool:
-        return _key(*outpoint) in self._records
+        return _key(*outpoint) in self._records \
+            or (self._live and self._base_slot(outpoint) >= 0)
 
     def get(self, outpoint: tuple[bytes, int]) -> UtxoEntry | None:
-        record = self._records.get(_key(*outpoint))
-        return None if record is None else _entry(record)
+        key = _key(*outpoint)
+        record = self._records.get(key)
+        if record is None:
+            slot = self._base_slot(outpoint)
+            if slot < 0:
+                return None
+            # a base coin read moves to the dict, as in a coins cache, so
+            # the spend that usually follows finds it there
+            record = self._records[key] = self._base_record(slot)
+            self._gone[slot] = 1
+            self._live -= 1
+        return _entry(record)
 
     def add(self, entry: UtxoEntry) -> None:
         record = encode_record(entry)
         key = _key(entry.txid, entry.vout)
-        if key in self._records:
+        if key in self._records \
+                or (self._live
+                    and self._base_slot((entry.txid, entry.vout)) >= 0):
             raise ChainError("duplicate outpoint created")
         self._records[key] = record
 
-    def add_records(self, records: dict[bytes, bytes]) -> None:
-        """Insert packed records whose keys the set does not hold."""
-        self._records.update(records)
+    def add_records(self, records: dict[tuple[bytes, int], bytes]) -> None:
+        """Insert packed records under their outpoints; ChainError,
+        inserting none, when the set holds a coin at any of them."""
+        keyed = {}
+        for outpoint, record in records.items():
+            key = _key(*outpoint)
+            if key in self._records \
+                    or (self._live and self._base_slot(outpoint) >= 0):
+                raise ChainError("duplicate outpoint "
+                                 f"{outpoint[0].hex()}:{outpoint[1]}")
+            keyed[key] = record
+        self._records.update(keyed)
 
     def remove(self, outpoint: tuple[bytes, int]) -> None:
-        del self._records[_key(*outpoint)]
+        """KeyError when the set holds no coin at `outpoint`."""
+        if self._records.pop(_key(*outpoint), None) is None:
+            slot = self._base_slot(outpoint)
+            if slot < 0:
+                raise KeyError(outpoint)
+            self._gone[slot] = 1
+            self._live -= 1
 
     def entries(self) -> Iterator[UtxoEntry]:
-        return map(_entry, self._records.values())
+        """Every coin: the dict's in insertion order, then the base's."""
+        return map(_entry, itertools.chain(self._records.values(),
+                                           self._base_records()))
 
     def records(self) -> list[bytes]:
         """Every record, sorted by (txid, vout): the canonical order,
-        which is the keys' byte order."""
+        which is the keys' byte order and the base's slot order."""
         records = self._records
-        return [records[key] for key in sorted(records)]
+        added = [records[key] for key in sorted(records)]
+        if not self._live:
+            return added
+        return list(heapq.merge(self._base_records(), added, key=_record_key))
+
+    def __bytes__(self) -> bytes:
+        """Every record in canonical order, joined: the base's chunks
+        themselves while no coin was added, read or spent since the
+        apply."""
+        if not self._records and self._live == len(self._gone):
+            return b"".join(self._chunks)
+        return b"".join(self.records())
 
     def copy(self) -> "UtxoSet":
-        return UtxoSet(dict(self._records))
+        """An independent set; the base's chunks and index, which are
+        never written, are shared."""
+        other = copy.copy(self)
+        other._records = dict(self._records)
+        other._gone = bytearray(self._gone)
+        return other
 
 
 def validate_and_apply_block(utxo: UtxoSet, block: Block, height: int,
@@ -428,7 +559,9 @@ def validate_and_apply_block(utxo: UtxoSet, block: Block, height: int,
     returns the block's id.
 
     All checks complete before any mutation, so a raised
-    BlockValidationError leaves the set untouched.
+    BlockValidationError leaves the set untouched; the last, that the
+    set holds no created outpoint, runs in `add_records` before it
+    inserts.
     """
     header = block.header
     if header.prev_hash != prev_id:
@@ -450,8 +583,8 @@ def validate_and_apply_block(utxo: UtxoSet, block: Block, height: int,
     if len(coinbase.inputs[0].unlock) > MAX_COINBASE_DATA:
         raise BlockValidationError(f"height {height}: oversized coinbase data")
 
-    spent: dict[bytes, tuple[bytes, int]] = {}  # outpoint key -> outpoint
-    created: dict[bytes, bytes] = {}  # outpoint key -> record
+    spent: dict[tuple[bytes, int], None] = {}
+    created: dict[tuple[bytes, int], bytes] = {}  # outpoint -> record
     fees = 0
     for tx, txid in zip(block.transactions[1:], txids[1:]):
         if tx.is_coinbase():
@@ -461,11 +594,10 @@ def validate_and_apply_block(utxo: UtxoSet, block: Block, height: int,
         in_value = 0
         for txin in tx.inputs:
             outpoint = (txin.prev_txid, txin.prev_vout)
-            key = _key(*outpoint)
-            if key in spent:
+            if outpoint in spent:
                 raise BlockValidationError(
                     f"height {height}: double spend of {txin.prev_txid.hex()}:{txin.prev_vout}")
-            record = created.get(key)
+            record = created.get(outpoint)
             entry = utxo.get(outpoint) if record is None else _entry(record)
             if entry is None:
                 raise BlockValidationError(
@@ -474,7 +606,7 @@ def validate_and_apply_block(utxo: UtxoSet, block: Block, height: int,
             if not scripts.validate_spend(entry.compressed, txin.unlock, ctx):
                 raise BlockValidationError(
                     f"height {height}: invalid unlock for {txin.prev_txid.hex()}:{txin.prev_vout}")
-            spent[key] = outpoint
+            spent[outpoint] = None
             in_value += entry.amount
         out_value = _check_outputs(tx, txid, height, created)
         if out_value > in_value:
@@ -488,17 +620,13 @@ def validate_and_apply_block(utxo: UtxoSet, block: Block, height: int,
         raise BlockValidationError(
             f"height {height}: coinbase claims {coinbase_value}, "
             f"expected {params.subsidy + fees}")
-    for key in created:
-        if key in utxo._records:
-            raise BlockValidationError(
-                f"height {height}: duplicate outpoint {_key_name(key)}")
-
-    for key, outpoint in spent.items():
-        if key in created:
-            del created[key]
-        else:
-            utxo.remove(outpoint)
-    utxo.add_records(created)
+    try:
+        utxo.add_records(created)
+    except ChainError as exc:
+        raise BlockValidationError(f"height {height}: {exc}") from None
+    # a coin created and spent in this block is added, then removed here
+    for outpoint in spent:
+        utxo.remove(outpoint)
     return block_id
 
 
@@ -526,7 +654,7 @@ def _check_outputs(tx: Transaction, txid: bytes, height: int,
         total += txout.amount
         if scripts.is_op_return(txout.script):
             continue  # provably unspendable, never enters the set
-        created[_key(txid, vout)] = _pack_record(
+        created[txid, vout] = _pack_record(
             txid, vout, txout.amount, height, coinbase,
             scripts.compress(txout.script))
     return total

@@ -20,7 +20,7 @@ from .hashing import hash256
 # the record codec lives in chain, beside the set that holds records;
 # encode_record and decode_record are also reached from here
 from .chain import (SnapshotError, UtxoSet, decode_record, encode_record,
-                    obfuscate_record, split_record)
+                    obfuscate_record)
 
 CHUNK_SIZE = 1 << 20
 
@@ -75,7 +75,7 @@ def _records(utxo: UtxoSet, obfuscate: bool) -> Iterable[bytes]:
 
 def serialize_utxo_set(utxo: UtxoSet, obfuscate: bool = False) -> bytes:
     """Canonical byte form: records sorted by (txid, vout)."""
-    return b"".join(_records(utxo, obfuscate))
+    return b"".join(_records(utxo, True)) if obfuscate else bytes(utxo)
 
 
 def chunk_records(records: Iterable[bytes]) -> list[bytes]:
@@ -144,9 +144,11 @@ def decode_records(snapshot: Snapshot,
 
 
 def apply_snapshot(snapshot: Snapshot) -> UtxoSet:
-    """Materialize the UTXO set. Verify the snapshot before calling this.
-    Each record is checked by its head and kept as it came."""
-    return UtxoSet.from_records(decode_records(snapshot, split_record))
+    """The UTXO set the snapshot holds. Verify the snapshot before
+    calling this. The set reads its coins from the snapshot's chunks in
+    place; each record's head is checked once, and the records must be
+    in strictly ascending (txid, vout) order."""
+    return UtxoSet.from_chunks(snapshot.chunks)
 
 
 def wire_size(snapshot: Snapshot) -> int:

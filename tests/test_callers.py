@@ -27,8 +27,8 @@ ALLOWED = {
     "chain.best_tip": "the private-fork joiner picks the most-work chain "
                       "with it",
     "chain.decode_record": "the entry-level record parser the record fuzz "
-                           "tests drive; apply_snapshot checks records with "
-                           "split_record, which it wraps",
+                           "tests drive; it checks each head with the same "
+                           "code as apply_snapshot's walk",
     "chain.UtxoSet.entries": "reads the held records back as entries for "
                              "the state tests and the benchmark's set-up",
     "scripts.decompress": "the lossless-compression oracle of the script "

@@ -18,6 +18,8 @@ from coinprune.chaingen import generate_chain, light_profile
 from coinprune.hashing import hash160, hash256
 from coinprune.scripts import (SpendContext, is_op_return, key_unlock,
                                p2pkh_script)
+from coinprune.snapshot import (apply_snapshot, build_snapshot,
+                                serialize_utxo_set)
 
 PARAMS = ChainParams()
 KEY = b"\x02" + b"\x11" * 32
@@ -206,14 +208,58 @@ def test_first_transaction_must_be_coinbase():
 
 
 def test_failed_block_leaves_utxo_untouched():
+    for utxo, g, b1, cb in (_fresh_chain(), _applied_chain()):
+        before = {(e.txid, e.vout): e for e in utxo.entries()}
+        state = serialize_utxo_set(utxo)
+        t1 = _spend(cb.txid(), 0, [TxOutput(PARAMS.subsidy, PAY_SCRIPT)])
+        cb2 = coinbase_tx(2, [TxOutput(PARAMS.subsidy + 5, PAY_SCRIPT)], b"")
+        b2 = _mine_on(b1, [cb2, t1], 2)  # coinbase overclaims: no fee paid
+        with pytest.raises(BlockValidationError):
+            validate_and_apply_block(utxo, b2, 2, b1.block_id(), PARAMS)
+        assert {(e.txid, e.vout): e for e in utxo.entries()} == before
+        assert serialize_utxo_set(utxo) == state
+
+
+# --- block validation on an applied snapshot -------------------------------------
+
+def _applied_chain():
+    """_fresh_chain's state applied from its snapshot, so both coins sit
+    in the applied set's base and none in its dict."""
     utxo, g, b1, cb = _fresh_chain()
-    before = {(e.txid, e.vout): e for e in utxo.entries()}
-    t1 = _spend(cb.txid(), 0, [TxOutput(PARAMS.subsidy, PAY_SCRIPT)])
-    cb2 = coinbase_tx(2, [TxOutput(PARAMS.subsidy + 5, PAY_SCRIPT)], b"")
-    b2 = _mine_on(b1, [cb2, t1], 2)  # coinbase overclaims: no fee paid
-    with pytest.raises(BlockValidationError):
+    applied = apply_snapshot(build_snapshot(utxo, 1, b1.block_id()))
+    return applied, g, b1, cb
+
+
+def test_block_recreating_a_base_coin_is_refused():
+    utxo, g, b1, cb = _applied_chain()
+    state = serialize_utxo_set(utxo)
+    b2 = _mine_on(b1, [cb], 2)  # b1's coinbase again: same txid, same coin
+    with pytest.raises(BlockValidationError,
+                       match=f"height 2: duplicate outpoint {cb.txid().hex()}:0$"):
         validate_and_apply_block(utxo, b2, 2, b1.block_id(), PARAMS)
-    assert {(e.txid, e.vout): e for e in utxo.entries()} == before
+    assert serialize_utxo_set(utxo) == state
+
+
+def test_base_coin_spent_at_h_is_missing_at_h_plus_1():
+    applied, g, b1, cb = _applied_chain()
+    replayed, *_ = _fresh_chain()
+    t1 = _spend(cb.txid(), 0, [TxOutput(PARAMS.subsidy, PAY_SCRIPT)])
+    b2 = _mine_on(b1, [coinbase_tx(2, [TxOutput(PARAMS.subsidy, PAY_SCRIPT)],
+                                   b""), t1], 2)
+    t2 = _spend(cb.txid(), 0, [TxOutput(PARAMS.subsidy - 1, PAY_SCRIPT)])
+    b3 = _mine_on(b2, [coinbase_tx(3, [TxOutput(PARAMS.subsidy + 1,
+                                                PAY_SCRIPT)], b""), t2], 3)
+    b3_again = _mine_on(b2, [cb], 3)  # once spent, the coin may come back
+    for utxo in (applied, replayed):
+        validate_and_apply_block(utxo, b2, 2, b1.block_id(), PARAMS)
+        assert (cb.txid(), 0) not in utxo and utxo.get((cb.txid(), 0)) is None
+        with pytest.raises(BlockValidationError,
+                           match=f"height 3: missing outpoint {cb.txid().hex()}:0$"):
+            validate_and_apply_block(utxo, b3, 3, b2.block_id(), PARAMS)
+        validate_and_apply_block(utxo, b3_again, 3, b2.block_id(), PARAMS)
+        assert utxo.get((cb.txid(), 0)).height == 3
+    assert len(applied) == len(replayed) == 4
+    assert serialize_utxo_set(applied) == serialize_utxo_set(replayed)
 
 
 # --- replay against a set-difference oracle --------------------------------------

@@ -210,10 +210,11 @@ def test_apply_rejects_a_record_split_across_chunks():
         apply_snapshot(snap)
 
 
-def test_applied_set_holds_under_210_traced_bytes_per_coin():
-    # a coin as a decoded entry (two named tuples, two ints, the payload)
-    # traced about 420 bytes; as its record under a (txid, vout) tuple key
-    # about 250; under a 36-byte packed key about 200
+def test_applied_index_holds_under_24_traced_bytes_per_coin():
+    # the applied set reads its coins from the snapshot's chunks, which
+    # the snapshot already holds; what apply adds is the index (two
+    # 8-byte columns and a spent mark per coin). A coin held as its own
+    # record under a 36-byte key traced about 200 bytes.
     rng = random.Random(20)
     utxo = UtxoSet()
     for _ in range(20_000):
@@ -229,7 +230,7 @@ def test_applied_set_holds_under_210_traced_bytes_per_coin():
     finally:
         tracemalloc.stop()
     assert len(applied) == 20_000
-    assert held / 20_000 < 210
+    assert held / 20_000 < 24
 
 
 def test_apply_rejects_duplicate_outpoints():
@@ -239,6 +240,24 @@ def test_apply_rejects_duplicate_outpoints():
     snap = Snapshot.assemble(1, b"\x00" * 32, [chunk])
     with pytest.raises(SnapshotError, match=f"{entry.txid.hex()}:258$"):
         apply_snapshot(snap)
+
+
+def test_apply_rejects_records_out_of_order():
+    ordered = sorted((_entry(i) for i in range(4)),
+                     key=lambda e: (e.txid, e.vout))
+    records = [encode_record(e) for e in ordered]
+    txid = ordered[0].txid  # vout 256 sorts after vout 1, not before
+    vouts = [encode_record(UtxoEntry(txid, vout, 1, 1, False,
+                                     ordered[0].compressed))
+             for vout in (256, 1)]
+    for chunks in ([records[1] + records[0] + records[2] + records[3]],
+                   [records[2] + records[3], records[0] + records[1]],
+                   [b"".join(vouts)]):
+        with pytest.raises(SnapshotError, match="out of order"):
+            apply_snapshot(Snapshot.assemble(1, b"\x00" * 32, chunks))
+    applied = apply_snapshot(Snapshot.assemble(
+        1, b"\x00" * 32, [records[0] + records[1], records[2] + records[3]]))
+    assert sorted(applied.entries()) == sorted(ordered)
 
 
 def test_file_roundtrip(tmp_path):
@@ -353,9 +372,62 @@ def test_record_backed_set_matches_oracle(added):
 def test_add_rejects_an_entry_with_no_record_form():
     entry = _entry(1)
     for bad in (entry._replace(txid=entry.txid[:31]),
-                entry._replace(compressed=CompressedTxOut(0x00, b"\x01" * 19))):
-        with pytest.raises(ChainError):
+                entry._replace(compressed=CompressedTxOut(0x00, b"\x01" * 19)),
+                # each field outside its unsigned width in the record head
+                entry._replace(vout=2 ** 32), entry._replace(vout=-1),
+                entry._replace(height=2 ** 32), entry._replace(height=-1),
+                entry._replace(amount=2 ** 64), entry._replace(amount=-1)):
+        with pytest.raises(ChainError, match="has no record form"):
             UtxoSet().add(bad)
+
+
+# txids that share coins, and one that shares only its first 8 bytes, so
+# the index meets runs of equal prefixes
+_SHARED = [hash256(bytes([i])) for i in range(3)]
+_SHARED.append(_SHARED[0][:8] + b"\xff" * 24)
+layered_coins = st.builds(
+    UtxoEntry, st.one_of(st.sampled_from(_SHARED),
+                         st.binary(min_size=32, max_size=32)),
+    st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 64 - 1),
+    st.integers(0, 2 ** 32 - 1), st.booleans(), coin_scripts.map(compress))
+
+
+@given(st.lists(layered_coins, min_size=1, max_size=30,
+                unique_by=lambda e: (e.txid, e.vout)))
+def test_applied_set_layers_match_oracle(coins_):
+    # an applied set spends from its base and adds to its dict; both
+    # layers together must read as one set
+    base, extra = coins_[::2], coins_[1::2]
+    source = UtxoSet()
+    for entry in base:
+        source.add(entry)
+    applied = apply_snapshot(build_snapshot(source, 3, b"\x06" * 32))
+    untouched = applied.copy()
+    assert serialize_utxo_set(applied) == _oracle_bytes(base)
+
+    spent, kept = base[::2], base[1::2]
+    for entry in spent:
+        applied.remove((entry.txid, entry.vout))
+    assert serialize_utxo_set(applied) == _oracle_bytes(kept)
+    for entry in extra + spent[:1]:  # a spent base coin may come back
+        applied.add(entry)
+    held = kept + extra + spent[:1]
+    for entry in kept:
+        with pytest.raises(ChainError):
+            applied.add(entry)
+    for entry in spent[1:]:
+        assert applied.get((entry.txid, entry.vout)) is None
+        assert (entry.txid, entry.vout) not in applied
+        with pytest.raises(KeyError):
+            applied.remove((entry.txid, entry.vout))
+    assert len(applied) == len(held)
+    assert all(applied.get((e.txid, e.vout)) == e for e in held)
+    assert sorted(applied.entries()) == sorted(held)
+    assert serialize_utxo_set(applied) == _oracle_bytes(held)
+    hidden = [e._replace(compressed=obfuscate(e.compressed)) for e in held]
+    assert serialize_utxo_set(applied, obfuscate=True) == _oracle_bytes(hidden)
+    assert serialize_utxo_set(untouched) == _oracle_bytes(base)
+    assert len(untouched) == len(base)
 
 
 def test_canonical_order_holds_past_one_byte_of_vout():

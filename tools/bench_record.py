@@ -6,8 +6,11 @@
 runs `<tree>/perfbench/spread.py` as it is, from the source tree given
 by `--tree` (default: this checkout), and stores its final JSON line
 under `runs.<label>` in the `--out` file, beside the tree's git
-revision, `nproc`, the CPU model from /proc/cpuinfo and the Python and
-numpy versions. Labels already in the file are kept, so a parent tree
+revision, `nproc`, the CPU model from /proc/cpuinfo, the Python and
+numpy versions, and the wall time of the tree's Tier-1 suite
+(`python -m pytest -q --continue-on-collection-errors` with the tree's
+`src` on PYTHONPATH), run after the spread with its exit code and
+summary line. Labels already in the file are kept, so a parent tree
 and a change can be recorded into one file, one after the other.
 """
 
@@ -17,6 +20,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,6 +54,21 @@ def numpy_version() -> str:
     return out.stdout.strip()
 
 
+def tier1(tree: Path) -> dict:
+    """Wall time, exit code and summary line of the tree's Tier-1 suite."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(tree / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q",
+                           "--continue-on-collection-errors"],
+                          cwd=tree, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": round(wall, 2), "exit_code": proc.returncode,
+            "summary": lines[-1] if lines else ""}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, required=True)
@@ -72,6 +91,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": numpy_version(),
         "spread": json.loads(proc.stdout.strip().splitlines()[-1]),
+        "tier1": tier1(tree),
     }
     bench = json.loads(args.out.read_text()) if args.out.exists() else {}
     bench.setdefault("runs", {})[args.label] = record
