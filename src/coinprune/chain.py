@@ -340,9 +340,8 @@ def obfuscate_record(record: bytes) -> bytes:
     return record[:_CASE_AT] + bytes((hidden.case,)) + hidden.payload
 
 
-def encode_record(entry: UtxoEntry, obfuscate: bool = False) -> bytes:
-    record = _pack_record(*entry)
-    return obfuscate_record(record) if obfuscate else record
+def encode_record(entry: UtxoEntry) -> bytes:
+    return _pack_record(*entry)
 
 
 def _record_end(buf: bytes, offset: int) -> int:

@@ -297,10 +297,6 @@ def _cmd_snapshot_create(args) -> int:
 
 def _cmd_snapshot_verify(args) -> int:
     try:
-        snap = read_snapshot_file(args.snap)
-    except (OSError, SnapshotError) as exc:
-        return _fail(f"cannot read snapshot: {exc}")
-    try:
         expected = bytes.fromhex(args.id)
     except ValueError:
         print("error: --id must be hex", file=sys.stderr)
@@ -308,12 +304,23 @@ def _cmd_snapshot_verify(args) -> int:
     if len(expected) != 32:
         print("error: --id must be 32 bytes of hex", file=sys.stderr)
         return USAGE
+    try:
+        snap = read_snapshot_file(args.snap)
+    except (OSError, SnapshotError) as exc:
+        return _fail(f"cannot read snapshot: {exc}")
     hashes = None
+    # a manifest named with --hashes must exist; the sidecar is optional
     sidecar = Path(args.hashes) if args.hashes else _hashes_sidecar(args.snap)
-    if sidecar.exists():
+    if args.hashes or sidecar.exists():
         try:
-            hashes = [bytes.fromhex(line) for line in
-                      sidecar.read_text().split()]
+            lines = sidecar.read_text().split()
+        except (OSError, UnicodeDecodeError) as exc:
+            return _fail(f"cannot read hash manifest {sidecar}: {exc}")
+        if not all(len(line) == 64 for line in lines):
+            return _fail(f"bad hash manifest {sidecar}: "
+                         "a line is not 64 hex characters")
+        try:
+            hashes = [bytes.fromhex(line) for line in lines]
         except ValueError as exc:
             return _fail(f"bad hash manifest {sidecar}: {exc}")
     check = verify_snapshot(snap, expected, hashes)

@@ -81,7 +81,7 @@ class SimScenario:
     params: PulseParams
     chain_length: int
     seed: int = 0
-    profile: WorkloadProfile | None = None
+    profile: WorkloadProfile = light_profile()
     obfuscate: bool = False
     preserve_appdata: bool = True
     faults: tuple = ()
@@ -150,10 +150,6 @@ class JoinOutcome:
     reason: str
     attempts: int
     via_snapshot: bool
-    snapshot_id: bytes | None = None
-    appdata_id: bytes | None = None
-    accepted_tag: bytes | None = None
-    pulse_index: int | None = None
 
 
 class Trace:
@@ -191,9 +187,8 @@ class Simulation:
     def __init__(self, scenario: SimScenario):
         self.scenario = scenario
         self.params = scenario.params
-        profile = scenario.profile or light_profile()
         self.chain_params = ChainParams()
-        self.builder = ChainBuilder(profile, self.chain_params,
+        self.builder = ChainBuilder(scenario.profile, self.chain_params,
                                     seed=_sub_seed(scenario.seed, "chain"))
         self.rng = random.Random(_sub_seed(scenario.seed, "net"))
         self.trace = Trace()
@@ -497,9 +492,7 @@ class Simulation:
         store = appdata_mod.parse_store(app_snap) if app_snap is not None \
             else appdata_mod.AppDataStore()
         self._keep_join(name, utxo, store, chaintail, held)
-        return JoinOutcome(True, "", attempts, True, snap.id,
-                           None if app_snap is None else app_snap.id,
-                           outcome.tag, index)
+        return JoinOutcome(True, "", attempts, True)
 
     def _fetch_object(self, name: str, group: list[NodeConfig], entry: tuple,
                       served: Snapshot) -> Snapshot | str:
@@ -743,7 +736,6 @@ def format_scenario(scenario: SimScenario) -> str:
     role_s = " ".join(f"{role}:{count}:{variant}"
                       for (role, variant), count in sorted(roles.items()))
     params = scenario.params
-    profile = scenario.profile or light_profile()
     lines = [
         f"seed = {scenario.seed}",
         f"blocks = {scenario.chain_length}",
@@ -754,7 +746,7 @@ def format_scenario(scenario: SimScenario) -> str:
         f"faults = {' '.join(scenario.faults)}".rstrip(),
         f"obfuscate = {str(scenario.obfuscate).lower()}",
         f"appdata = {str(scenario.preserve_appdata).lower()}",
-        f"txs_per_block = {profile.txs_per_block}",
+        f"txs_per_block = {scenario.profile.txs_per_block}",
         f"neighbors = {scenario.neighbor_count}",
     ]
     return "\n".join(lines) + "\n"

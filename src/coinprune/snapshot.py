@@ -17,10 +17,8 @@ import struct
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .hashing import hash256
-# the record codec lives in chain, beside the set that holds records;
-# encode_record and decode_record are also reached from here
-from .chain import (SnapshotError, UtxoSet, decode_record, encode_record,
-                    obfuscate_record)
+# the record codec lives in chain, beside the set that holds records
+from .chain import SnapshotError, UtxoSet, obfuscate_record
 
 CHUNK_SIZE = 1 << 20
 
@@ -42,6 +40,10 @@ class SnapshotHeader(NamedTuple):
 
 
 class Snapshot(NamedTuple):
+    """A snapshot as `assemble` makes it, which keeps two invariants:
+    `digests[i] == hash256(chunks[i])` for every chunk, and
+    `header.chunk_count == len(chunks)`. Verification compares these
+    digests and the id; it never hashes the chunks again."""
     header: SnapshotHeader
     chunks: tuple
     digests: tuple  # HASH256 of each chunk, in chunk order
@@ -67,15 +69,9 @@ class SnapshotCheck(NamedTuple):
     reason: str
 
 
-def _records(utxo: UtxoSet, obfuscate: bool) -> Iterable[bytes]:
-    """The set's records in canonical order, each obfuscated if asked."""
-    records = utxo.records()
-    return map(obfuscate_record, records) if obfuscate else records
-
-
-def serialize_utxo_set(utxo: UtxoSet, obfuscate: bool = False) -> bytes:
+def serialize_utxo_set(utxo: UtxoSet) -> bytes:
     """Canonical byte form: records sorted by (txid, vout)."""
-    return b"".join(_records(utxo, True)) if obfuscate else bytes(utxo)
+    return bytes(utxo)
 
 
 def chunk_records(records: Iterable[bytes]) -> list[bytes]:
@@ -103,29 +99,30 @@ def layered_id(header_digest: bytes, chunk_digests: Iterable[bytes]) -> bytes:
 
 def build_snapshot(utxo: UtxoSet, height: int, block_id: bytes,
                    obfuscate: bool = False) -> Snapshot:
-    return Snapshot.assemble(height, block_id,
-                             chunk_records(_records(utxo, obfuscate)))
+    """The snapshot of the set's records in canonical order, each
+    obfuscated if asked."""
+    records = utxo.records()
+    if obfuscate:
+        records = map(obfuscate_record, records)
+    return Snapshot.assemble(height, block_id, chunk_records(records))
 
 
 def verify_snapshot(snapshot: Snapshot, expected_id: bytes,
                     expected_chunk_hashes: list[bytes] | None = None) -> SnapshotCheck:
-    """Recompute the layered id and compare against the expected tag.
+    """Compare the snapshot's chunk digests and id, which `assemble`
+    computed, against the expected tag.
 
     When the advertised per-chunk hashes are available, a failure is
     localized to the first mismatching chunk index.
     """
-    header, chunks = snapshot.header, snapshot.chunks
-    if header.chunk_count != len(chunks):
-        return SnapshotCheck(False, None, "chunk count mismatch")
-    hashes = [hash256(c) for c in chunks]
+    digests = snapshot.digests
     if expected_chunk_hashes is not None:
-        if len(expected_chunk_hashes) != len(hashes):
+        if len(expected_chunk_hashes) != len(digests):
             return SnapshotCheck(False, None, "advertised chunk list length mismatch")
-        for i, (got, want) in enumerate(zip(hashes, expected_chunk_hashes)):
+        for i, (got, want) in enumerate(zip(digests, expected_chunk_hashes)):
             if got != want:
                 return SnapshotCheck(False, i, f"chunk {i} digest mismatch")
-    recomputed = layered_id(hash256(header.serialize()), hashes)
-    if recomputed != expected_id:
+    if snapshot.id != expected_id:
         return SnapshotCheck(False, None, "snapshot id mismatch")
     return SnapshotCheck(True, None, "")
 

@@ -8,14 +8,16 @@ the observed values are reproduced bit-for-bit on every run.
 """
 
 import random
+import re
 import struct
 import time
+from collections import Counter
 
 import pytest
 
 from coinprune import scripts
-from coinprune.appdata import combined_tag
 from coinprune.chain import (Block, ChainParams, UtxoEntry, UtxoSet,
+                             encode_record, obfuscate_record,
                              validate_and_apply_block)
 from coinprune.chaingen import WorkloadProfile, generate_chain, light_profile
 from coinprune.cli import main as cli_main
@@ -23,8 +25,7 @@ from coinprune.coordination import PulseParams
 from coinprune.hashing import hash160, hash256, sha256
 from coinprune.netsim import NodeConfig, SimScenario, run_simulation
 from coinprune.security import SweepConfig, percent_grid, sweep
-from coinprune.snapshot import (build_snapshot, encode_record,
-                                serialize_utxo_set, wire_size)
+from coinprune.snapshot import build_snapshot, serialize_utxo_set, wire_size
 
 GRID_TIME_BUDGET = 120.0  # seconds per (delta_r, k) grid, binomial path
 
@@ -35,6 +36,30 @@ def _nodes(joining=True):
     if joining:
         nodes.append(NodeConfig("j0", "joining"))
     return tuple(nodes)
+
+
+# a reaffirmation frame; the tally counts a coinbase's first one
+_FRAME = re.compile(rb"CoinPrune/(.{32})/", re.DOTALL)
+
+
+def _window_winner(blocks, pulse_height: int, params: PulseParams):
+    """Independent oracle: the tag a pulse's reaffirmation window accepts,
+    tallied here from the coinbase unlocks of the chain, or None. Each
+    coinbase counts its first frame once; a unique most-frequent tag with
+    at least k counts wins."""
+    start = pulse_height + params.delta_d + 1
+    window = blocks[start:start + params.delta_r]
+    if len(window) != params.delta_r:
+        return None
+    counts = Counter()
+    for block in window:
+        frame = _FRAME.search(block.transactions[0].inputs[0].unlock)
+        if frame:
+            counts[frame.group(1)] += 1
+    ranked = counts.most_common(2) + [(None, 0)]
+    if ranked[0][1] < params.k or ranked[0][1] == ranked[1][1]:
+        return None
+    return ranked[0][0]
 
 
 def _replay_from_wire(blocks) -> UtxoSet:
@@ -172,11 +197,16 @@ def test_criterion_4_tamper_rejection(acceptance):
         accepted += 1
         if not outcome.via_snapshot:
             continue
-        rec = sim.pulses[outcome.pulse_index]
-        tag = outcome.snapshot_id if outcome.appdata_id is None \
-            else combined_tag(outcome.snapshot_id, outcome.appdata_id)
-        if rec.outcome is None or not rec.outcome.accepted \
-                or tag != rec.outcome.tag or tag != outcome.accepted_tag:
+        # what the joiner holds must be the tag its pulse window
+        # accepted on the chain
+        held = sim.nodes["j0"].held
+        if held is None:
+            violations.append(seed)
+            continue
+        snap, app = held[0].served(held[1])
+        tag = snap.id if app is None else hash256(snap.id + app.id)
+        if tag != _window_winner(sim.builder.blocks, snap.header.height,
+                                 params):
             violations.append(seed)
     acceptance(4, not violations,
                f"100 fault scenarios: {accepted} accepted, {aborted} aborted, "
@@ -223,7 +253,7 @@ def test_criterion_5_obfuscation_equivalence(acceptance):
                     disagreements += 1
             entry = UtxoEntry(txid, i % 5, 5000 + i, i, False, plain)
             raw_plain = encode_record(entry)
-            raw_obf = encode_record(entry, obfuscate=True)
+            raw_obf = obfuscate_record(raw_plain)
             if mutable in raw_obf:
                 leaks += 1
             if len(raw_obf) - len(raw_plain) != expected_delta[cls]:
@@ -302,8 +332,11 @@ def test_criterion_7_appdata_preservation(acceptance):
     found = sum(1 for payload, txid, block_id in expected
                 if any(e.payload == payload and e.block_id == block_id
                        for e in store.lookup(txid)))
-    tag_ok = (outcome.accepted_tag
-              == hash256(outcome.snapshot_id + outcome.appdata_id))
+    held = sim.nodes["j0"].held
+    tag_ok = False
+    if held is not None:
+        snap, app = held[0].served(held[1])
+        tag_ok = held[0].outcome.tag == hash256(snap.id + app.id)
     ok = (outcome.accepted and outcome.via_snapshot
           and sim.nodes["full0"].pruned_below == 1001
           and len(expected) > 0 and found == len(expected) == len(store)

@@ -101,6 +101,28 @@ def test_snapshot_verify_usage_errors(snap_dir, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("manifest, snap, snap_id, code, message", [
+    # --hashes names a file that is not there
+    (None, "state.snap", None, 1, "cannot read hash manifest"),
+    ("ab\n", "state.snap", None, 1, "bad hash manifest"),
+    ("zz" * 32 + "\n", "state.snap", None, 1, "bad hash manifest"),
+    # a usage error is reported before the snapshot is read
+    ("", "nope.snap", "zz", 2, "--id must be hex"),
+])
+def test_snapshot_verify_fails_closed_on_its_inputs(
+        snap_dir, tmp_path, capsys, manifest, snap, snap_id, code, message):
+    assert main(["snapshot", "id", "--snap", str(snap_dir / "state.snap")]) == 0
+    real_id = capsys.readouterr().out.strip().splitlines()[-1]
+    hashes = tmp_path / "named.hashes"
+    if manifest:
+        hashes.write_text(manifest)
+    assert main(["snapshot", "verify", "--snap", str(snap_dir / snap),
+                 "--id", snap_id or real_id, "--hashes", str(hashes)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
 def test_missing_input_files(tmp_path, capsys):
     assert main(["snapshot", "id", "--snap", str(tmp_path / "nope.snap")]) == 1
     assert main(["sim", "bootstrap",

@@ -102,7 +102,7 @@ def test_scenario_reaches_every_join_path(golden_run):
     assert "join join0 aborted: chunk retry budget exhausted" in lines
     assert "join join0 accepted after 2 attempts" in lines
     # the adversary holds and serves its forged snapshot
-    rec = sim.pulses[joins["join0"].pulse_index]
+    rec, _ = sim.nodes["join0"].held
     stored = {row[0]: row[3] for row in report.breakdown}
     assert stored["adv0"] == wire_size(rec.bogus_snap) != stored["full0"]
 

@@ -23,7 +23,7 @@ from coinprune.appdata import AppDataEntry, combined_tag
 from coinprune.netsim import (MAX_BOOTSTRAP_ATTEMPTS, NodeConfig, SimError,
                               SimScenario, Simulation, format_scenario,
                               parse_scenario, run_simulation)
-from coinprune.snapshot import serialize_utxo_set, wire_size
+from coinprune.snapshot import build_snapshot, serialize_utxo_set, wire_size
 
 PARAMS = PulseParams(delta_p=200, delta_r=50, delta_d=6, k=5)
 
@@ -48,6 +48,13 @@ def honest_run():
     return run_simulation(_scenario())
 
 
+def _held(sim, name: str):
+    """The pulse record a joiner keeps, and the tag of what it holds."""
+    rec, bogus = sim.nodes[name].held
+    snap, app = rec.served(bogus)
+    return rec, snap.id if app is None else combined_tag(snap.id, app.id)
+
+
 def test_all_honest_bootstrap_equivalence(honest_run):
     sim, report = honest_run
     canonical = serialize_utxo_set(sim.builder.utxo)
@@ -56,18 +63,17 @@ def test_all_honest_bootstrap_equivalence(honest_run):
         assert outcome.accepted, outcome.reason
         assert serialize_utxo_set(sim.join_utxo[name]) == canonical
     assert sim.join_results["jcp"].via_snapshot
-    assert sim.join_results["jcp"].pulse_index == 2
+    assert sim.nodes["jcp"].held[0].index == 2
     assert not sim.join_results["jleg"].via_snapshot
     assert all(status == "accepted" for _, status, *_ in report.join_outcomes)
 
 
 def test_accepted_tag_is_combined_tag(honest_run):
     sim, _ = honest_run
-    outcome = sim.join_results["jcp"]
-    assert outcome.accepted_tag == combined_tag(outcome.snapshot_id,
-                                                outcome.appdata_id)
-    rec = sim.pulses[outcome.pulse_index]
-    assert outcome.accepted_tag == rec.genuine_tag == rec.outcome.tag
+    rec, tag = _held(sim, "jcp")
+    assert sim.nodes["jcp"].held == (rec, False)
+    assert rec.genuine_app is not None
+    assert tag == rec.genuine_tag == rec.outcome.tag
 
 
 def test_legacy_nodes_never_see_state_messages(honest_run):
@@ -138,9 +144,9 @@ def test_minority_bogus_tags_accept_genuine():
     for index, rec in sim.pulses.items():
         if rec.outcome is not None and rec.outcome.accepted:
             assert rec.outcome.tag == rec.genuine_tag
-    outcome = sim.join_results["jcp"]
-    assert outcome.accepted
-    assert outcome.accepted_tag == sim.pulses[outcome.pulse_index].genuine_tag
+    assert sim.join_results["jcp"].accepted
+    rec, tag = _held(sim, "jcp")
+    assert tag == rec.genuine_tag
 
 
 def test_majority_bogus_tags_reaffirm_forged_state():
@@ -162,11 +168,10 @@ def test_majority_bogus_tags_reaffirm_forged_state():
     assert accepted and all(r.outcome.tag == r.bogus_tag for r in accepted)
     for name in ("m0", "full0", "adv0"):
         assert sim.nodes[name].pruned_below == 0
-    outcome = sim.join_results["jcp"]
-    assert outcome.accepted
-    rec = sim.pulses[outcome.pulse_index]
-    assert outcome.accepted_tag == rec.bogus_tag
-    assert outcome.snapshot_id == rec.bogus_snap.id
+    assert sim.join_results["jcp"].accepted
+    rec, tag = _held(sim, "jcp")
+    assert tag == rec.bogus_tag
+    assert sim.nodes["jcp"].held == (rec, True)
     forged_txid = hash256(b"forged-riches" + struct.pack("<I", rec.height))
     assert (forged_txid, 0) in sim.join_utxo["jcp"]
     # the storage report sizes the snapshot each node holds: the joiner
@@ -194,7 +199,8 @@ def test_eclipsed_joiner_aborts_then_recovers():
                                       seed=2))
     outcome = sim.join_results["jcp"]
     assert outcome.accepted and outcome.attempts == 2
-    assert outcome.accepted_tag == sim.pulses[outcome.pulse_index].genuine_tag
+    rec, tag = _held(sim, "jcp")
+    assert tag == rec.genuine_tag
     assert any("aborted: snapshot was not the reaffirmed tag" in line
                for line in sim.trace.lines)
 
@@ -216,7 +222,8 @@ def test_bogus_chunks_are_detected_and_rerequested():
     assert any("mismatch from adv0" in line for line in sim.trace.lines)
     assert any("aborted: chunk retry budget exhausted" in line
                for line in sim.trace.lines)
-    assert outcome.accepted_tag == sim.pulses[outcome.pulse_index].genuine_tag
+    rec, tag = _held(sim, "jcp")
+    assert tag == rec.genuine_tag
     assert serialize_utxo_set(sim.join_utxo["jcp"]) \
         == serialize_utxo_set(sim.builder.utxo)
 
@@ -343,7 +350,7 @@ def test_join_hashes_each_received_chunk_once(monkeypatch):
     sim, _ = run_simulation(_scenario(nodes=nodes, chain_length=260))
     outcome = sim.join_results["jcp"]
     assert outcome.accepted and outcome.via_snapshot
-    rec = sim.pulses[outcome.pulse_index]
+    rec, _ = sim.nodes["jcp"].held
     chunks = rec.genuine_snap.chunks + rec.genuine_app.chunks
     assert chunks and hashed["advert"]
     for chunk in chunks:
@@ -378,8 +385,11 @@ def test_obfuscated_snapshot_bootstrap_equivalence():
     # joiner holds commitment forms for pre-snapshot outputs, so compare
     # under obfuscating serialization, which is deterministic and
     # idempotent on both representations
-    assert serialize_utxo_set(sim.join_utxo["jcp"], obfuscate=True) \
-        == serialize_utxo_set(sim.builder.utxo, obfuscate=True)
+    def obfuscated(utxo):
+        snap = build_snapshot(utxo, 0, b"\x00" * 32, obfuscate=True)
+        return b"".join(snap.chunks)
+
+    assert obfuscated(sim.join_utxo["jcp"]) == obfuscated(sim.builder.utxo)
 
 
 def test_scenario_file_roundtrip():

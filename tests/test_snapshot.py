@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coinprune.chain import ChainError, UtxoEntry, UtxoSet
+from coinprune import snapshot as snapshot_mod
+from coinprune.chain import (ChainError, UtxoEntry, UtxoSet, decode_record,
+                             encode_record, obfuscate_record)
 from coinprune.hashing import hash256
 from coinprune.scripts import (CompressedTxOut, compress, obfuscate,
                                p2pk_script, p2pkh_script, p2sh_script,
@@ -14,7 +16,6 @@ from coinprune.scripts import (CompressedTxOut, compress, obfuscate,
 from coinprune.snapshot import (CHUNK_SIZE, Snapshot, SnapshotError,
                                 SnapshotHeader, apply_snapshot,
                                 build_snapshot, chunk_records,
-                                decode_record, encode_record,
                                 read_snapshot_file, serialize_utxo_set,
                                 verify_snapshot, wire_size,
                                 write_snapshot_file)
@@ -36,6 +37,13 @@ def _filled_set(n: int) -> UtxoSet:
     for i in range(n):
         utxo.add(_entry(i))
     return utxo
+
+
+def _obfuscated_bytes(utxo: UtxoSet) -> bytes:
+    """The set's records in canonical order, obfuscated, as a snapshot
+    carries them."""
+    snap = build_snapshot(utxo, 0, b"\x00" * 32, obfuscate=True)
+    return b"".join(snap.chunks)
 
 
 entries = st.builds(
@@ -79,7 +87,7 @@ def test_record_roundtrip(entry):
 
 @given(entries)
 def test_obfuscated_record_roundtrip_keeps_flag(entry):
-    raw = encode_record(entry, obfuscate=True)
+    raw = obfuscate_record(encode_record(entry))
     decoded, _ = decode_record(raw, 0)
     assert (decoded.txid, decoded.vout, decoded.amount, decoded.height,
             decoded.coinbase) == (entry.txid, entry.vout, entry.amount,
@@ -110,7 +118,7 @@ def test_obfuscated_serialization_hides_payloads():
         script = p2pkh_script(hash256(b"addr" + i.to_bytes(8, "little"))[:20])
         utxo.add(_entry(i, script=script))
     plain = serialize_utxo_set(utxo)
-    hidden = serialize_utxo_set(utxo, obfuscate=True)
+    hidden = _obfuscated_bytes(utxo)
     assert plain != hidden
     for entry in utxo.entries():
         if entry.compressed.case == 0x00:  # p2pkh
@@ -159,7 +167,7 @@ def test_verify_accepts_untampered():
     assert check.ok and check.reason == ""
 
 
-def test_verify_localizes_tampered_chunk():
+def test_verify_localizes_tampered_chunk(tmp_path):
     snap = build_snapshot(_filled_set(20000), 5, b"\x02" * 32)
     hashes = list(snap.digests)
     bad_idx = 1
@@ -167,21 +175,52 @@ def test_verify_localizes_tampered_chunk():
     flipped = bytearray(tampered[bad_idx])
     flipped[10] ^= 0xFF
     tampered[bad_idx] = bytes(flipped)
-    forged = snap._replace(chunks=tuple(tampered))
+    # the same forgery made from chunks, and read back from a file with
+    # the byte flipped
+    path = tmp_path / "forged.snap"
+    write_snapshot_file(path, snap)
+    raw = bytearray(path.read_bytes())
+    raw[40 + 4 + len(snap.chunks[0]) + 4 + 10] ^= 0xFF
+    path.write_bytes(raw)
 
-    with_hashes = verify_snapshot(forged, snap.id, hashes)
-    assert not with_hashes.ok
-    assert with_hashes.bad_chunk == bad_idx
+    for forged in (Snapshot.assemble(5, b"\x02" * 32, tampered),
+                   read_snapshot_file(path)):
+        with_hashes = verify_snapshot(forged, snap.id, hashes)
+        assert not with_hashes.ok
+        assert with_hashes.bad_chunk == bad_idx
 
-    without = verify_snapshot(forged, snap.id)
-    assert not without.ok
-    assert without.bad_chunk is None
+        without = verify_snapshot(forged, snap.id)
+        assert not without.ok
+        assert without.bad_chunk is None
 
 
-def test_verify_rejects_wrong_chunk_count():
+def test_verify_hashes_nothing(monkeypatch):
+    # assemble hashed each chunk once; verify compares those digests
+    snap = build_snapshot(_filled_set(20000), 5, b"\x02" * 32)
+    calls = []
+
+    def counting_hash256(data):
+        calls.append(len(data))
+        return hash256(data)
+
+    monkeypatch.setattr(snapshot_mod, "hash256", counting_hash256)
+    assert verify_snapshot(snap, snap.id, list(snap.digests)).ok
+    assert not verify_snapshot(snap, b"\x00" * 32).ok
+    assert calls == []
+
+
+def test_file_rejects_a_wrong_chunk_count(tmp_path):
     snap = build_snapshot(_filled_set(10), 5, b"\x02" * 32)
-    forged = snap._replace(header=snap.header._replace(chunk_count=2))
-    assert not verify_snapshot(forged, snap.id).ok
+    assert snap.header.chunk_count == 1
+    path = tmp_path / "state.snap"
+    write_snapshot_file(path, snap)
+    raw = path.read_bytes()
+    for count, message in ((2, "truncated chunk length"),
+                           (0, "trailing bytes after final chunk")):
+        # the count is the header's last four bytes
+        path.write_bytes(raw[:36] + struct.pack("<I", count) + raw[40:])
+        with pytest.raises(SnapshotError, match=message):
+            read_snapshot_file(path)
 
 
 # --- apply and files ---------------------------------------------------------------
@@ -359,7 +398,7 @@ def test_record_backed_set_matches_oracle(added):
                                             obfuscate=True))
     assert all(applied.get((e.txid, e.vout)) == e for e in hidden)
     assert serialize_utxo_set(applied) == _oracle_bytes(hidden)
-    assert serialize_utxo_set(utxo, obfuscate=True) == _oracle_bytes(hidden)
+    assert _obfuscated_bytes(utxo) == _oracle_bytes(hidden)
 
     spent, kept = added[::2], added[1::2]
     for entry in spent:
@@ -425,7 +464,7 @@ def test_applied_set_layers_match_oracle(coins_):
     assert sorted(applied.entries()) == sorted(held)
     assert serialize_utxo_set(applied) == _oracle_bytes(held)
     hidden = [e._replace(compressed=obfuscate(e.compressed)) for e in held]
-    assert serialize_utxo_set(applied, obfuscate=True) == _oracle_bytes(hidden)
+    assert _obfuscated_bytes(applied) == _oracle_bytes(hidden)
     assert serialize_utxo_set(untouched) == _oracle_bytes(base)
     assert len(untouched) == len(base)
 

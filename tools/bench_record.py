@@ -1,20 +1,26 @@
-"""Record one `perfbench/spread.py` run, with the machine it ran on, in a BENCH file.
+"""Record alternating benchmark pairs of two source trees, with the machine, in a BENCH file.
 
-    python3 tools/bench_record.py --out BENCH_name.json --label change \
+    python3 tools/bench_record.py --out BENCH_name.json --parent ../parent \
         --workloads snapshot-bulk sim-bootstrap --seeds 901 902 903 904 905
 
-runs `<tree>/perfbench/spread.py` as it is, from the source tree given
-by `--tree` (default: this checkout), and stores its final JSON line
-under `runs.<label>` in the `--out` file, beside the tree's git
-revision, `nproc`, the CPU model from /proc/cpuinfo, the Python and
-numpy versions, and the wall time of the tree's Tier-1 suite
-(`python -m pytest -q --continue-on-collection-errors` with the tree's
-`src` on PYTHONPATH), run after the spread with its exit code and
-summary line. Labels already in the file are kept, so a parent tree
-and a change can be recorded into one file, one after the other.
+runs each (workload, seed) once on the `--parent` tree and once on the
+`--change` tree (default: this checkout), through each tree's own
+`perfbench/spread.py` `run_once`, as it is. The order alternates seed
+by seed: parent then change on the first seed, change then parent on
+the next, so machine drift falls on both sides alike. The `--out` file
+holds every pair with its order and both sides' metrics, each tree's
+median, quartile spread (`spread.py`'s `spread`) and the number of
+pairs in which the change read lower, and per tree its git revision,
+the `wc -l src/coinprune/*.py` total and the wall time of its Tier-1
+suite (`python -m pytest -q --continue-on-collection-errors` with the
+tree's `src` on PYTHONPATH), run after the pairs with its exit code and
+summary line. It also holds `nproc`, the CPU model from /proc/cpuinfo,
+and the Python and numpy versions. Give the same tree twice for an A/A
+record of the noise floor.
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -24,6 +30,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
 
 
 def git_rev(tree: Path) -> str:
@@ -34,6 +41,12 @@ def git_rev(tree: Path) -> str:
                            cwd=tree, check=True, capture_output=True,
                            text=True).stdout.strip()
     return rev + ("-dirty" if dirty else "")
+
+
+def src_lines(tree: Path) -> int:
+    """The total `wc -l src/coinprune/*.py` prints for the tree."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (tree / "src" / "coinprune").glob("*.py"))
 
 
 def cpu_model() -> str:
@@ -69,33 +82,83 @@ def tier1(tree: Path) -> dict:
             "summary": lines[-1] if lines else ""}
 
 
+def load_spread(tree: Path, side: str):
+    """The tree's own `perfbench/spread.py`, which runs the tree's run.py."""
+    spec = importlib.util.spec_from_file_location(
+        f"spread_{side}", tree / "perfbench" / "spread.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def summarize(pairs: list[dict], spread) -> dict:
+    """Per metric: each side's median and quartile spread over the pairs,
+    and in how many pairs the change read lower."""
+    rows = {}
+    for name in pairs[0]["parent"]:
+        if name == "correct":
+            continue
+        row = {}
+        for side in SIDES:
+            mid, share = spread([p[side][name] for p in pairs])
+            row[side] = {"median": mid, "iqr_share": share}
+        row["change_lower_pairs"] = sum(
+            p["change"][name] < p["parent"][name] for p in pairs)
+        rows[name] = row
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--label", required=True)
-    parser.add_argument("--tree", type=Path, default=ROOT)
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, default=ROOT)
     parser.add_argument("--workloads", nargs="+", required=True)
-    parser.add_argument("--seeds", nargs="+", required=True)
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
     args = parser.parse_args(argv)
-    tree = args.tree.resolve()
+    if len(args.seeds) < 2:
+        parser.error("the quartiles need at least two seeds")
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    seconds = {json.loads((tree / "BENCHMARK.json").read_text())["run_seconds"]
+               for tree in trees.values()}
+    if len(seconds) != 1:
+        parser.error("the two trees' BENCHMARK.json set different run_seconds")
+    (seconds,) = seconds
+    spreads = {side: load_spread(tree, side) for side, tree in trees.items()}
 
-    cmd = [sys.executable, str(tree / "perfbench" / "spread.py"),
-           "--workloads", *args.workloads, "--seeds", *args.seeds]
-    proc = subprocess.run(cmd, cwd=tree, check=True, capture_output=True,
-                          text=True)
-    sys.stdout.write(proc.stdout)
+    pairs, summary = {}, {}
+    for workload in args.workloads:
+        pairs[workload] = []
+        for i, seed in enumerate(args.seeds):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = spreads[side].run_once(workload, seed, seconds)
+            pairs[workload].append(pair)
+            print(f"{workload} seed {seed} {order[0]} first: correct "
+                  f"{pair['parent']['correct']}/{pair['change']['correct']}",
+                  flush=True)
+        summary[workload] = summarize(pairs[workload], spreads["parent"].spread)
+        for name, row in summary[workload].items():
+            print(f"{workload:14s} {name:30s} parent "
+                  f"{row['parent']['median']:<12.6g} change "
+                  f"{row['change']['median']:<12.6g} change lower in "
+                  f"{row['change_lower_pairs']}/{len(args.seeds)}")
+
     record = {
-        "rev": git_rev(tree),
+        "seeds": args.seeds,
+        "seconds": seconds,
         "nproc": len(os.sched_getaffinity(0)),
         "cpu_model": cpu_model(),
         "python": platform.python_version(),
         "numpy": numpy_version(),
-        "spread": json.loads(proc.stdout.strip().splitlines()[-1]),
-        "tier1": tier1(tree),
+        "trees": {side: {"rev": git_rev(tree), "src_lines": src_lines(tree),
+                         "tier1": tier1(tree)}
+                  for side, tree in trees.items()},
+        "summary": summary,
+        "pairs": pairs,
     }
-    bench = json.loads(args.out.read_text()) if args.out.exists() else {}
-    bench.setdefault("runs", {})[args.label] = record
-    args.out.write_text(json.dumps(bench, indent=1) + "\n")
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 
