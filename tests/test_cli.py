@@ -108,7 +108,7 @@ def test_snapshot_verify_usage_errors(snap_dir, capsys):
     ("zz" * 32 + "\n", "state.snap", None, 1, "bad hash manifest"),
     # a usage error is reported before the snapshot is read
     ("", "nope.snap", "zz", 2, "--id must be hex"),
-])
+], ids=["missing-manifest", "short-line", "non-hex-line", "id-before-snapshot"])
 def test_snapshot_verify_fails_closed_on_its_inputs(
         snap_dir, tmp_path, capsys, manifest, snap, snap_id, code, message):
     assert main(["snapshot", "id", "--snap", str(snap_dir / "state.snap")]) == 0
