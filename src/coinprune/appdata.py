@@ -104,9 +104,3 @@ def combined_tag(snapshot_id: bytes, appdata_id: bytes) -> bytes:
     if len(snapshot_id) != 32 or len(appdata_id) != 32:
         raise ValueError("tag inputs must be 32-byte ids")
     return hash256(snapshot_id + appdata_id)
-
-
-def pulse_tag(snap: Snapshot, app: Snapshot | None) -> bytes:
-    """The tag miners reaffirm for a pulse: the snapshot id alone, or
-    its combined tag with the app-data snapshot when app data is kept."""
-    return snap.id if app is None else combined_tag(snap.id, app.id)

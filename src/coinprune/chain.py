@@ -3,8 +3,8 @@
 The chain format follows Bitcoin where it matters for pruning: 80-byte
 headers, HASH256 ids, a merkle tree over txids with odd-leaf
 duplication, compact-bits difficulty encoding, and coinbase
-transactions whose unlock field carries up to 100 bytes of arbitrary
-data. Amounts are 64-bit integers in base units; fees are implicit and
+transactions whose unlock field, at most 100 bytes, begins with the
+block's height as LE32 (BIP34). Amounts are 64-bit integers in base units; fees are implicit and
 must be claimed exactly by the coinbase.
 """
 
@@ -94,20 +94,19 @@ def check_pow(block_id: bytes, bits: int) -> bool:
     return int.from_bytes(block_id, "little") <= target_from_bits(bits)
 
 
-def mine_header(version: int, prev_hash: bytes, merkle_root: bytes,
-                timestamp: int, bits: int, start_nonce: int = 0) -> BlockHeader:
-    """Grind nonces until the header meets its own target."""
+def mine_header(prev_hash: bytes, merkle_root: bytes, timestamp: int,
+                bits: int) -> BlockHeader:
+    """Grind nonces from 0 until the version-1 header meets its own target."""
     target = target_from_bits(bits)
-    buf = bytearray(struct.pack(_HEADER_FMT, version, prev_hash, merkle_root,
-                                timestamp, bits, start_nonce))
-    nonce = start_nonce
+    buf = bytearray(struct.pack(_HEADER_FMT, 1, prev_hash, merkle_root,
+                                timestamp, bits, 0))
+    nonce = 0
     while True:
         buf[76:80] = struct.pack("<I", nonce)
         if int.from_bytes(hash256(bytes(buf)), "little") <= target:
-            return BlockHeader(version, prev_hash, merkle_root, timestamp,
-                               bits, nonce)
+            return BlockHeader(1, prev_hash, merkle_root, timestamp, bits, nonce)
         nonce = (nonce + 1) & 0xFFFFFFFF
-        if nonce == start_nonce:
+        if nonce == 0:
             raise ChainError("nonce space exhausted")
 
 
@@ -235,9 +234,9 @@ class Block(NamedTuple):
 
 
 def make_block(prev_hash: bytes, transactions: list[Transaction],
-               timestamp: int, bits: int, version: int = 1) -> Block:
+               timestamp: int, bits: int) -> Block:
     root = merkle_root([tx.txid() for tx in transactions])
-    header = mine_header(version, prev_hash, root, timestamp, bits)
+    header = mine_header(prev_hash, root, timestamp, bits)
     return Block(header, tuple(transactions))
 
 
@@ -579,8 +578,11 @@ def validate_and_apply_block(utxo: UtxoSet, block: Block, height: int,
     coinbase = block.transactions[0]
     if not coinbase.is_coinbase():
         raise BlockValidationError(f"height {height}: first tx not coinbase")
-    if len(coinbase.inputs[0].unlock) > MAX_COINBASE_DATA:
+    unlock = coinbase.inputs[0].unlock
+    if len(unlock) > MAX_COINBASE_DATA:
         raise BlockValidationError(f"height {height}: oversized coinbase data")
+    if unlock[:4] != struct.pack("<I", height):  # BIP34: one coinbase per height
+        raise BlockValidationError(f"height {height}: coinbase lacks its height")
 
     spent: dict[tuple[bytes, int], None] = {}
     created: dict[tuple[bytes, int], bytes] = {}  # outpoint -> record

@@ -258,8 +258,6 @@ class ChainBuilder:
         raise ValueError(f"wallet cannot unlock kind {w.kind!r}")
 
 
-def generate_chain(profile: WorkloadProfile, n_blocks: int,
-                   params: ChainParams | None = None) -> list[Block]:
+def generate_chain(profile: WorkloadProfile, n_blocks: int) -> list[Block]:
     """Generate genesis plus n_blocks fully validated blocks."""
-    builder = ChainBuilder(profile, params or ChainParams())
-    return builder.build(n_blocks)
+    return ChainBuilder(profile, ChainParams()).build(n_blocks)

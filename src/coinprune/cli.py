@@ -79,43 +79,46 @@ def _require_finite(values) -> None:
 
 _PALETTE = ("#1b6ca8", "#c0392b", "#27ae60", "#8e44ad", "#d35400", "#16a085")
 _MARGIN = (70, 20, 40, 50)  # left, right, top, bottom
+_WIDTH, _HEIGHT = 720, 440
+_PLOT_W = _WIDTH - _MARGIN[0] - _MARGIN[1]
+_PLOT_H = _HEIGHT - _MARGIN[2] - _MARGIN[3]
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
+    """Five evenly spaced ticks from lo to hi."""
     if hi <= lo:
         hi = lo + 1.0
-    return [lo + i * (hi - lo) / (n - 1) for i in range(n)]
+    return [lo + i * (hi - lo) / 4 for i in range(5)]
 
 
-def _svg_head(out: io.StringIO, title: str, width: int, height: int,
-              meta: str, y_ticks: list[tuple[float, float]]) -> None:
+def _svg_head(out: io.StringIO, title: str, meta: str,
+              y_ticks: list[tuple[float, float]]) -> None:
     """Document header, title and the y grid of (tick value, y) pairs."""
     left, right, _, _ = _MARGIN
     out.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
-              f'width="{width}" height="{height}" '
+              f'width="{_WIDTH}" height="{_HEIGHT}" '
               f'font-family="sans-serif" font-size="12">\n')
     if meta:
         out.write(f"<!-- {meta} -->\n")
-    out.write(f'<rect width="{width}" height="{height}" fill="white"/>\n')
-    out.write(f'<text x="{width / 2:.2f}" y="20" text-anchor="middle" '
+    out.write(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>\n')
+    out.write(f'<text x="{_WIDTH / 2:.2f}" y="20" text-anchor="middle" '
               f'font-size="14">{title}</text>\n')
     for yt, y in y_ticks:
-        out.write(f'<line x1="{left}" y1="{y:.2f}" x2="{width - right}" '
+        out.write(f'<line x1="{left}" y1="{y:.2f}" x2="{_WIDTH - right}" '
                   f'y2="{y:.2f}" stroke="#dddddd"/>\n')
         out.write(f'<text x="{left - 6}" y="{y + 4:.2f}" '
                   f'text-anchor="end">{yt:g}</text>\n')
 
 
-def _svg_frame(out: io.StringIO, width: int, height: int, y_label: str,
+def _svg_frame(out: io.StringIO, y_label: str,
                x_label: str | None = None) -> None:
     """Plot-area border and the axis labels."""
-    left, right, top, bottom = _MARGIN
-    plot_w = width - left - right
-    plot_h = height - top - bottom
+    left, _, top, _ = _MARGIN
+    plot_w, plot_h = _PLOT_W, _PLOT_H
     out.write(f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
               f'fill="none" stroke="#333333"/>\n')
     if x_label is not None:
-        out.write(f'<text x="{left + plot_w / 2:.2f}" y="{height - 10}" '
+        out.write(f'<text x="{left + plot_w / 2:.2f}" y="{_HEIGHT - 10}" '
                   f'text-anchor="middle">{x_label}</text>\n')
     out.write(f'<text x="16" y="{top + plot_h / 2:.2f}" text-anchor="middle" '
               f'transform="rotate(-90 16 {top + plot_h / 2:.2f})">'
@@ -124,11 +127,9 @@ def _svg_frame(out: io.StringIO, width: int, height: int, y_label: str,
 
 def svg_line_chart(title: str, x_label: str, y_label: str,
                    series: list[tuple[str, list[tuple[float, float]]]],
-                   width: int = 720, height: int = 440,
                    meta: str = "") -> str:
-    left, right, top, bottom = _MARGIN
-    plot_w = width - left - right
-    plot_h = height - top - bottom
+    left, _, top, _ = _MARGIN
+    plot_w, plot_h = _PLOT_W, _PLOT_H
     points = [p for _, pts in series for p in pts]
     xs = [x for x, _ in points] or [0.0, 1.0]
     ys = [y for _, y in points] or [0.0, 1.0]
@@ -146,15 +147,14 @@ def svg_line_chart(title: str, x_label: str, y_label: str,
         return top + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     out = io.StringIO()
-    _svg_head(out, title, width, height, meta,
-              [(yt, py(yt)) for yt in _ticks(y_lo, y_hi)])
+    _svg_head(out, title, meta, [(yt, py(yt)) for yt in _ticks(y_lo, y_hi)])
     for xt in _ticks(x_lo, x_hi):
         x = px(xt)
         out.write(f'<line x1="{x:.2f}" y1="{top + plot_h}" x2="{x:.2f}" '
                   f'y2="{top + plot_h + 4}" stroke="#333333"/>\n')
         out.write(f'<text x="{x:.2f}" y="{top + plot_h + 18}" '
                   f'text-anchor="middle">{xt:g}</text>\n')
-    _svg_frame(out, width, height, y_label, x_label)
+    _svg_frame(out, y_label, x_label)
     for i, (label, pts) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         if pts:
@@ -169,18 +169,15 @@ def svg_line_chart(title: str, x_label: str, y_label: str,
     return out.getvalue()
 
 
-def svg_bar_chart(title: str, y_label: str,
-                  bars: list[tuple[str, float]],
-                  width: int = 720, height: int = 440,
+def svg_bar_chart(title: str, y_label: str, bars: list[tuple[str, float]],
                   meta: str = "") -> str:
-    left, right, top, bottom = _MARGIN
-    plot_w = width - left - right
-    plot_h = height - top - bottom
+    left, _, top, _ = _MARGIN
+    plot_w, plot_h = _PLOT_W, _PLOT_H
     y_hi = max([v for _, v in bars] or [1.0])
     if y_hi <= 0:
         y_hi = 1.0
     out = io.StringIO()
-    _svg_head(out, title, width, height, meta,
+    _svg_head(out, title, meta,
               [(yt, top + plot_h - yt / y_hi * plot_h)
                for yt in _ticks(0.0, y_hi)])
     slot = plot_w / max(len(bars), 1)
@@ -195,7 +192,7 @@ def svg_bar_chart(title: str, y_label: str,
         cx = left + i * slot + slot / 2
         out.write(f'<text x="{cx:.2f}" y="{top + plot_h + 16}" '
                   f'text-anchor="middle">{label}</text>\n')
-    _svg_frame(out, width, height, y_label)
+    _svg_frame(out, y_label)
     out.write("</svg>\n")
     return out.getvalue()
 
@@ -453,7 +450,7 @@ def _cmd_report(args) -> int:
         try:
             result = SweepResult.from_csv(Path(args.sweep).read_text())
             _require_finite(v for row in result.rows for v in row)
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError, csv.Error) as exc:
             return _fail(f"cannot read sweep csv: {exc}")
         charts = _sweep_charts(prefix, result, f"source={args.sweep}")
         for name, text in sorted(charts.items()):
@@ -465,7 +462,7 @@ def _cmd_report(args) -> int:
                 reader = csv.DictReader(fh)
                 bars = [(r["node"], float(r["bytes_stored"])) for r in reader]
             _require_finite(v for _, v in bars)
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError, csv.Error) as exc:
             return _fail(f"cannot read storage csv: {exc}")
         chart = svg_bar_chart("Per-node storage", "bytes", bars,
                               meta=f"source={args.storage}")

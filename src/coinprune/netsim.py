@@ -83,7 +83,6 @@ class SimScenario:
     seed: int = 0
     profile: WorkloadProfile = light_profile()
     obfuscate: bool = False
-    preserve_appdata: bool = True
     faults: tuple = ()
     neighbor_count: int = 8
 
@@ -114,13 +113,13 @@ class PulseRecord:
     index: int
     height: int
     genuine_snap: Snapshot
-    genuine_app: Snapshot | None
+    genuine_app: Snapshot
     genuine_tag: bytes
     bogus_snap: Snapshot | None = None
     bogus_tag: bytes | None = None
     outcome: coordination.PulseOutcome | None = None
 
-    def served(self, bogus: bool) -> tuple[Snapshot, Snapshot | None]:
+    def served(self, bogus: bool) -> tuple[Snapshot, Snapshot]:
         """(snapshot, app-data snapshot) served for this pulse; a forged
         state comes with the genuine app data."""
         return self.bogus_snap if bogus else self.genuine_snap, self.genuine_app
@@ -294,13 +293,12 @@ class Simulation:
         block_id = self.builder.ids[height]
         snap = snapshot_mod.build_snapshot(self.builder.utxo, height, block_id,
                                            obfuscate=self.scenario.obfuscate)
-        app = self.appstore.snapshot_at(height, block_id) \
-            if self.scenario.preserve_appdata else None
+        app = self.appstore.snapshot_at(height, block_id)
         rec = PulseRecord(index, height, snap, app,
-                          appdata_mod.pulse_tag(snap, app))
+                          appdata_mod.combined_tag(snap.id, app.id))
         if any(n.adversarial for n in self.scenario.nodes):
             rec.bogus_snap = self._forge_snapshot(height, block_id)
-            rec.bogus_tag = appdata_mod.pulse_tag(rec.bogus_snap, app)
+            rec.bogus_tag = appdata_mod.combined_tag(rec.bogus_snap.id, app.id)
         return rec
 
     def _forge_snapshot(self, height: int, block_id: bytes) -> Snapshot:
@@ -352,8 +350,7 @@ class Simulation:
             return None
         return tuple((kind, hash256(obj.header.serialize()), obj.digests)
                      for kind, obj in zip((STATE, APPDATA),
-                                          node.held[0].served(node.held[1]))
-                     if obj is not None)
+                                          node.held[0].served(node.held[1])))
 
     def _serve_chunk(self, cfg: NodeConfig, snap: Snapshot, index: int) -> bytes:
         data = snap.chunks[index]
@@ -375,30 +372,26 @@ class Simulation:
 
     def bootstrap(self, joiner: NodeConfig) -> JoinOutcome:
         name = joiner.name
-        last_reason = "no attempts"
         for attempt in range(MAX_BOOTSTRAP_ATTEMPTS):
             neighbors = self._neighbor_sample(attempt)
             self.trace.add(f"join {name} attempt {attempt} neighbors "
                            + ",".join(c.name for c in neighbors))
-            outcome = self._bootstrap_once(joiner, neighbors, attempt)
-            if outcome.accepted:
+            reason = self._bootstrap_once(joiner, neighbors)
+            if not reason:
                 self.trace.add(f"join {name} accepted after {attempt + 1} attempts")
-                return outcome
-            last_reason = outcome.reason
-            self.trace.add(f"join {name} aborted: {outcome.reason}")
-        return JoinOutcome(False, last_reason, MAX_BOOTSTRAP_ATTEMPTS, False)
+                # _keep_join sets held only for a snapshot join
+                return JoinOutcome(True, "", attempt + 1,
+                                   self.nodes[name].held is not None)
+            self.trace.add(f"join {name} aborted: {reason}")
+        return JoinOutcome(False, reason, MAX_BOOTSTRAP_ATTEMPTS, False)
 
     def _round(self, joiner: str) -> None:
         self.nodes[joiner].sync_rounds += 1
 
-    def _bootstrap_once(self, joiner: NodeConfig, neighbors: list[NodeConfig],
-                        attempt: int) -> JoinOutcome:
+    def _bootstrap_once(self, joiner: NodeConfig,
+                        neighbors: list[NodeConfig]) -> str:
+        """One join attempt: why it aborted, or "" once the join is kept."""
         name = joiner.name
-        attempts = attempt + 1
-
-        def abort(reason: str) -> JoinOutcome:
-            return JoinOutcome(False, reason, attempts, True)
-
         # handshake: a peer's version tells whether it serves snapshots
         for peer in neighbors:
             self._send(name, peer.name, "version", 26)
@@ -423,7 +416,7 @@ class Simulation:
             self._round(name)
 
         if not adverts:
-            return self._full_sync(joiner, neighbors, attempts)
+            return self._full_sync(joiner, neighbors)
 
         # plurality by advertised object list; ties prefer the higher
         # snapshot height, then the lexicographically smaller id
@@ -441,7 +434,7 @@ class Simulation:
         objects, group = sorted(groups.items(), key=group_key)[0]
         group = sorted(group, key=lambda c: c.name)
         held = self.nodes[group[0].name].held
-        served = [obj for obj in held[0].served(held[1]) if obj is not None]
+        served = held[0].served(held[1])
 
         head_peer = group[0]
         tip_height = self._sync_headers(name, head_peer)
@@ -455,44 +448,43 @@ class Simulation:
 
         height = served[0].header.height
         if height % self.params.delta_p != 0 or height == 0:
-            return abort("snapshot height is not a pulse")
+            return "snapshot height is not a pulse"
         index = height // self.params.delta_p
         if height > tip_height \
                 or self.builder.ids[height] != served[0].header.block_id:
-            return abort("snapshot header contradicts headerchain")
+            return "snapshot header contradicts headerchain"
         if (coordination.latest_closed_pulse(tip_height, self.params) or 0) < index:
-            return abort("reaffirmation window still open")
+            return "reaffirmation window still open"
 
         fetched = []
         for entry, obj in zip(objects, served):
             got = self._fetch_object(name, group, entry, obj)
             if isinstance(got, str):
-                return abort(got)
+                return got
             fetched.append(got)
-        snap, app_snap = fetched[0], fetched[1] if len(fetched) > 1 else None
+        snap, app_snap = fetched
 
         try:
             utxo = snapshot_mod.apply_snapshot(snap)
         except snapshot_mod.SnapshotError as exc:
-            return abort(f"snapshot apply failed: {exc}")
+            return f"snapshot apply failed: {exc}"
 
         chaintail = range(height + 1, tip_height + 1)
         self._download_blocks(name, group, chaintail)
         try:
             self._replay(utxo, chaintail)
         except (ChainError, SimError) as exc:
-            return abort(f"chaintail replay failed: {exc}")
+            return f"chaintail replay failed: {exc}"
 
         outcome = coordination.tally_window(self._window_tags(index), self.params)
         if not outcome.accepted:
-            return abort("pulse window skipped on-chain")
-        if outcome.tag != appdata_mod.pulse_tag(snap, app_snap):
-            return abort("snapshot was not the reaffirmed tag")
+            return "pulse window skipped on-chain"
+        if outcome.tag != appdata_mod.combined_tag(snap.id, app_snap.id):
+            return "snapshot was not the reaffirmed tag"
 
-        store = appdata_mod.parse_store(app_snap) if app_snap is not None \
-            else appdata_mod.AppDataStore()
-        self._keep_join(name, utxo, store, chaintail, held)
-        return JoinOutcome(True, "", attempts, True)
+        self._keep_join(name, utxo, appdata_mod.parse_store(app_snap),
+                        chaintail, held)
+        return ""
 
     def _fetch_object(self, name: str, group: list[NodeConfig], entry: tuple,
                       served: Snapshot) -> Snapshot | str:
@@ -538,16 +530,16 @@ class Simulation:
         return Snapshot.assemble(header.height, header.block_id, chunks,
                                  digests)
 
-    def _full_sync(self, joiner: NodeConfig, neighbors: list[NodeConfig],
-                   attempts: int) -> JoinOutcome:
-        """Fallback: fetch and replay every block from genesis."""
+    def _full_sync(self, joiner: NodeConfig,
+                   neighbors: list[NodeConfig]) -> str:
+        """Fallback: fetch and replay every block from genesis; why it
+        aborted, or "" once the join is kept."""
         name = joiner.name
         self.trace.add(f"join {name} full sync fallback")
         # serve from peers that still have the whole chain
         unpruned = [p for p in neighbors if self.nodes[p.name].pruned_below == 0]
         if not unpruned:
-            return JoinOutcome(False, "no neighbor serves historic blocks",
-                               attempts, False)
+            return "no neighbor serves historic blocks"
         tip_height = self._sync_headers(name, unpruned[0])
         chain = range(0, tip_height + 1)
         self._download_blocks(name, unpruned, chain)
@@ -555,10 +547,9 @@ class Simulation:
         try:
             self._replay(utxo, chain)
         except (ChainError, SimError) as exc:
-            return JoinOutcome(False, f"full replay failed: {exc}",
-                               attempts, False)
+            return f"full replay failed: {exc}"
         self._keep_join(name, utxo, appdata_mod.AppDataStore(), chain)
-        return JoinOutcome(True, "", attempts, False)
+        return ""
 
     def _sync_headers(self, name: str, peer: NodeConfig) -> int:
         """Fetch and verify the headerchain from one peer; its tip height."""
@@ -614,9 +605,8 @@ class Simulation:
         node = self.nodes[name]
         snap_bytes = app_bytes = 0
         if node.held is not None:
-            snap, app = node.held[0].served(node.held[1])
-            snap_bytes = snapshot_mod.wire_size(snap)
-            app_bytes = 0 if app is None else snapshot_mod.wire_size(app)
+            snap_bytes, app_bytes = map(snapshot_mod.wire_size,
+                                        node.held[0].served(node.held[1]))
         return (HEADER_RECORD_SIZE * len(self.block_bytes),
                 sum(self.block_bytes[node.pruned_below:]), snap_bytes, app_bytes)
 
@@ -670,6 +660,9 @@ def parse_scenario(text: str) -> SimScenario:
             return False
         raise SimError(f"bad boolean for {key}: {fields[key]!r}")
 
+    # app data is always kept; older scenario files say so explicitly
+    if not get_bool("appdata", True):
+        raise SimError("appdata = false is not supported")
     if "roles" not in fields:
         raise SimError("scenario needs a roles line")
     try:
@@ -715,7 +708,6 @@ def parse_scenario(text: str) -> SimScenario:
             seed=int(fields.get("seed", "0")),
             profile=profile,
             obfuscate=get_bool("obfuscate", False),
-            preserve_appdata=get_bool("appdata", True),
             faults=faults,
             neighbor_count=int(fields.get("neighbors", "8")),
         )
@@ -745,7 +737,7 @@ def format_scenario(scenario: SimScenario) -> str:
         f"delta_d={params.delta_d} k={params.k}",
         f"faults = {' '.join(scenario.faults)}".rstrip(),
         f"obfuscate = {str(scenario.obfuscate).lower()}",
-        f"appdata = {str(scenario.preserve_appdata).lower()}",
+        "appdata = true",
         f"txs_per_block = {scenario.profile.txs_per_block}",
         f"neighbors = {scenario.neighbor_count}",
     ]

@@ -204,7 +204,7 @@ def test_criterion_4_tamper_rejection(acceptance):
             violations.append(seed)
             continue
         snap, app = held[0].served(held[1])
-        tag = snap.id if app is None else hash256(snap.id + app.id)
+        tag = hash256(snap.id + app.id)
         if tag != _window_winner(sim.builder.blocks, snap.header.height,
                                  params):
             violations.append(seed)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coinprune.chain import (BlockValidationError, ChainError, ChainParams,
+from coinprune.chain import (COINBASE_TXID, COINBASE_VOUT,
+                             BlockValidationError, ChainError, ChainParams,
                              HEADER_RECORD_SIZE, Block, BlockHeader,
                              HeaderIndex, Transaction,
                              TxInput, TxOutput, UtxoSet, best_tip, check_pow,
@@ -207,6 +208,28 @@ def test_first_transaction_must_be_coinbase():
         validate_and_apply_block(utxo, b2, 2, b1.block_id(), PARAMS)
 
 
+@pytest.mark.parametrize("unlock", [
+    struct.pack("<I", 3),  # another height's prefix
+    struct.pack("<I", 2 + 2**16),  # right low bytes, wrong high ones
+    struct.pack("<I", 2)[:3],  # shorter than the 4-byte prefix
+    b"",
+], ids=["other-height", "high-bytes", "short", "empty"])
+def test_coinbase_must_begin_with_its_height(unlock):
+    utxo, g, b1, cb = _fresh_chain()
+    state = serialize_utxo_set(utxo)
+    out = TxOutput(PARAMS.subsidy, PAY_SCRIPT)
+    coinbase = Transaction((TxInput(COINBASE_TXID, COINBASE_VOUT, unlock),),
+                           (out,))
+    b2 = _mine_on(b1, [coinbase], 2)
+    with pytest.raises(BlockValidationError,
+                       match="height 2: coinbase lacks its height$"):
+        validate_and_apply_block(utxo, b2, 2, b1.block_id(), PARAMS)
+    assert serialize_utxo_set(utxo) == state
+    # the same block with the height's own prefix is valid
+    b2 = _mine_on(b1, [coinbase_tx(2, [out], b"")], 2)
+    validate_and_apply_block(utxo, b2, 2, b1.block_id(), PARAMS)
+
+
 def test_failed_block_leaves_utxo_untouched():
     for utxo, g, b1, cb in (_fresh_chain(), _applied_chain()):
         before = {(e.txid, e.vout): e for e in utxo.entries()}
@@ -233,10 +256,10 @@ def _applied_chain():
 def test_block_recreating_a_base_coin_is_refused():
     utxo, g, b1, cb = _applied_chain()
     state = serialize_utxo_set(utxo)
-    b2 = _mine_on(b1, [cb], 2)  # b1's coinbase again: same txid, same coin
+    # b1 again, at its own height: same coinbase, same txid, same coin
     with pytest.raises(BlockValidationError,
-                       match=f"height 2: duplicate outpoint {cb.txid().hex()}:0$"):
-        validate_and_apply_block(utxo, b2, 2, b1.block_id(), PARAMS)
+                       match=f"height 1: duplicate outpoint {cb.txid().hex()}:0$"):
+        validate_and_apply_block(utxo, b1, 1, g.block_id(), PARAMS)
     assert serialize_utxo_set(utxo) == state
 
 
@@ -249,16 +272,18 @@ def test_base_coin_spent_at_h_is_missing_at_h_plus_1():
     t2 = _spend(cb.txid(), 0, [TxOutput(PARAMS.subsidy - 1, PAY_SCRIPT)])
     b3 = _mine_on(b2, [coinbase_tx(3, [TxOutput(PARAMS.subsidy + 1,
                                                 PAY_SCRIPT)], b""), t2], 3)
-    b3_again = _mine_on(b2, [cb], 3)  # once spent, the coin may come back
+    b3_again = _mine_on(b2, [cb], 3)  # height 1's coinbase may not come back
     for utxo in (applied, replayed):
         validate_and_apply_block(utxo, b2, 2, b1.block_id(), PARAMS)
         assert (cb.txid(), 0) not in utxo and utxo.get((cb.txid(), 0)) is None
         with pytest.raises(BlockValidationError,
                            match=f"height 3: missing outpoint {cb.txid().hex()}:0$"):
             validate_and_apply_block(utxo, b3, 3, b2.block_id(), PARAMS)
-        validate_and_apply_block(utxo, b3_again, 3, b2.block_id(), PARAMS)
-        assert utxo.get((cb.txid(), 0)).height == 3
-    assert len(applied) == len(replayed) == 4
+        with pytest.raises(BlockValidationError,
+                           match="height 3: coinbase lacks its height$"):
+            validate_and_apply_block(utxo, b3_again, 3, b2.block_id(), PARAMS)
+        assert (cb.txid(), 0) not in utxo
+    assert len(applied) == len(replayed) == 3
     assert serialize_utxo_set(applied) == serialize_utxo_set(replayed)
 
 

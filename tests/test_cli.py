@@ -4,11 +4,15 @@ Exit codes are part of the contract: 0 success, 1 verification failure,
 2 usage error. File outputs must be byte-reproducible from the flags.
 """
 
+import contextlib
 import csv
+import io
 import json
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coinprune.cli import OUT_DIR_ENV, main
 
@@ -212,9 +216,10 @@ def test_snapshot_create_holds_one_parsed_block_at_a_time(chain_dir, tmp_path,
     b"params = delta_p=10 delta_r=20 delta_d=1 k=2\n",
     b"roles = miner:1:coinprune\nprune = false\n",
     b"roles = miner:1:coinprune\nblcoks = 10\n",
+    b"roles = miner:1:coinprune\nappdata = false\n",
 ], ids=["count", "param-pair", "param-value", "role", "not-utf8",
         "neighbors", "seed", "overlapping-windows", "prune-key",
-        "misspelt-key"])
+        "misspelt-key", "appdata-false"])
 def test_sim_bootstrap_rejects_bad_scenario(tmp_path, capsys, raw):
     scn = tmp_path / "bad.scn"
     scn.write_bytes(raw)
@@ -420,3 +425,61 @@ def test_report_rejects_negative_delta_r(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err.startswith("error: cannot read sweep csv")
     assert not any((tmp_path / "charts").iterdir())
+
+
+# generated input files for `report --sweep` and `snapshot verify
+# --hashes`: raw bytes, or lines built from each format's own words,
+# with one field just past the csv module's field size limit
+_SWEEP_HEADER = "f_C,f_A,delta_r,k,p_correct,p_adversary,p_skipped"
+_BIG_FIELD = "9" * (csv.field_size_limit() + 1)
+_FIELD = st.one_of(
+    st.sampled_from(["0.0", "0.05", "1.0", "5", "100", "-1", "inf", "nan",
+                     "1e308", "\"", "", _BIG_FIELD]),
+    st.integers(-5, 10**6).map(str),
+    st.text(max_size=4))
+_SWEEP_CSV = st.tuples(
+    st.sampled_from([_SWEEP_HEADER, _SWEEP_HEADER[:-2], "node,bytes_stored"]),
+    st.lists(st.lists(_FIELD, max_size=8).map(",".join), max_size=5)
+).map(lambda parts: "\n".join([parts[0], *parts[1]]))
+_MANIFEST_LINE = st.one_of(
+    st.binary(min_size=32, max_size=32).map(bytes.hex),
+    st.sampled_from(["", "ab", "zz" * 32, "0" * 65, _BIG_FIELD]),
+    st.text(max_size=66))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(deadline=None)
+@given(command=st.sampled_from(["sweep", "hashes"]), data=st.data())
+def test_report_and_verify_fail_closed_on_generated_files(
+        snap_dir, fuzz_dir, command, data):
+    real = (snap_dir / "state.snap.hashes").read_text().split()
+    if command == "sweep":
+        text = _SWEEP_CSV
+    else:
+        text = st.lists(st.one_of(_MANIFEST_LINE, st.sampled_from(real)),
+                        max_size=4).map("\n".join)
+    raw = data.draw(st.one_of(st.binary(), text.map(
+        lambda t: t.encode("utf-8", "surrogatepass"))))
+    source = fuzz_dir / "input"
+    source.write_bytes(raw)
+    if command == "sweep":
+        argv = ["report", "--sweep", str(source),
+                "--out-dir", str(fuzz_dir / "charts")]
+    else:
+        snap = snap_dir / "state.snap"
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["snapshot", "id", "--snap", str(snap)]) == 0
+        argv = ["snapshot", "verify", "--snap", str(snap),
+                "--id", out.getvalue().split()[-1], "--hashes", str(source)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().startswith("error: ") \
+            and err.getvalue().count("\n") == 1

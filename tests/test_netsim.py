@@ -52,7 +52,7 @@ def _held(sim, name: str):
     """The pulse record a joiner keeps, and the tag of what it holds."""
     rec, bogus = sim.nodes[name].held
     snap, app = rec.served(bogus)
-    return rec, snap.id if app is None else combined_tag(snap.id, app.id)
+    return rec, combined_tag(snap.id, app.id)
 
 
 def test_all_honest_bootstrap_equivalence(honest_run):
@@ -406,6 +406,7 @@ txs_per_block = 8
 neighbors = 6
 """
     scenario = parse_scenario(text)
+    assert "appdata = true" in format_scenario(scenario).splitlines()
     assert scenario.seed == 7
     assert scenario.params == PARAMS
     assert scenario.faults == ("bogus_tags",)
