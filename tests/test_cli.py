@@ -405,7 +405,12 @@ def test_out_of_range_arguments_are_usage_errors(tmp_path, capsys, argv):
               "1.0,0.0,100,5,1.0,inf,0.0\n"),
     ("sweep", "f_C,f_A,delta_r,k,p_correct,p_adversary,p_skipped\n"
               "1.0,0.0,100,5,1.0,0.0,nan\n"),
-], ids=["storage-inf", "storage-nan", "sweep-inf", "sweep-nan"])
+    # a field past the csv module's size limit, which it raises on
+    ("storage", "node,bytes_stored\nm0," + "9" * 200_000 + "\n"),
+    ("sweep", "f_C,f_A,delta_r,k,p_correct,p_adversary,p_skipped\n"
+              "1.0," + "0" * 200_000 + ",100,5,1.0,0.0,0.0\n"),
+], ids=["storage-inf", "storage-nan", "sweep-inf", "sweep-nan",
+        "storage-oversized-field", "sweep-oversized-field"])
 def test_report_rejects_non_finite_numbers(tmp_path, capsys, kind, text):
     source = tmp_path / f"{kind}.csv"
     source.write_text(text)
@@ -427,9 +432,9 @@ def test_report_rejects_negative_delta_r(tmp_path, capsys):
     assert not any((tmp_path / "charts").iterdir())
 
 
-# generated input files for `report --sweep` and `snapshot verify
-# --hashes`: raw bytes, or lines built from each format's own words,
-# with one field just past the csv module's field size limit
+# generated input files for `report --sweep`/`--storage` and `snapshot
+# verify --hashes`: raw bytes, or lines built from each format's own
+# words, with one field just past the csv module's field size limit
 _SWEEP_HEADER = "f_C,f_A,delta_r,k,p_correct,p_adversary,p_skipped"
 _BIG_FIELD = "9" * (csv.field_size_limit() + 1)
 _FIELD = st.one_of(
@@ -437,7 +442,7 @@ _FIELD = st.one_of(
                      "1e308", "\"", "", _BIG_FIELD]),
     st.integers(-5, 10**6).map(str),
     st.text(max_size=4))
-_SWEEP_CSV = st.tuples(
+_REPORT_CSV = st.tuples(
     st.sampled_from([_SWEEP_HEADER, _SWEEP_HEADER[:-2], "node,bytes_stored"]),
     st.lists(st.lists(_FIELD, max_size=8).map(",".join), max_size=5)
 ).map(lambda parts: "\n".join([parts[0], *parts[1]]))
@@ -453,28 +458,26 @@ def fuzz_dir(tmp_path_factory):
 
 
 @settings(deadline=None)
-@given(command=st.sampled_from(["sweep", "hashes"]), data=st.data())
+@given(command=st.sampled_from(["sweep", "storage", "hashes"]),
+       data=st.data())
 def test_report_and_verify_fail_closed_on_generated_files(
         snap_dir, fuzz_dir, command, data):
-    real = (snap_dir / "state.snap.hashes").read_text().split()
-    if command == "sweep":
-        text = _SWEEP_CSV
-    else:
+    snap = snap_dir / "state.snap"
+    source = fuzz_dir / "input"
+    if command == "hashes":
+        real = (snap_dir / "state.snap.hashes").read_text().split()
         text = st.lists(st.one_of(_MANIFEST_LINE, st.sampled_from(real)),
                         max_size=4).map("\n".join)
-    raw = data.draw(st.one_of(st.binary(), text.map(
-        lambda t: t.encode("utf-8", "surrogatepass"))))
-    source = fuzz_dir / "input"
-    source.write_bytes(raw)
-    if command == "sweep":
-        argv = ["report", "--sweep", str(source),
-                "--out-dir", str(fuzz_dir / "charts")]
-    else:
-        snap = snap_dir / "state.snap"
         with contextlib.redirect_stdout(io.StringIO()) as out:
             assert main(["snapshot", "id", "--snap", str(snap)]) == 0
         argv = ["snapshot", "verify", "--snap", str(snap),
                 "--id", out.getvalue().split()[-1], "--hashes", str(source)]
+    else:
+        text = _REPORT_CSV
+        argv = ["report", f"--{command}", str(source),
+                "--out-dir", str(fuzz_dir / "charts")]
+    source.write_bytes(data.draw(st.one_of(st.binary(), text.map(
+        lambda t: t.encode("utf-8", "surrogatepass")))))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
