@@ -385,6 +385,13 @@ class UtxoSet:
     dict), is marked at its slot. Coins added since, and every coin of
     a set that never had a snapshot, sit in a dict from 36-byte
     outpoint key to record.
+
+    A plain `build_snapshot` of more than one chunk folds the set the
+    same way, as an LSM tree folds its memtable into a sorted run: the
+    built chunks become the base and the dict is emptied, so the set
+    and the snapshot share one copy of the records (about 90 bytes per
+    coin in all, against about 207 in the dict). A one-chunk set keeps
+    its dict, whose lookups are cheaper than the base's bisection.
     """
 
     def __init__(self) -> None:
@@ -403,27 +410,40 @@ class UtxoSet:
         not in strictly ascending (txid, vout) order, which the index's
         bisection needs."""
         utxo = cls()
-        utxo._chunks = chunks = tuple(chunks)
-        add_prefix, add_place = utxo._prefixes.append, utxo._places.append
+        utxo._lay_base(tuple(chunks), check=True)
+        return utxo
+
+    def _lay_base(self, chunks: tuple, check: bool) -> None:
+        """Index `chunks` as the base and empty the dict. Each field gets
+        a new object, since copies share the old base's. Without `check`
+        the heads and the order are taken as given: `build_snapshot`
+        passes chunks it packed from exactly this set's records."""
+        prefixes, places = array("Q"), array("Q")
+        add_prefix, add_place = prefixes.append, places.append
         last = (b"", -1)
         for number, chunk in enumerate(chunks):
             offset = 0
             while offset < len(chunk):
-                end = _record_end(chunk, offset)
-                outpoint = _OUTPOINT.unpack_from(chunk, offset)
-                if outpoint <= last:
-                    if outpoint == last:
-                        raise SnapshotError("duplicate outpoint "
-                                            f"{outpoint[0].hex()}:{outpoint[1]}")
-                    raise SnapshotError(f"record out of order at byte {offset} "
-                                        f"of chunk {number}")
-                last = outpoint
+                if check:
+                    end = _record_end(chunk, offset)
+                    outpoint = _OUTPOINT.unpack_from(chunk, offset)
+                    if outpoint <= last:
+                        if outpoint == last:
+                            raise SnapshotError(
+                                "duplicate outpoint "
+                                f"{outpoint[0].hex()}:{outpoint[1]}")
+                        raise SnapshotError(f"record out of order at byte "
+                                            f"{offset} of chunk {number}")
+                    last = outpoint
+                else:
+                    end = offset + _RECORD_SIZE[chunk[offset + _CASE_AT]]
                 add_prefix(_PREFIX.unpack_from(chunk, offset)[0])
                 add_place(number << 32 | offset)
                 offset = end
-        utxo._live = len(utxo._prefixes)
-        utxo._gone = bytearray(utxo._live)
-        return utxo
+        self._records = {}
+        self._chunks, self._prefixes, self._places = chunks, prefixes, places
+        self._live = len(prefixes)
+        self._gone = bytearray(self._live)
 
     def _base_outpoint(self, slot: int) -> tuple[bytes, int]:
         place = self._places[slot]
@@ -525,14 +545,18 @@ class UtxoSet:
         return map(_entry, itertools.chain(self._records.values(),
                                            self._base_records()))
 
-    def records(self) -> list[bytes]:
+    def records(self) -> Iterable[bytes]:
         """Every record, sorted by (txid, vout): the canonical order,
-        which is the keys' byte order and the base's slot order."""
+        which is the keys' byte order and the base's slot order. The
+        base's records are read lazily, so use them before changing the
+        set."""
         records = self._records
+        if not records:
+            return self._base_records()
         added = [records[key] for key in sorted(records)]
         if not self._live:
             return added
-        return list(heapq.merge(self._base_records(), added, key=_record_key))
+        return heapq.merge(self._base_records(), added, key=_record_key)
 
     def __bytes__(self) -> bytes:
         """Every record in canonical order, joined: the base's chunks

@@ -100,11 +100,17 @@ def layered_id(header_digest: bytes, chunk_digests: Iterable[bytes]) -> bytes:
 def build_snapshot(utxo: UtxoSet, height: int, block_id: bytes,
                    obfuscate: bool = False) -> Snapshot:
     """The snapshot of the set's records in canonical order, each
-    obfuscated if asked."""
+    obfuscated if asked. The records are always packed afresh, so the
+    layout of a base the set was applied from never changes the id. A
+    plain snapshot of more than one chunk then becomes the set's base,
+    and the set drops its dict (see `UtxoSet`)."""
     records = utxo.records()
     if obfuscate:
         records = map(obfuscate_record, records)
-    return Snapshot.assemble(height, block_id, chunk_records(records))
+    snap = Snapshot.assemble(height, block_id, chunk_records(records))
+    if not obfuscate and len(snap.chunks) > 1:
+        utxo._lay_base(snap.chunks, check=False)
+    return snap
 
 
 def verify_snapshot(snapshot: Snapshot, expected_id: bytes,

@@ -505,3 +505,113 @@ def test_malformed_outpoints_match_nothing():
         assert utxo.get((entry.txid, vout)) is None
         assert (entry.txid, vout) not in utxo
     assert len(utxo) == 2 and utxo.get((entry.txid, entry.vout)) == entry
+
+
+# --- a multi-chunk plain build folds the set's dict into its chunks ----------
+
+FOLDED = 20_000  # p2pkh records of 70 bytes: two 1 MiB chunks
+
+
+def _outpoint(entry: UtxoEntry) -> tuple[bytes, int]:
+    return entry.txid, entry.vout
+
+
+def _set_of(coins) -> UtxoSet:
+    utxo = UtxoSet()
+    for entry in coins:
+        utxo.add(entry)
+    return utxo
+
+
+def test_a_multi_chunk_build_takes_its_chunks_as_the_set():
+    coins = [_entry(i) for i in range(FOLDED)]
+    utxo = _set_of(coins)
+    before = utxo.copy()
+    snap = build_snapshot(utxo, 9, b"\x07" * 32)
+    assert len(snap.chunks) >= 2
+    assert utxo._chunks is snap.chunks and not utxo._records
+
+    oracle = _set_of(coins)  # never built, so dict-backed
+    assert serialize_utxo_set(utxo) == serialize_utxo_set(oracle) \
+        == _oracle_bytes(coins)
+    assert len(utxo) == len(oracle) == FOLDED
+    spent, fresh = coins[::3], [_entry(i) for i in range(FOLDED, FOLDED + 50)]
+    for entry in spent:
+        utxo.remove(_outpoint(entry))
+        oracle.remove(_outpoint(entry))
+    for entry in fresh + spent[:1]:  # a spent coin may come back
+        utxo.add(entry)
+        oracle.add(entry)
+    for entry in coins[1:30:3] + fresh[:3]:
+        for held in (utxo, oracle):
+            with pytest.raises(ChainError):
+                held.add(entry)
+    for entry in spent[1:20]:
+        for held in (utxo, oracle):
+            assert _outpoint(entry) not in held and held.get(_outpoint(entry)) is None
+            with pytest.raises(KeyError):
+                held.remove(_outpoint(entry))
+    for entry in coins + fresh:
+        assert (_outpoint(entry) in utxo) == (_outpoint(entry) in oracle)
+        assert utxo.get(_outpoint(entry)) == oracle.get(_outpoint(entry))
+    assert len(utxo) == len(oracle)
+    assert serialize_utxo_set(utxo) == serialize_utxo_set(oracle)
+
+    assert not before._chunks and len(before) == FOLDED
+    assert serialize_utxo_set(before) == _oracle_bytes(coins)
+    assert build_snapshot(before, 9, b"\x07" * 32).chunks == snap.chunks
+
+
+def test_an_obfuscated_build_after_a_fold_matches_a_fresh_set():
+    coins = [_entry(i) for i in range(FOLDED)]
+    utxo = _set_of(coins)
+    build_snapshot(utxo, 9, b"\x07" * 32)
+    assert utxo._chunks  # folded
+    hidden = build_snapshot(utxo, 9, b"\x07" * 32, obfuscate=True)
+    assert hidden == build_snapshot(_set_of(coins), 9, b"\x07" * 32,
+                                    obfuscate=True)
+    assert hidden.chunks is not utxo._chunks  # an obfuscated build never folds
+
+
+def test_a_one_chunk_set_stays_dict_backed():
+    utxo = _filled_set(300)
+    snap = build_snapshot(utxo, 9, b"\x07" * 32)
+    assert len(snap.chunks) == 1
+    assert utxo._chunks == () and len(utxo._records) == 300
+
+
+def test_an_applied_layout_does_not_change_the_built_id():
+    # a peer may chunk a snapshot in any layout; a build re-packs the
+    # records greedily, as a fresh set of the same coins would
+    coins = sorted((_entry(i) for i in range(FOLDED)), key=_outpoint)
+    one_per_chunk = Snapshot.assemble(9, b"\x07" * 32,
+                                      [encode_record(e) for e in coins])
+    applied = apply_snapshot(one_per_chunk)
+    fresh = _set_of(coins)
+    for obfuscate in (True, False, False):
+        built = build_snapshot(applied, 9, b"\x07" * 32, obfuscate=obfuscate)
+        assert built == build_snapshot(fresh, 9, b"\x07" * 32,
+                                       obfuscate=obfuscate)
+        assert built.id != one_per_chunk.id
+    assert applied._chunks is built.chunks and len(built.chunks) == 2
+
+
+def test_a_folded_set_holds_under_24_traced_bytes_per_coin():
+    # held as a dict, a coin traced about 200 bytes; folded, the set
+    # keeps the index (two 8-byte columns and a spent mark per coin)
+    # beside the chunks, which the snapshot holds anyway
+    rng = random.Random(21)
+    tracemalloc.start()
+    try:
+        utxo = UtxoSet()
+        for _ in range(FOLDED):
+            utxo.add(UtxoEntry(rng.randbytes(32), rng.randrange(4),
+                               rng.randrange(1, 10 ** 12),
+                               rng.randrange(1, 800_000), False,
+                               compress(p2pkh_script(rng.randbytes(20)))))
+        snap = build_snapshot(utxo, 7, b"\x05" * 32)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(snap.chunks) >= 2 and len(utxo) == FOLDED
+    assert (held - sum(map(len, snap.chunks))) / FOLDED < 24

@@ -1,22 +1,26 @@
-"""Record alternating benchmark pairs of two source trees, with the machine, in a BENCH file.
+"""Record alternating benchmark pairs of two revisions, with the machine, in a BENCH file.
 
-    python3 tools/bench_record.py --out BENCH_name.json --parent ../parent \
+    python3 tools/bench_record.py --out BENCH_name.json --parent HEAD~1 \
         --workloads snapshot-bulk sim-bootstrap --seeds 901 902 903 904 905
 
-runs each (workload, seed) once on the `--parent` tree and once on the
-`--change` tree (default: this checkout), through each tree's own
-`perfbench/spread.py` `run_once`, as it is. The order alternates seed
-by seed: parent then change on the first seed, change then parent on
-the next, so machine drift falls on both sides alike. The `--out` file
-holds every pair with its order and both sides' metrics, each tree's
-median, quartile spread (`spread.py`'s `spread`) and the number of
-pairs in which the change read lower, and per tree its git revision,
-the `wc -l src/coinprune/*.py` total and the wall time of its Tier-1
-suite (`python -m pytest -q --continue-on-collection-errors` with the
-tree's `src` on PYTHONPATH), run after the pairs with its exit code and
-summary line. It also holds `nproc`, the CPU model from /proc/cpuinfo,
-and the Python and numpy versions. Give the same tree twice for an A/A
-record of the noise floor.
+clones this repository twice with `git clone --local`, into `parent`
+and `change` under one temporary directory (`$TMPDIR` picks where),
+and checks out `--parent` and `--change` (default: HEAD) there. So
+both sides run from fresh checkouts at the same depth, and only
+committed code is measured. It then runs each (workload, seed) once on
+each clone through the clone's own `perfbench/spread.py` `run_once`,
+as it is. The order alternates seed by seed: parent then change on the
+first seed, change then parent on the next, so machine drift falls on
+both sides alike. The `--out` file holds every pair with its order and
+both sides' metrics, each side's median, quartile spread (`spread.py`'s
+`spread`) and the number of pairs in which the change read lower, and
+per side its git revision, the `wc -l src/coinprune/*.py` total and the
+wall time of its Tier-1 suite (`python -m pytest -q
+--continue-on-collection-errors` with the clone's `src` on PYTHONPATH),
+run after the pairs with its exit code and summary line. It also holds
+`nproc`, the CPU model from /proc/cpuinfo, and the Python and numpy
+versions. Give the same revision twice for an A/A record of the noise
+floor. The clones are removed afterwards.
 """
 
 import argparse
@@ -26,11 +30,27 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+
+
+def resolve(rev: str) -> str:
+    """The commit `rev` names in this repository, or "" if none."""
+    return subprocess.run(["git", "rev-parse", "--verify", "--quiet",
+                           f"{rev}^{{commit}}"], cwd=ROOT,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def clone(commit: str, tree: Path) -> None:
+    """A fresh local clone of this repository at `tree`, at `commit`."""
+    subprocess.run(["git", "clone", "--quiet", "--local", "--no-checkout",
+                    str(ROOT), str(tree)], check=True)
+    subprocess.run(["git", "checkout", "--quiet", "--detach", commit],
+                   cwd=tree, check=True)
 
 
 def git_rev(tree: Path) -> str:
@@ -111,19 +131,32 @@ def summarize(pairs: list[dict], spread) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--parent", type=Path, required=True)
-    parser.add_argument("--change", type=Path, default=ROOT)
+    parser.add_argument("--parent", required=True, help="a git revision")
+    parser.add_argument("--change", default="HEAD", help="a git revision")
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     args = parser.parse_args(argv)
     if len(args.seeds) < 2:
         parser.error("the quartiles need at least two seeds")
-    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    seconds = {json.loads((tree / "BENCHMARK.json").read_text())["run_seconds"]
-               for tree in trees.values()}
-    if len(seconds) != 1:
-        parser.error("the two trees' BENCHMARK.json set different run_seconds")
-    (seconds,) = seconds
+    commits = {side: resolve(getattr(args, side)) for side in SIDES}
+    for side, commit in commits.items():
+        if not commit:
+            parser.error(f"--{side} {getattr(args, side)} names no commit")
+    with tempfile.TemporaryDirectory(prefix="bench_record-") as tmp:
+        trees = {side: Path(tmp) / side for side in SIDES}
+        for side, tree in trees.items():
+            clone(commits[side], tree)
+        seconds = {json.loads((tree / "BENCHMARK.json").read_text())["run_seconds"]
+                   for tree in trees.values()}
+        if len(seconds) != 1:
+            parser.error("the two sides' BENCHMARK.json set different run_seconds")
+        record = measure(args, trees, seconds.pop())
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+def measure(args, trees: dict, seconds: int) -> dict:
+    """The record of the pairs and the machine, run on the two clones."""
     spreads = {side: load_spread(tree, side) for side, tree in trees.items()}
 
     pairs, summary = {}, {}
@@ -145,7 +178,7 @@ def main(argv=None) -> int:
                   f"{row['change']['median']:<12.6g} change lower in "
                   f"{row['change_lower_pairs']}/{len(args.seeds)}")
 
-    record = {
+    return {
         "seeds": args.seeds,
         "seconds": seconds,
         "nproc": len(os.sched_getaffinity(0)),
@@ -158,8 +191,6 @@ def main(argv=None) -> int:
         "summary": summary,
         "pairs": pairs,
     }
-    args.out.write_text(json.dumps(record, indent=1) + "\n")
-    return 0
 
 
 if __name__ == "__main__":
