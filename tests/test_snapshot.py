@@ -546,11 +546,11 @@ def test_a_multi_chunk_build_takes_its_chunks_as_the_set():
         for held in (utxo, oracle):
             with pytest.raises(ChainError):
                 held.add(entry)
-    for entry in spent[1:20]:
+    for outpoint in map(_outpoint, spent[1:20]):
         for held in (utxo, oracle):
-            assert _outpoint(entry) not in held and held.get(_outpoint(entry)) is None
+            assert outpoint not in held and held.get(outpoint) is None
             with pytest.raises(KeyError):
-                held.remove(_outpoint(entry))
+                held.remove(outpoint)
     for entry in coins + fresh:
         assert (_outpoint(entry) in utxo) == (_outpoint(entry) in oracle)
         assert utxo.get(_outpoint(entry)) == oracle.get(_outpoint(entry))
