@@ -47,13 +47,11 @@ class WorkloadProfile:
     txs_per_block: int = 50
     spend_probability: float = 0.04
     op_return_rate: float = 0.05
-    seed: int = 0
 
 
-def light_profile(seed: int = 0, txs_per_block: int = 8) -> WorkloadProfile:
+def light_profile(txs_per_block: int = 8) -> WorkloadProfile:
     """Smaller blocks for multi-thousand-block simulation runs."""
-    return WorkloadProfile(txs_per_block=txs_per_block,
-                           spend_probability=0.05, seed=seed)
+    return WorkloadProfile(txs_per_block=txs_per_block, spend_probability=0.05)
 
 
 class WalletUtxo(NamedTuple):
@@ -72,11 +70,10 @@ class ChainBuilder:
     fails immediately rather than downstream.
     """
 
-    def __init__(self, profile: WorkloadProfile, params: ChainParams,
-                 seed: int | None = None):
+    def __init__(self, profile: WorkloadProfile, params: ChainParams, seed: int):
         self.profile = profile
         self.params = params
-        self.rng = random.Random(profile.seed if seed is None else seed)
+        self.rng = random.Random(seed)
         self.utxo = UtxoSet()
         self.blocks: list[Block] = []
         self.ids: list[bytes] = []  # block ids, as validation computed them
@@ -258,6 +255,7 @@ class ChainBuilder:
         raise ValueError(f"wallet cannot unlock kind {w.kind!r}")
 
 
-def generate_chain(profile: WorkloadProfile, n_blocks: int) -> list[Block]:
+def generate_chain(profile: WorkloadProfile, n_blocks: int,
+                   seed: int = 0) -> list[Block]:
     """Generate genesis plus n_blocks fully validated blocks."""
-    return ChainBuilder(profile, ChainParams()).build(n_blocks)
+    return ChainBuilder(profile, ChainParams(), seed).build(n_blocks)

@@ -11,7 +11,8 @@ Subcommands:
 
 Exit status is 0 on success, 1 on any verification failure, unreadable
 input or unwritable output, and 2 on usage errors, out-of-range numbers
-included (argparse's own convention). Output lands in --out-dir,
+included (argparse's own convention). Every failure prints one line,
+`error: ...`, on stderr. Output lands in --out-dir,
 falling back to $COINPRUNE_OUT, falling back to the working directory.
 Every run is reproducible from its flags: reports embed the seed.
 """
@@ -50,9 +51,20 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _fail(message: str) -> int:
+class UsageError(Exception):
+    """Bad arguments: `main` prints the message as one line and exits 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises its usage errors for `main` to print; prints no usage block."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _fail(message: str, code: int = VERIFY_FAILED) -> int:
     print(f"error: {message}", file=sys.stderr)
-    return VERIFY_FAILED
+    return code
 
 
 def _int_at_least(least: int):
@@ -223,8 +235,8 @@ def _sweep_charts(prefix: str, result: SweepResult, meta: str) -> dict:
 
 def _cmd_chain_gen(args) -> int:
     out_dir = _out_dir(args)
-    profile = light_profile(seed=args.seed, txs_per_block=args.txs_per_block)
-    blocks = generate_chain(profile, args.blocks)
+    blocks = generate_chain(light_profile(txs_per_block=args.txs_per_block),
+                            args.blocks, seed=args.seed)
     out_path = out_dir / args.out
     write_block_file(out_path, blocks)
     written = [str(out_path)]
@@ -297,11 +309,9 @@ def _cmd_snapshot_verify(args) -> int:
     try:
         expected = bytes.fromhex(args.id)
     except ValueError:
-        print("error: --id must be hex", file=sys.stderr)
-        return USAGE
+        raise UsageError("--id must be hex") from None
     if len(expected) != 32:
-        print("error: --id must be 32 bytes of hex", file=sys.stderr)
-        return USAGE
+        raise UsageError("--id must be 32 bytes of hex")
     try:
         snap = read_snapshot_file(args.snap)
     except (OSError, SnapshotError) as exc:
@@ -346,23 +356,12 @@ def _cmd_sim_bootstrap(args) -> int:
         return _fail(f"cannot load scenario: {exc}")
     sim, report = run_simulation(scenario)
 
-    def as_csv(header, rows):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return buf.getvalue()
-
     prefix = args.prefix
     files = {
         f"{prefix}_storage.csv": report.to_csv(),
         f"{prefix}_breakdown.csv": report.breakdown_csv(),
-        f"{prefix}_pulses.csv": as_csv(
-            ("index", "height", "status", "tag", "count"),
-            report.pulse_outcomes),
-        f"{prefix}_joins.csv": as_csv(
-            ("node", "status", "reason", "attempts", "rx_bytes"),
-            report.join_outcomes),
+        f"{prefix}_pulses.csv": report.pulses_csv(),
+        f"{prefix}_joins.csv": report.joins_csv(),
     }
     if args.trace:
         files[f"{prefix}_trace.txt"] = sim.trace.to_text()
@@ -382,14 +381,16 @@ def _cmd_sim_bootstrap(args) -> int:
         if status == "accepted":
             line += f" (tag {tag[:16]}..., {count} reaffirmations)"
         print(line)
-    failed = False
+    failed = 0
     for node, status, reason, attempts, _ in report.join_outcomes:
         line = f"join {node}: {status} after {attempts} attempt(s)"
         if reason:
             line += f" ({reason})"
         print(line)
-        failed = failed or status != "accepted"
-    return VERIFY_FAILED if failed else OK
+        failed += status != "accepted"
+    if failed:
+        return _fail(f"{failed} of {len(report.join_outcomes)} joins aborted")
+    return OK
 
 
 def _cmd_sim_security(args) -> int:
@@ -406,8 +407,7 @@ def _cmd_sim_security(args) -> int:
             mode=args.mode,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
+        raise UsageError(str(exc)) from None
     result = sweep(config, jobs=args.jobs)
 
     prefix = args.prefix
@@ -441,9 +441,7 @@ def _cmd_sim_security(args) -> int:
 def _cmd_report(args) -> int:
     out_dir = _out_dir(args)
     if not args.sweep and not args.storage:
-        print("error: nothing to report, pass --sweep and/or --storage",
-              file=sys.stderr)
-        return USAGE
+        raise UsageError("nothing to report, pass --sweep and/or --storage")
     prefix = args.prefix
     written = []
     if args.sweep:
@@ -477,7 +475,7 @@ def _cmd_report(args) -> int:
 # --- argument wiring ----------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coinprune",
         description="snapshot-based block pruning: chains, snapshots, "
                     "simulations, reports")
@@ -503,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     snap_sub = snap_p.add_subparsers(dest="snapshot_command", required=True)
     create = snap_sub.add_parser("create", help="snapshot a chain prefix")
     create.add_argument("--chain", required=True)
-    create.add_argument("--height", type=int, required=True)
+    create.add_argument("--height", type=_int_at_least(0), required=True)
     create.add_argument("--obfuscate", action="store_true")
     create.add_argument("--out", default="state.snap")
     add_out_dir(create)
@@ -534,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default=[1000])
     sec.add_argument("--k", type=_int_at_least(1), nargs="+", default=[5])
     sec.add_argument("--trials", type=int, default=1000)
-    sec.add_argument("--seed", type=int, default=0)
+    sec.add_argument("--seed", type=_int_at_least(0), default=0)
     sec.add_argument("--jobs", type=_int_at_least(1), default=1,
                      help="parallel sweep cells; never changes the output")
     sec.add_argument("--mode", choices=("binomial", "blockwise"),
@@ -557,10 +555,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help, after printing the usage
+        return exc.code
+    except UsageError as exc:
+        return _fail(str(exc), USAGE)
     except OSError as exc:  # an output directory or file that cannot be written
         return _fail(str(exc))
 

@@ -29,8 +29,8 @@ class CoordinationError(Exception):
 
 @dataclass(frozen=True)
 class PulseParams:
-    delta_p: int
-    delta_r: int
+    delta_p: int = 500
+    delta_r: int = 100
     delta_d: int = 6
     k: int = 5
 

@@ -15,6 +15,8 @@ Every message is metered and traced; identical scenarios (same seed)
 produce byte-identical traces and reports.
 """
 
+import csv
+import io
 import random
 import struct
 from dataclasses import dataclass
@@ -24,8 +26,8 @@ from . import appdata as appdata_mod
 from . import coordination
 from . import scripts
 from . import snapshot as snapshot_mod
-from .chain import (HEADER_RECORD_SIZE, ChainError, ChainParams, UtxoEntry,
-                    UtxoSet, replay_blocks, verify_headerchain)
+from .chain import (HEADER_RECORD_SIZE, HEADER_SIZE, ChainError, ChainParams,
+                    UtxoEntry, UtxoSet, replay_blocks, verify_headerchain)
 from .chaingen import ChainBuilder, WorkloadProfile, light_profile
 from .coordination import CoordinationError, PulseParams
 from .scripts import CompressedTxOut
@@ -38,10 +40,10 @@ STATE = "state"
 APPDATA = "appdata"
 
 # A message's wire size is MSG_OVERHEAD plus its payload: 26 bytes for
-# version, 40 for a state header, an 8-byte index plus the data for a
-# state chunk, the raw block for a block, and a 4-byte count plus the
-# entries for a list (inv and getdata of INV_ENTRY_SIZE, headers of 80,
-# a getheaders locator of 32).
+# version, the snapshot header for a state header, an 8-byte index plus
+# the data for a state chunk, the raw block for a block, and a 4-byte
+# count plus the entries for a list (inv and getdata of INV_ENTRY_SIZE,
+# headers of the block header size, a getheaders locator of 32).
 MSG_OVERHEAD = 24
 INV_ENTRY_SIZE = 36
 
@@ -78,8 +80,8 @@ class NodeConfig:
 @dataclass(frozen=True)
 class SimScenario:
     nodes: tuple
-    params: PulseParams
-    chain_length: int
+    params: PulseParams = PulseParams()
+    chain_length: int = 1200
     seed: int = 0
     profile: WorkloadProfile = light_profile()
     obfuscate: bool = False
@@ -97,6 +99,10 @@ class SimScenario:
             raise SimError("scenario needs at least one miner")
         if self.neighbor_count < 0:
             raise SimError("neighbor count must not be negative")
+        if self.chain_length < 0:
+            raise SimError("chain length must not be negative")
+        if self.profile.txs_per_block < 0:
+            raise SimError("transactions per block must not be negative")
         if not -2**63 <= self.seed < 2**63:
             raise SimError("seed must fit in 64 bits")
 
@@ -119,11 +125,6 @@ class PulseRecord:
     bogus_tag: bytes | None = None
     outcome: coordination.PulseOutcome | None = None
 
-    def served(self, bogus: bool) -> tuple[Snapshot, Snapshot]:
-        """(snapshot, app-data snapshot) served for this pulse; a forged
-        state comes with the genuine app data."""
-        return self.bogus_snap if bogus else self.genuine_snap, self.genuine_app
-
     def status(self) -> tuple[str, str, int]:
         """(open | accepted | skipped, tag hex or "-", count) of the window."""
         if self.outcome is None:
@@ -140,7 +141,7 @@ class NodeState:
     tx_bytes: int = 0
     pruned_below: int = 0  # block heights below this are discarded
     sync_rounds: int = 0
-    held: tuple[PulseRecord, bool] | None = None  # snapshot kept: (record, bogus)
+    held: tuple[Snapshot, Snapshot] | None = None  # (state, app data) served
 
 
 @dataclass
@@ -164,31 +165,41 @@ class Trace:
         return "\n".join(self.lines) + "\n"
 
 
+def _csv(columns: str, rows: list) -> str:
+    """A table as CSV text: the comma-separated column names, then the rows."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([columns.split(","), *rows])
+    return out.getvalue()
+
+
 @dataclass
 class RunReport:
-    rows: list  # (node, bytes_stored, bytes_rx, bytes_tx, sync_rounds)
-    breakdown: list  # (node, headers, blocks, snapshot, appdata)
-    pulse_outcomes: list  # (index, height, status, tag_hex, count)
-    join_outcomes: list  # (node, status, reason, attempts, rx_bytes)
+    """The run's four tables, one tuple per row in its CSV's column order."""
+    rows: list
+    breakdown: list
+    pulse_outcomes: list
+    join_outcomes: list
 
     def to_csv(self) -> str:
-        out = ["node,bytes_stored,bytes_rx,bytes_tx,sync_rounds"]
-        out += [f"{n},{s},{rx},{tx},{r}" for n, s, rx, tx, r in self.rows]
-        return "\n".join(out) + "\n"
+        return _csv("node,bytes_stored,bytes_rx,bytes_tx,sync_rounds", self.rows)
 
     def breakdown_csv(self) -> str:
-        out = ["node,header_bytes,block_bytes,snapshot_bytes,appdata_bytes"]
-        out += [f"{n},{h},{b},{s},{a}" for n, h, b, s, a in self.breakdown]
-        return "\n".join(out) + "\n"
+        return _csv("node,header_bytes,block_bytes,snapshot_bytes,appdata_bytes",
+                    self.breakdown)
+
+    def pulses_csv(self) -> str:
+        return _csv("index,height,status,tag,count", self.pulse_outcomes)
+
+    def joins_csv(self) -> str:
+        return _csv("node,status,reason,attempts,rx_bytes", self.join_outcomes)
 
 
 class Simulation:
     def __init__(self, scenario: SimScenario):
         self.scenario = scenario
         self.params = scenario.params
-        self.chain_params = ChainParams()
-        self.builder = ChainBuilder(scenario.profile, self.chain_params,
-                                    seed=_sub_seed(scenario.seed, "chain"))
+        self.builder = ChainBuilder(scenario.profile, ChainParams(),
+                                    _sub_seed(scenario.seed, "chain"))
         self.rng = random.Random(_sub_seed(scenario.seed, "net"))
         self.trace = Trace()
         self.nodes = {cfg.name: NodeState(cfg) for cfg in scenario.nodes}
@@ -329,10 +340,10 @@ class Simulation:
             or rec.outcome.tag == rec.bogus_tag
         for cfg in self.established:
             node = self.nodes[cfg.name]
-            if cfg.adversarial and forged:
-                node.held = rec, True
+            if cfg.adversarial and forged:  # with the genuine app data
+                node.held = rec.bogus_snap, rec.genuine_app
             elif cfg.coinprune and genuine:
-                node.held = rec, False
+                node.held = rec.genuine_snap, rec.genuine_app
             if cfg.coinprune and genuine:
                 node.pruned_below = rec.height + 1
         if genuine:
@@ -349,8 +360,7 @@ class Simulation:
         if node.held is None:
             return None
         return tuple((kind, hash256(obj.header.serialize()), obj.digests)
-                     for kind, obj in zip((STATE, APPDATA),
-                                          node.held[0].served(node.held[1])))
+                     for kind, obj in zip((STATE, APPDATA), node.held))
 
     def _serve_chunk(self, cfg: NodeConfig, snap: Snapshot, index: int) -> bytes:
         data = snap.chunks[index]
@@ -426,15 +436,14 @@ class Simulation:
 
         def group_key(item: tuple) -> tuple:
             objects, peers = item
-            rec = self.nodes[peers[0].name].held[0]
+            snap = self.nodes[peers[0].name].held[0]
             _, head_digest, digests = objects[0]
-            return (-len(peers), -rec.height,
+            return (-len(peers), -snap.header.height,
                     snapshot_mod.layered_id(head_digest, digests))
 
         objects, group = sorted(groups.items(), key=group_key)[0]
         group = sorted(group, key=lambda c: c.name)
-        held = self.nodes[group[0].name].held
-        served = held[0].served(held[1])
+        served = self.nodes[group[0].name].held
 
         head_peer = group[0]
         tip_height = self._sync_headers(name, head_peer)
@@ -443,7 +452,8 @@ class Simulation:
         self._send(name, head_peer.name, "getdata",
                    4 + INV_ENTRY_SIZE * len(objects))
         for _ in objects:
-            self._send(head_peer.name, name, "stateheader", 40)
+            self._send(head_peer.name, name, "stateheader",
+                       snapshot_mod.HEADER_SIZE)
         self._round(name)
 
         height = served[0].header.height
@@ -483,7 +493,7 @@ class Simulation:
             return "snapshot was not the reaffirmed tag"
 
         self._keep_join(name, utxo, appdata_mod.parse_store(app_snap),
-                        chaintail, held)
+                        chaintail, served)
         return ""
 
     def _fetch_object(self, name: str, group: list[NodeConfig], entry: tuple,
@@ -555,9 +565,9 @@ class Simulation:
         """Fetch and verify the headerchain from one peer; its tip height."""
         self._send(name, peer.name, "getheaders", 4)
         headers = [b.header for b in self.builder.blocks]
-        self._send(peer.name, name, "headers", 4 + 80 * len(headers))
+        self._send(peer.name, name, "headers", 4 + HEADER_SIZE * len(headers))
         self._round(name)
-        verify_headerchain(headers, self.chain_params)
+        verify_headerchain(headers, self.builder.params)
         return len(headers) - 1
 
     def _download_blocks(self, name: str, peers: list[NodeConfig],
@@ -582,13 +592,13 @@ class Simulation:
         start = heights[0]
         prev_id = self.builder.ids[start - 1] if start else b"\x00" * 32
         tip_id = replay_blocks(utxo, self.builder.blocks, heights, prev_id,
-                               self.chain_params)
+                               self.builder.params)
         if tip_id != self.builder.ids[heights[-1]]:
             raise SimError(f"block {heights[-1]} does not match headerchain")
 
     def _keep_join(self, name: str, utxo: UtxoSet,
                    store: appdata_mod.AppDataStore, heights: range,
-                   held: tuple[PulseRecord, bool] | None = None) -> None:
+                   held: tuple[Snapshot, Snapshot] | None = None) -> None:
         """Record a join's state, its app data extended over the replay;
         the joiner keeps the replayed blocks and the applied snapshot."""
         for h in heights:
@@ -605,8 +615,7 @@ class Simulation:
         node = self.nodes[name]
         snap_bytes = app_bytes = 0
         if node.held is not None:
-            snap_bytes, app_bytes = map(snapshot_mod.wire_size,
-                                        node.held[0].served(node.held[1]))
+            snap_bytes, app_bytes = map(snapshot_mod.wire_size, node.held)
         return (HEADER_RECORD_SIZE * len(self.block_bytes),
                 sum(self.block_bytes[node.pruned_below:]), snap_bytes, app_bytes)
 
@@ -636,7 +645,8 @@ def run_simulation(scenario: SimScenario) -> tuple[Simulation, RunReport]:
 # --- scenario files -----------------------------------------------------------
 
 def parse_scenario(text: str) -> SimScenario:
-    """Flat key-value scenario format; see format_scenario for the shape."""
+    """Flat key-value scenario format; see format_scenario for the shape.
+    A key left out takes its dataclass default; a key given twice fails."""
     fields: dict[str, str] = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -644,15 +654,15 @@ def parse_scenario(text: str) -> SimScenario:
             continue
         if "=" not in line:
             raise SimError(f"bad scenario line: {raw!r}")
-        key, value = line.split("=", 1)
-        fields[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in fields:
+            raise SimError(f"repeated scenario key {key!r}")
+        fields[key] = value
     unknown = fields.keys() - SCENARIO_KEYS
     if unknown:
         raise SimError(f"unknown scenario key(s): {', '.join(sorted(unknown))}")
 
-    def get_bool(key: str, default: bool) -> bool:
-        if key not in fields:
-            return default
+    def get_bool(key: str) -> bool:
         value = fields[key].lower()
         if value in ("true", "yes", "1"):
             return True
@@ -661,7 +671,7 @@ def parse_scenario(text: str) -> SimScenario:
         raise SimError(f"bad boolean for {key}: {fields[key]!r}")
 
     # app data is always kept; older scenario files say so explicitly
-    if not get_bool("appdata", True):
+    if "appdata" in fields and not get_bool("appdata"):
         raise SimError("appdata = false is not supported")
     if "roles" not in fields:
         raise SimError("scenario needs a roles line")
@@ -673,11 +683,15 @@ def parse_scenario(text: str) -> SimScenario:
             if len(bits) != 3:
                 raise SimError(f"bad role spec {part!r} (want role:count:variant)")
             role, count_s, variant = bits
+            # checked here: the name counters below index by role
             if role not in ("miner", "full", "joining"):
                 raise SimError(f"unknown role {role!r}")
             if variant not in ("coinprune", "legacy", "adversarial"):
                 raise SimError(f"unknown variant {variant!r}")
-            for _ in range(int(count_s)):
+            count = int(count_s)
+            if count < 0:
+                raise SimError(f"negative count in role spec {part!r}")
+            for _ in range(count):
                 if variant == "adversarial":
                     name = f"adv{counters['adv']}"
                     counters["adv"] += 1
@@ -690,27 +704,28 @@ def parse_scenario(text: str) -> SimScenario:
         if "nodes" in fields and int(fields["nodes"]) != len(nodes):
             raise SimError("nodes count does not match roles")
 
-        pairs = {}
-        for part in fields.get("params", "").split():
-            key, value = part.split("=")
-            pairs[key] = int(value)
-        params = PulseParams(delta_p=pairs.get("delta_p", 500),
-                             delta_r=pairs.get("delta_r", 100),
-                             delta_d=pairs.get("delta_d", 6),
-                             k=pairs.get("k", 5))
-
-        faults = tuple(fields.get("faults", "").split())
-        profile = light_profile(txs_per_block=int(fields.get("txs_per_block", "8")))
-        return SimScenario(
-            nodes=tuple(nodes),
-            params=params,
-            chain_length=int(fields.get("blocks", "1200")),
-            seed=int(fields.get("seed", "0")),
-            profile=profile,
-            obfuscate=get_bool("obfuscate", False),
-            faults=faults,
-            neighbor_count=int(fields.get("neighbors", "8")),
-        )
+        given = {name: int(fields[key]) for key, name in (
+            ("seed", "seed"), ("blocks", "chain_length"),
+            ("neighbors", "neighbor_count")) if key in fields}
+        if "params" in fields:
+            pairs: dict[str, int] = {}
+            for part in fields["params"].split():
+                key, value = part.split("=")
+                if key in pairs:
+                    raise SimError(f"repeated params name {key!r}")
+                pairs[key] = int(value)
+            try:
+                given["params"] = PulseParams(**pairs)
+            except TypeError as exc:  # a name PulseParams does not take
+                raise SimError(f"bad scenario params: {exc}") from None
+        if "txs_per_block" in fields:
+            given["profile"] = light_profile(
+                txs_per_block=int(fields["txs_per_block"]))
+        if "obfuscate" in fields:
+            given["obfuscate"] = get_bool("obfuscate")
+        if "faults" in fields:
+            given["faults"] = tuple(fields["faults"].split())
+        return SimScenario(nodes=tuple(nodes), **given)
     except (ValueError, CoordinationError) as exc:
         raise SimError(f"bad scenario value: {exc}") from None
 

@@ -21,6 +21,8 @@ from .hashing import hash256
 from .chain import SnapshotError, UtxoSet, obfuscate_record
 
 CHUNK_SIZE = 1 << 20
+_HEADER_FORMAT = "<I32sI"  # height, block id, chunk count
+HEADER_SIZE = struct.calcsize(_HEADER_FORMAT)  # 40
 
 
 class SnapshotHeader(NamedTuple):
@@ -29,14 +31,14 @@ class SnapshotHeader(NamedTuple):
     chunk_count: int
 
     def serialize(self) -> bytes:
-        return struct.pack("<I32sI", self.height, self.block_id,
+        return struct.pack(_HEADER_FORMAT, self.height, self.block_id,
                            self.chunk_count)
 
     @classmethod
     def parse(cls, data: bytes) -> "SnapshotHeader":
-        if len(data) != 40:
-            raise SnapshotError("snapshot header must be 40 bytes")
-        return cls(*struct.unpack("<I32sI", data))
+        if len(data) != HEADER_SIZE:
+            raise SnapshotError(f"snapshot header must be {HEADER_SIZE} bytes")
+        return cls(*struct.unpack(_HEADER_FORMAT, data))
 
 
 class Snapshot(NamedTuple):
@@ -156,7 +158,7 @@ def apply_snapshot(snapshot: Snapshot) -> UtxoSet:
 
 def wire_size(snapshot: Snapshot) -> int:
     """Bytes on disk or wire: header plus length-prefixed chunks."""
-    return 40 + sum(4 + len(c) for c in snapshot.chunks)
+    return HEADER_SIZE + sum(4 + len(c) for c in snapshot.chunks)
 
 
 def write_snapshot_file(path, snapshot: Snapshot) -> None:
@@ -171,8 +173,8 @@ def read_snapshot_file(path) -> Snapshot:
     """Read the header, then each length prefix and chunk in turn, so no
     second copy of the chunks is held."""
     with open(path, "rb") as fh:
-        left = os.fstat(fh.fileno()).st_size - 40
-        header = SnapshotHeader.parse(fh.read(40))
+        left = os.fstat(fh.fileno()).st_size - HEADER_SIZE
+        header = SnapshotHeader.parse(fh.read(HEADER_SIZE))
         chunks = []
         for _ in range(header.chunk_count):
             if left < 4:

@@ -32,4 +32,4 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture(scope="session")
 def light_chain():
     """Genesis plus 600 validated light-workload blocks, shared read-only."""
-    return generate_chain(light_profile(seed=1234), 600)
+    return generate_chain(light_profile(), 600, seed=1234)

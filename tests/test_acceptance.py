@@ -203,7 +203,7 @@ def test_criterion_4_tamper_rejection(acceptance):
         if held is None:
             violations.append(seed)
             continue
-        snap, app = held[0].served(held[1])
+        snap, app = held
         tag = hash256(snap.id + app.id)
         if tag != _window_winner(sim.builder.blocks, snap.header.height,
                                  params):
@@ -268,7 +268,7 @@ def test_criterion_5_obfuscation_equivalence(acceptance):
 
 def test_criterion_6_storage_accounting(acceptance):
     params = PulseParams(delta_p=200, delta_r=50, delta_d=6, k=5)
-    profile = WorkloadProfile(txs_per_block=12, spend_probability=0.05, seed=0)
+    profile = WorkloadProfile(txs_per_block=12, spend_probability=0.05)
     scenario = SimScenario(nodes=_nodes(joining=False), params=params,
                            chain_length=6400, seed=60, profile=profile)
     sim, report = run_simulation(scenario)
@@ -313,7 +313,7 @@ def test_criterion_6_storage_accounting(acceptance):
 
 def test_criterion_7_appdata_preservation(acceptance):
     profile = WorkloadProfile(txs_per_block=8, spend_probability=0.05,
-                              op_return_rate=0.3, seed=0)
+                              op_return_rate=0.3)
     params = PulseParams(delta_p=500, delta_r=100, delta_d=6, k=5)
     scenario = SimScenario(nodes=_nodes(), params=params, chain_length=1500,
                            seed=70, profile=profile)
@@ -335,8 +335,9 @@ def test_criterion_7_appdata_preservation(acceptance):
     held = sim.nodes["j0"].held
     tag_ok = False
     if held is not None:
-        snap, app = held[0].served(held[1])
-        tag_ok = held[0].outcome.tag == hash256(snap.id + app.id)
+        snap, app = held
+        rec = sim.pulses[snap.header.height // params.delta_p]
+        tag_ok = rec.outcome.tag == hash256(snap.id + app.id)
     ok = (outcome.accepted and outcome.via_snapshot
           and sim.nodes["full0"].pruned_below == 1001
           and len(expected) > 0 and found == len(expected) == len(store)
@@ -359,8 +360,8 @@ def test_criterion_8_determinism(tmp_path, acceptance):
                 and rep1.pulse_outcomes == rep2.pulse_outcomes
                 and rep1.join_outcomes == rep2.join_outcomes)
 
-    chain_a = generate_chain(light_profile(seed=3), 200)
-    chain_b = generate_chain(light_profile(seed=3), 200)
+    chain_a = generate_chain(light_profile(), 200, seed=3)
+    chain_b = generate_chain(light_profile(), 200, seed=3)
     chain_ok = [b.serialize() for b in chain_a] \
         == [b.serialize() for b in chain_b]
 

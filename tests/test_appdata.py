@@ -13,12 +13,12 @@ from coinprune.snapshot import Snapshot, SnapshotError, decode_records
 # hash256 of thirty-two 0x01 bytes followed by thirty-two 0x02 bytes
 COMBINED_GOLDEN = "39ce20bede82c96b8908bec4a157b09c549b3db90b9b474bda9ae9b9030310b4"
 
-OP_RETURN_HEAVY = WorkloadProfile(txs_per_block=10, op_return_rate=0.5, seed=77)
+OP_RETURN_HEAVY = WorkloadProfile(txs_per_block=10, op_return_rate=0.5)
 
 
 @pytest.fixture(scope="module")
 def op_return_chain():
-    return generate_chain(OP_RETURN_HEAVY, 120)
+    return generate_chain(OP_RETURN_HEAVY, 120, seed=77)
 
 
 def _oracle_entries(blocks):

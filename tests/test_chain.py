@@ -290,7 +290,7 @@ def test_base_coin_spent_at_h_is_missing_at_h_plus_1():
 # --- replay against a set-difference oracle --------------------------------------
 
 def test_replay_matches_set_difference_oracle():
-    blocks = generate_chain(light_profile(seed=9), 50)
+    blocks = generate_chain(light_profile(), 50, seed=9)
     utxo = UtxoSet()
     tip = replay_blocks(utxo, blocks, range(len(blocks)), b"\x00" * 32, PARAMS)
     assert tip == blocks[-1].block_id()

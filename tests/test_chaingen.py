@@ -15,7 +15,7 @@ from coinprune.scripts import MAX_OP_RETURN_PAYLOAD, ScriptClass, classify, deco
 
 @pytest.fixture(scope="module")
 def default_chain():
-    return generate_chain(WorkloadProfile(seed=42), 1200)
+    return generate_chain(WorkloadProfile(), 1200, seed=42)
 
 
 def _chain_bytes(blocks):
@@ -23,14 +23,14 @@ def _chain_bytes(blocks):
 
 
 def test_same_seed_same_bytes():
-    a = generate_chain(light_profile(seed=9), 60)
-    b = generate_chain(light_profile(seed=9), 60)
+    a = generate_chain(light_profile(), 60, seed=9)
+    b = generate_chain(light_profile(), 60, seed=9)
     assert _chain_bytes(a) == _chain_bytes(b)
 
 
 def test_different_seed_different_bytes():
-    a = generate_chain(light_profile(seed=9), 60)
-    b = generate_chain(light_profile(seed=10), 60)
+    a = generate_chain(light_profile(), 60, seed=9)
+    b = generate_chain(light_profile(), 60, seed=10)
     assert _chain_bytes(a) != _chain_bytes(b)
 
 
@@ -108,9 +108,9 @@ def test_utxo_size_stays_in_equilibrium(default_chain):
 
 
 def test_light_profile_is_lighter():
-    default = ChainBuilder(WorkloadProfile(seed=42), ChainParams())
+    default = ChainBuilder(WorkloadProfile(), ChainParams(), 42)
     default.build(400)
-    light = ChainBuilder(light_profile(seed=42), ChainParams())
+    light = ChainBuilder(light_profile(), ChainParams(), 42)
     light.build(400)
     # compare steady-state tails; early blocks are wallet-constrained in
     # both profiles and tell you nothing
@@ -121,6 +121,6 @@ def test_light_profile_is_lighter():
 
 
 def test_unfundable_profile_degrades_to_coinbase_blocks():
-    profile = WorkloadProfile(txs_per_block=50, spend_probability=0.0, seed=3)
-    blocks = generate_chain(profile, 20)
+    profile = WorkloadProfile(txs_per_block=50, spend_probability=0.0)
+    blocks = generate_chain(profile, 20, seed=3)
     assert all(len(b.transactions) == 1 for b in blocks[1:])

@@ -11,7 +11,7 @@ import json
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from coinprune.cli import OUT_DIR_ENV, main
@@ -217,9 +217,18 @@ def test_snapshot_create_holds_one_parsed_block_at_a_time(chain_dir, tmp_path,
     b"roles = miner:1:coinprune\nprune = false\n",
     b"roles = miner:1:coinprune\nblcoks = 10\n",
     b"roles = miner:1:coinprune\nappdata = false\n",
+    b"roles = miner:1:coinprune\nblocks = 5\nparams = delta_p=200 delta_R=50\n",
+    b"roles = miner:1:coinprune\nblocks = 5\nblocks = 6\n",
+    b"roles = miner:1:coinprune\nblocks = 5\n"
+    b"params = delta_p=200 delta_p=300\n",
+    b"roles = miner:1:coinprune full:-3:legacy\nblocks = 5\n",
+    b"roles = miner:1:coinprune\nblocks = -5\n",
+    b"roles = miner:1:coinprune\nblocks = 5\ntxs_per_block = -1\n",
 ], ids=["count", "param-pair", "param-value", "role", "not-utf8",
         "neighbors", "seed", "overlapping-windows", "prune-key",
-        "misspelt-key", "appdata-false"])
+        "misspelt-key", "appdata-false", "misspelt-param", "repeated-key",
+        "repeated-param", "negative-role-count", "negative-blocks",
+        "negative-txs-per-block"])
 def test_sim_bootstrap_rejects_bad_scenario(tmp_path, capsys, raw):
     scn = tmp_path / "bad.scn"
     scn.write_bytes(raw)
@@ -352,13 +361,10 @@ def test_out_dir_env_fallback(tmp_path, monkeypatch, capsys):
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["chain", "frobnicate"])
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        main([])
-    assert err.value.code == 2
-    capsys.readouterr()
+    for argv in (["chain", "frobnicate"], [], ["chain", "gen"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -389,12 +395,15 @@ def test_unwritable_out_dir_fails_closed(tmp_path, monkeypatch, capsys, argv):
     ["sim", "security", "--delta-r", "0"],
     ["sim", "security", "--k", "5", "0"],
     ["sim", "security", "--jobs", "0"],
-], ids=["blocks", "txs-per-block", "delta-r", "k", "jobs"])
+    ["sim", "security", "--seed", "-1"],
+    ["snapshot", "create", "--chain", "chain.blk", "--height", "-1"],
+], ids=["blocks", "txs-per-block", "delta-r", "k", "jobs", "security-seed",
+        "snapshot-height"])
 def test_out_of_range_arguments_are_usage_errors(tmp_path, capsys, argv):
-    with pytest.raises(SystemExit) as err:
-        main(argv + ["--out-dir", str(tmp_path)])
-    assert err.value.code == 2
-    assert "must be at least" in capsys.readouterr().err
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be at least" in err
     assert not any(tmp_path.iterdir())
 
 
@@ -486,3 +495,196 @@ def test_report_and_verify_fail_closed_on_generated_files(
     if code:
         assert err.getvalue().startswith("error: ") \
             and err.getvalue().count("\n") == 1
+
+
+# generated argv for every leaf command, over generated input files: the
+# valid files of a small run, cut, with one byte flipped, or raw bytes,
+# and scenario files built from the format's own words. Counts stay small
+# so that one example runs well under a second.
+def _pick(valid: list, invalid: list):
+    """Mostly valid values, so that most examples get past the parser."""
+    return st.sampled_from(valid * 3 + invalid)
+
+
+def _often(usual, *others):
+    """Draws from `usual` three times as often as from each of `others`."""
+    return _pick([usual], list(others)).flatmap(lambda strategy: strategy)
+
+
+def _mutated(valid: bytes):
+    def flip(at_mask):
+        at, mask = at_mask
+        at %= len(valid)
+        return valid[:at] + bytes([valid[at] ^ mask]) + valid[at + 1:]
+    return _often(
+        st.just(valid), st.integers(0, len(valid)).map(lambda n: valid[:n]),
+        st.tuples(st.integers(0), st.integers(1, 255)).map(flip),
+        st.binary(max_size=64))
+
+
+_SCENARIO_VALUES = {
+    "seed": _pick(["0", "1", "-1"], [str(2**63), "x"]),
+    "blocks": _pick(["0", "3", "12", "30"], ["-2", "x"]),
+    "nodes": _pick(["1", "3"], ["-1", "x"]),
+    "roles": st.lists(_often(
+        st.tuples(st.sampled_from(["miner", "full", "joining"]),
+                  st.sampled_from(["0", "1", "2"]),
+                  st.sampled_from(["coinprune", "legacy", "adversarial"])
+                  ).map(":".join),
+        st.sampled_from(["archivist:1:coinprune", "miner:x:legacy",
+                         "full:-1:legacy", "joining:1:x", "miner:1"])),
+        max_size=4).map(" ".join).flatmap(lambda roles: _pick(
+            [f"miner:1:coinprune {roles}"], [roles])),
+    "params": st.one_of(
+        st.sampled_from(["delta_p=5 delta_r=3 delta_d=1 k=2",
+                         "delta_p=10 delta_r=4 delta_d=0 k=1", ""]),
+        st.lists(st.sampled_from(
+            ["delta_p=0", "delta_r=20", "k=9", "delta_d=-1", "delta_R=5",
+             "delta_p", "k=1=2", "delta_p=x"]), max_size=3).map(" ".join)),
+    "faults": st.lists(st.sampled_from(
+        ["bogus_tags", "bogus_chunks", "bogus_snapshot", "eclipse", "x"]),
+        max_size=3).map(" ".join),
+    "obfuscate": _pick(["true", "false"], ["yes", "0", "maybe"]),
+    "appdata": _pick(["true"], ["false", "x"]),
+    "txs_per_block": _pick(["0", "1", "4"], ["-1"]),
+    "neighbors": _pick(["0", "1", "3"], ["-1"]),
+    "prune": st.just("true"),
+}
+_SCENARIO_LINE = st.sampled_from(sorted(_SCENARIO_VALUES)).flatmap(
+    lambda key: _SCENARIO_VALUES[key].map(lambda value: f"{key} = {value}"))
+_SCENARIO = st.tuples(
+    _SCENARIO_VALUES["blocks"], _SCENARIO_VALUES["roles"],
+    st.lists(_often(_SCENARIO_LINE, st.sampled_from(["# note", "junk"])),
+             max_size=4),
+).map(lambda t: "\n".join([f"blocks = {t[0]}", f"roles = {t[1]}", *t[2]]))
+
+_NAME = _pick(["a.out"], ["", ".", "sub/x"])
+_INT = _pick(["0", "1", "2"], ["-1", "x"])
+# flags an example gives nine times in ten: those the command requires,
+# and report's --sweep, without which it has nothing to do
+_USUAL = {("chain", "gen"): ["--blocks"],
+          ("snapshot", "create"): ["--chain", "--height"],
+          ("snapshot", "verify"): ["--snap", "--id"],
+          ("snapshot", "id"): ["--snap"],
+          ("sim", "bootstrap"): ["--scenario"],
+          ("report",): ["--sweep"]}
+# flags always given: without them sim security sweeps the full grid
+_ALWAYS = {("sim", "security"): ["--delta-r", "--trials", "--step"]}
+
+
+def _leaf_flags(files: dict, ids: list[str]) -> dict:
+    """Each leaf command's flags: a value strategy, None for a switch,
+    or a list strategy for a flag that takes several values."""
+    def path(name: str):
+        return _pick([str(files[name])], [str(files["missing"])])
+
+    out_dir = _pick([str(files["out"])], [str(files["blocker"] / "o")])
+    return {
+        ("chain", "gen"): {
+            "--blocks": _pick(["0", "3", "12"], ["-1", "x"]),
+            "--seed": _INT, "--txs-per-block": _INT, "--out": _NAME,
+            "--headers": _NAME, "--out-dir": out_dir},
+        ("snapshot", "create"): {
+            "--chain": path("chain"),
+            "--height": _pick(["0", "12", "20"], ["-1", "99", "x"]),
+            "--obfuscate": None, "--out": _NAME, "--out-dir": out_dir},
+        ("snapshot", "verify"): {
+            "--snap": path("snap"),
+            "--id": _pick(ids, ["zz", "ab", "ab" * 32]),
+            "--hashes": path("hashes")},
+        ("snapshot", "id"): {"--snap": path("snap")},
+        ("sim", "bootstrap"): {
+            "--scenario": path("scenario"),
+            "--seed": _pick(["0", "7"], [str(2**63), "x"]),
+            "--trace": None, "--prefix": _NAME, "--out-dir": out_dir},
+        ("sim", "security"): {
+            "--delta-r": _often(st.lists(_pick(["5", "20", "1"], ["0", "x"]),
+                                         min_size=1, max_size=2), st.just([])),
+            "--k": _often(st.lists(_pick(["1", "3"], ["0", "30"]),
+                                   min_size=1, max_size=2), st.just([])),
+            "--trials": _pick(["1", "3"], ["0", "x"]), "--seed": _INT,
+            "--jobs": _pick(["1"], ["0", "x"]),
+            "--mode": _pick(["binomial", "blockwise"], ["x"]),
+            "--step": _pick(["10", "25", "50", "100"], ["0", "7"]),
+            "--n-miners": _pick(["1", "10", "100"], ["-1", "0"]),
+            "--prefix": _NAME, "--out-dir": out_dir},
+        ("report",): {
+            "--sweep": path("sweep"), "--storage": path("storage"),
+            "--prefix": _NAME, "--out-dir": out_dir},
+    }
+
+
+@pytest.fixture(scope="module")
+def argv_fuzz_files(tmp_path_factory):
+    """Paths of the generated inputs, and the valid bytes they start from."""
+    d = tmp_path_factory.mktemp("argv")
+    files = {name: d / name for name in (
+        "chain", "snap", "scenario", "sweep", "storage", "out", "missing")}
+    files["hashes"] = d / "snap.hashes"  # also the snapshot's sidecar
+    files["blocker"] = d / "blocker"
+    files["blocker"].write_text("a file where a directory should go")
+    valid = d / "valid"
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["chain", "gen", "--blocks", "20", "--seed", "2",
+                     "--out", "chain.blk", "--out-dir", str(valid)]) == 0
+        assert main(["snapshot", "create", "--chain", str(valid / "chain.blk"),
+                     "--height", "12", "--out", "state.snap",
+                     "--out-dir", str(valid)]) == 0
+        assert main(["sim", "security", "--delta-r", "10", "--k", "2",
+                     "--trials", "3", "--step", "50", "--prefix", "s",
+                     "--out-dir", str(valid)]) == 0
+    snap_id = out.getvalue().split("snapshot id ")[1].split()[0]
+    sources = {"chain": valid / "chain.blk", "snap": valid / "state.snap",
+               "hashes": valid / "state.snap.hashes",
+               "sweep": valid / "s_sweep.csv"}
+    start = {name: path.read_bytes() for name, path in sources.items()}
+    start["storage"] = b"node,bytes_stored\nm0,10\nm1,2\n"
+    return files, start, [snap_id, "00" * 32]
+
+
+@pytest.mark.parametrize("command", [
+    ("chain", "gen"), ("snapshot", "create"), ("snapshot", "verify"),
+    ("snapshot", "id"), ("sim", "bootstrap"), ("sim", "security"),
+    ("report",)], ids=" ".join)
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_every_command_fails_closed_on_generated_argv(argv_fuzz_files,
+                                                      command, data):
+    files, start, ids = argv_fuzz_files
+    for name in ("chain", "snap", "sweep", "storage"):
+        files[name].write_bytes(data.draw(_mutated(start[name]), label=name))
+    files["hashes"].write_bytes(data.draw(st.one_of(
+        _mutated(start["hashes"]),
+        st.lists(_MANIFEST_LINE, max_size=3).map(
+            lambda lines: "\n".join(lines).encode())), label="hashes"))
+    files["scenario"].write_bytes(data.draw(_often(
+        _SCENARIO.map(str.encode), st.binary(max_size=64)), label="scenario"))
+
+    flags = _leaf_flags(files, ids)
+    argv = list(command)
+    usual = _USUAL.get(command, [])
+    always = _ALWAYS.get(command, [])
+    optional = sorted(set(flags[command]) - set(usual) - set(always))
+    chosen = always + [flag for flag in usual if data.draw(
+        st.sampled_from([True] * 9 + [False]), label=f"{flag} given")]
+    chosen += data.draw(st.lists(st.sampled_from(optional), unique=True)
+                        if optional else st.just([]), label="flags")
+    for flag in chosen:
+        value = flags[command][flag]
+        argv.append(flag)
+        if value is not None:
+            drawn = data.draw(value, label=flag)
+            argv += drawn if isinstance(drawn, list) else [drawn]
+    argv += data.draw(st.sampled_from(
+        [[]] * 9 + [["--bogus"], ["extra"], ["--help"]]), label="tail")
+
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err), pytest.MonkeyPatch.context() as mp:
+        mp.setenv(OUT_DIR_ENV, str(files["out"]))  # for a left-out --out-dir
+        code = main(argv)
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().startswith("error: ") \
+            and err.getvalue().count("\n") == 1, err.getvalue()

@@ -49,9 +49,10 @@ def honest_run():
 
 
 def _held(sim, name: str):
-    """The pulse record a joiner keeps, and the tag of what it holds."""
-    rec, bogus = sim.nodes[name].held
-    snap, app = rec.served(bogus)
+    """The pulse record of the snapshot a joiner keeps, and the tag of
+    what it holds."""
+    snap, app = sim.nodes[name].held
+    rec = sim.pulses[snap.header.height // sim.params.delta_p]
     return rec, combined_tag(snap.id, app.id)
 
 
@@ -63,7 +64,7 @@ def test_all_honest_bootstrap_equivalence(honest_run):
         assert outcome.accepted, outcome.reason
         assert serialize_utxo_set(sim.join_utxo[name]) == canonical
     assert sim.join_results["jcp"].via_snapshot
-    assert sim.nodes["jcp"].held[0].index == 2
+    assert _held(sim, "jcp")[0].index == 2
     assert not sim.join_results["jleg"].via_snapshot
     assert all(status == "accepted" for _, status, *_ in report.join_outcomes)
 
@@ -71,7 +72,7 @@ def test_all_honest_bootstrap_equivalence(honest_run):
 def test_accepted_tag_is_combined_tag(honest_run):
     sim, _ = honest_run
     rec, tag = _held(sim, "jcp")
-    assert sim.nodes["jcp"].held == (rec, False)
+    assert sim.nodes["jcp"].held == (rec.genuine_snap, rec.genuine_app)
     assert rec.genuine_app is not None
     assert tag == rec.genuine_tag == rec.outcome.tag
 
@@ -171,7 +172,7 @@ def test_majority_bogus_tags_reaffirm_forged_state():
     assert sim.join_results["jcp"].accepted
     rec, tag = _held(sim, "jcp")
     assert tag == rec.bogus_tag
-    assert sim.nodes["jcp"].held == (rec, True)
+    assert sim.nodes["jcp"].held == (rec.bogus_snap, rec.genuine_app)
     forged_txid = hash256(b"forged-riches" + struct.pack("<I", rec.height))
     assert (forged_txid, 0) in sim.join_utxo["jcp"]
     # the storage report sizes the snapshot each node holds: the joiner
@@ -350,7 +351,7 @@ def test_join_hashes_each_received_chunk_once(monkeypatch):
     sim, _ = run_simulation(_scenario(nodes=nodes, chain_length=260))
     outcome = sim.join_results["jcp"]
     assert outcome.accepted and outcome.via_snapshot
-    rec, _ = sim.nodes["jcp"].held
+    rec, _ = _held(sim, "jcp")
     chunks = rec.genuine_snap.chunks + rec.genuine_app.chunks
     assert chunks and hashed["advert"]
     for chunk in chunks:
@@ -420,6 +421,12 @@ neighbors = 6
         == sorted(scenario.nodes, key=lambda n: n.name)
     assert parse_scenario(format_scenario(normalized)) == normalized
     assert format_scenario(normalized) == format_scenario(scenario)
+
+
+def test_scenario_keys_left_out_take_the_dataclass_defaults():
+    scenario = parse_scenario("roles = miner:1:coinprune\n")
+    assert scenario == SimScenario(nodes=(NodeConfig("miner0", "miner"),))
+    assert (scenario.params, scenario.chain_length) == (PulseParams(), 1200)
 
 
 def test_scenario_validation():
