@@ -52,7 +52,7 @@ def _out_dir(args) -> Path:
 
 
 class UsageError(Exception):
-    """Bad arguments: `main` prints the message as one line and exits 2."""
+    """Bad arguments: `main` prints the message as one line and returns 2."""
 
 
 class _Parser(argparse.ArgumentParser):

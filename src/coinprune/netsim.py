@@ -654,10 +654,11 @@ def parse_scenario(text: str) -> SimScenario:
             continue
         if "=" not in line:
             raise SimError(f"bad scenario line: {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
+        key, value = line.split("=", 1)
+        key = key.strip()
         if key in fields:
             raise SimError(f"repeated scenario key {key!r}")
-        fields[key] = value
+        fields[key] = value.strip()
     unknown = fields.keys() - SCENARIO_KEYS
     if unknown:
         raise SimError(f"unknown scenario key(s): {', '.join(sorted(unknown))}")
