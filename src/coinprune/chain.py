@@ -12,6 +12,7 @@ import copy
 import functools
 import heapq
 import itertools
+import os
 import struct
 from array import array
 from bisect import bisect_left, bisect_right
@@ -31,8 +32,8 @@ COINBASE_VOUT = 0xFFFFFFFF
 EASY_BITS = 0x20100000
 DEFAULT_SUBSIDY = 50 * 100_000_000
 
-_HEADER_FMT = "<I32s32sIII"
-HEADER_SIZE = struct.calcsize(_HEADER_FMT)
+_HEADER = struct.Struct("<I32s32sIII")
+HEADER_SIZE = _HEADER.size
 assert HEADER_SIZE == 80
 
 HEADER_RECORD_SIZE = 140
@@ -75,15 +76,13 @@ class BlockHeader(NamedTuple):
     nonce: int
 
     def serialize(self) -> bytes:
-        return struct.pack(_HEADER_FMT, self.version, self.prev_hash,
-                           self.merkle_root, self.timestamp, self.bits,
-                           self.nonce)
+        return _HEADER.pack(*self)
 
     @classmethod
     def parse(cls, data: bytes) -> "BlockHeader":
         if len(data) != HEADER_SIZE:
             raise ChainError(f"header must be {HEADER_SIZE} bytes")
-        return cls(*struct.unpack(_HEADER_FMT, data))
+        return tuple.__new__(cls, _HEADER.unpack(data))
 
     def block_id(self) -> bytes:
         return hash256(self.serialize())
@@ -98,8 +97,7 @@ def mine_header(prev_hash: bytes, merkle_root: bytes, timestamp: int,
                 bits: int) -> BlockHeader:
     """Grind nonces from 0 until the version-1 header meets its own target."""
     target = target_from_bits(bits)
-    buf = bytearray(struct.pack(_HEADER_FMT, 1, prev_hash, merkle_root,
-                                timestamp, bits, 0))
+    buf = bytearray(_HEADER.pack(1, prev_hash, merkle_root, timestamp, bits, 0))
     nonce = 0
     while True:
         buf[76:80] = struct.pack("<I", nonce)
@@ -123,9 +121,44 @@ class TxOutput(NamedTuple):
     script: bytes
 
 
-class Transaction(NamedTuple):
-    inputs: tuple
-    outputs: tuple
+_COUNT = struct.Struct("<H")  # inputs, then outputs, of a transaction
+_INPUT_HEAD = struct.Struct("<32sIH")  # prev txid, prev vout, unlock size
+_OUTPUT_HEAD = struct.Struct("<QH")  # amount, script size
+
+
+class Transaction:
+    """A transaction with its wire bytes and txid, both fixed when it is
+    built or parsed: `serialize` and `txid` return them, and a parsed
+    transaction's bytes are the slice it was read from. Bitcoin Core's
+    `CTransaction` likewise computes its hash once, in its constructor.
+    Immutable by convention; equal when the bytes are."""
+    __slots__ = ("inputs", "outputs", "_raw", "_txid")
+
+    def __init__(self, inputs: tuple, outputs: tuple,
+                 raw: bytes | None = None) -> None:
+        """`raw`, when given, must be the encoding of these inputs and
+        outputs; the parser passes the bytes it read them from."""
+        if raw is None:
+            parts = [_COUNT.pack(len(inputs))]
+            for txin in inputs:
+                parts += (_INPUT_HEAD.pack(txin.prev_txid, txin.prev_vout,
+                                           len(txin.unlock)), txin.unlock)
+            parts.append(_COUNT.pack(len(outputs)))
+            for txout in outputs:
+                parts += (_OUTPUT_HEAD.pack(txout.amount, len(txout.script)),
+                          txout.script)
+            raw = b"".join(parts)
+        self.inputs, self.outputs = inputs, outputs
+        self._raw, self._txid = raw, hash256(raw)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Transaction) and self._raw == other._raw
+
+    def __hash__(self) -> int:
+        return hash(self._raw)
+
+    def __repr__(self) -> str:
+        return f"Transaction(inputs={self.inputs!r}, outputs={self.outputs!r})"
 
     def is_coinbase(self) -> bool:
         return len(self.inputs) == 1 \
@@ -133,46 +166,45 @@ class Transaction(NamedTuple):
             and self.inputs[0].prev_vout == COINBASE_VOUT
 
     def serialize(self) -> bytes:
-        parts = [struct.pack("<H", len(self.inputs))]
-        for txin in self.inputs:
-            parts.append(struct.pack("<32sIH", txin.prev_txid, txin.prev_vout,
-                                     len(txin.unlock)))
-            parts.append(txin.unlock)
-        parts.append(struct.pack("<H", len(self.outputs)))
-        for txout in self.outputs:
-            parts.append(struct.pack("<QH", txout.amount, len(txout.script)))
-            parts.append(txout.script)
-        return b"".join(parts)
+        return self._raw
 
     @classmethod
     def parse(cls, buf: bytes, offset: int = 0) -> tuple["Transaction", int]:
-        try:
-            (n_in,) = struct.unpack_from("<H", buf, offset)
-            offset += 2
-            inputs = []
-            for _ in range(n_in):
-                txid, vout, n = struct.unpack_from("<32sIH", buf, offset)
-                offset += 38
-                if offset + n > len(buf):
-                    raise ChainError("truncated input unlock")
-                inputs.append(TxInput(txid, vout, bytes(buf[offset:offset + n])))
-                offset += n
-            (n_out,) = struct.unpack_from("<H", buf, offset)
-            offset += 2
-            outputs = []
-            for _ in range(n_out):
-                amount, n = struct.unpack_from("<QH", buf, offset)
-                offset += 10
-                if offset + n > len(buf):
-                    raise ChainError("truncated output script")
-                outputs.append(TxOutput(amount, bytes(buf[offset:offset + n])))
-                offset += n
-        except struct.error as exc:
-            raise ChainError(f"truncated transaction: {exc}") from None
-        return cls(tuple(inputs), tuple(outputs)), offset
+        return _read_tx(bytes(buf), offset)
 
     def txid(self) -> bytes:
-        return hash256(self.serialize())
+        return self._txid
+
+
+def _read_tx(buf: bytes, offset: int, new=tuple.__new__,
+             count=_COUNT.unpack_from, input_head=_INPUT_HEAD.unpack_from,
+             output_head=_OUTPUT_HEAD.unpack_from) -> tuple[Transaction, int]:
+    """The transaction at `offset` of `buf`, which must be bytes, and the
+    offset after it. The unpackers are bound once, as defaults, and
+    tuple.__new__ skips the named tuples' Python-level constructors."""
+    start, size = offset, len(buf)
+    try:
+        (n_in,) = count(buf, offset)
+        offset += 2
+        inputs = []
+        for _ in range(n_in):
+            txid, vout, n = input_head(buf, offset)
+            offset += 38 + n
+            if offset > size:
+                raise ChainError("truncated input unlock")
+            inputs.append(new(TxInput, (txid, vout, buf[offset - n:offset])))
+        (n_out,) = count(buf, offset)
+        offset += 2
+        outputs = []
+        for _ in range(n_out):
+            amount, n = output_head(buf, offset)
+            offset += 10 + n
+            if offset > size:
+                raise ChainError("truncated output script")
+            outputs.append(new(TxOutput, (amount, buf[offset - n:offset])))
+    except struct.error as exc:
+        raise ChainError(f"truncated transaction: {exc}") from None
+    return Transaction(tuple(inputs), tuple(outputs), buf[start:offset]), offset
 
 
 def coinbase_tx(height: int, outputs: list[TxOutput], data: bytes) -> Transaction:
@@ -222,15 +254,16 @@ class Block(NamedTuple):
 
     @classmethod
     def parse(cls, buf: bytes, offset: int = 0) -> tuple["Block", int]:
-        header = BlockHeader.parse(bytes(buf[offset:offset + HEADER_SIZE]))
+        buf = bytes(buf)
+        header = BlockHeader.parse(buf[offset:offset + HEADER_SIZE])
         offset += HEADER_SIZE
         n_tx = _u32(buf, offset, "block transaction count")
         offset += 4
         txs = []
         for _ in range(n_tx):
-            tx, offset = Transaction.parse(buf, offset)
+            tx, offset = _read_tx(buf, offset)
             txs.append(tx)
-        return cls(header, tuple(txs)), offset
+        return tuple.__new__(cls, (header, tuple(txs))), offset
 
 
 def make_block(prev_hash: bytes, transactions: list[Transaction],
@@ -277,6 +310,7 @@ def genesis_block(params: ChainParams) -> Block:
 _RECORD_HEAD = struct.Struct("<32sIQIBB")
 RECORD_HEAD_SIZE = _RECORD_HEAD.size  # 50
 _OUTPOINT = struct.Struct("<32sI")  # a record's head reads 32 bytes exactly
+_ORDER_HEAD = struct.Struct("<32sI8xI")  # txid, vout and height of a record
 _VOUT = struct.Struct("<I")
 # a txid's first 8 bytes as a number; numeric order is their byte order
 _PREFIX = struct.Struct(">Q")
@@ -403,37 +437,43 @@ class UtxoSet:
         self._live = 0  # base coins the base still holds
 
     @classmethod
-    def from_chunks(cls, chunks: Iterable[bytes]) -> "UtxoSet":
-        """The set of the records in `chunks`, which it keeps and reads
-        in place. Checks each record's head once; SnapshotError on a
-        malformed head, a record that runs past its chunk, or records
-        not in strictly ascending (txid, vout) order, which the index's
-        bisection needs."""
+    def from_chunks(cls, chunks: Iterable[bytes], height: int) -> "UtxoSet":
+        """The set of the records in `chunks`, the state at `height`,
+        which it keeps and reads in place. Checks each record's head
+        once; SnapshotError on a malformed head, a record that runs past
+        its chunk, records not in strictly ascending (txid, vout) order,
+        which the index's bisection needs, or a coin mined above
+        `height`."""
         utxo = cls()
-        utxo._lay_base(tuple(chunks), check=True)
+        utxo._lay_base(tuple(chunks), height)
         return utxo
 
-    def _lay_base(self, chunks: tuple, check: bool) -> None:
-        """Index `chunks` as the base and empty the dict. Each field gets
-        a new object, since copies share the old base's. Without `check`
-        the heads and the order are taken as given: `build_snapshot`
-        passes chunks it packed from exactly this set's records."""
+    def _lay_base(self, chunks: tuple, height: int | None) -> None:
+        """Index `chunks`, the state at `height`, as the base and empty
+        the dict. Each field gets a new object, since copies share the
+        old base's. With `height` None the heads, the order and the
+        heights are taken as given: `build_snapshot` passes chunks it
+        packed from exactly this set's records."""
         prefixes, places = array("Q"), array("Q")
         add_prefix, add_place = prefixes.append, places.append
         last = (b"", -1)
         for number, chunk in enumerate(chunks):
             offset = 0
             while offset < len(chunk):
-                if check:
+                if height is not None:
                     end = _record_end(chunk, offset)
-                    outpoint = _OUTPOINT.unpack_from(chunk, offset)
+                    txid, vout, mined = _ORDER_HEAD.unpack_from(chunk, offset)
+                    outpoint = (txid, vout)
                     if outpoint <= last:
                         if outpoint == last:
                             raise SnapshotError(
-                                "duplicate outpoint "
-                                f"{outpoint[0].hex()}:{outpoint[1]}")
+                                f"duplicate outpoint {txid.hex()}:{vout}")
                         raise SnapshotError(f"record out of order at byte "
                                             f"{offset} of chunk {number}")
+                    if mined > height:
+                        raise SnapshotError(
+                            f"record above the snapshot's height {height} "
+                            f"at byte {offset} of chunk {number}")
                     last = outpoint
                 else:
                     end = offset + _RECORD_SIZE[chunk[offset + _CASE_AT]]
@@ -656,16 +696,21 @@ def validate_and_apply_block(utxo: UtxoSet, block: Block, height: int,
 
 
 def replay_blocks(utxo: UtxoSet, blocks, heights: range, prev_id: bytes,
-                  params: ChainParams) -> bytes:
+                  params: ChainParams, applied=None) -> bytes:
     """Validate and apply blocks[h] for each h in heights, the first on top
-    of prev_id; returns the id of the last block applied.
+    of prev_id; returns the id of the last block applied. Each block is
+    looked up once; `applied(block, height, block_id)`, when given, is
+    called with it after it is applied.
 
     Each block must link to the one before it, so a caller that compares
     the returned id with the tip it expects has checked every block.
     """
     for height in heights:
-        prev_id = validate_and_apply_block(utxo, blocks[height], height,
-                                           prev_id, params)
+        block = blocks[height]
+        prev_id = validate_and_apply_block(utxo, block, height, prev_id,
+                                           params)
+        if applied is not None:
+            applied(block, height, prev_id)
     return prev_id
 
 
@@ -769,55 +814,90 @@ def best_tip(chains: list[list[BlockHeader]], params: ChainParams) -> int:
 
 
 # --- block files ------------------------------------------------------------
+#
+# A block file is the magic, the block count as a u32, then one record
+# per block: its size as a u32 and its bytes.
 
 BLOCK_FILE_MAGIC = b"CPB1"
 
 
-def write_block_file(path, blocks: list[Block]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(BLOCK_FILE_MAGIC)
-        fh.write(struct.pack("<I", len(blocks)))
-        for block in blocks:
-            raw = block.serialize()
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-
-
 class BlockFile:
-    """The blocks of a block file, in height order. The framing is checked
-    when the file is read; each block is parsed when it is looked up and
-    not kept, so a replay holds one parsed block at a time."""
+    """Blocks in height order, held as a block file's bytes: an
+    append-only buffer of block records, and the span of each block's
+    bytes in it. This is how chains are kept at rest, by the simulator
+    and `chain gen` as well as by `read_block_file`. A block is parsed
+    when it is looked up and not kept; `raw`, `size`, `header` and
+    `coinbase` read one block without a full parse."""
 
-    def __init__(self, data: bytes, spans: list[tuple[int, int]]) -> None:
+    def __init__(self, data: bytearray | None = None) -> None:
+        """The blocks of the block file image `data`, which the store
+        keeps; an empty file when None. Only the framing is checked:
+        the magic, the count, each record's size, no trailing bytes."""
+        if data is None:
+            data = bytearray(BLOCK_FILE_MAGIC + bytes(4))
+        if data[:4] != BLOCK_FILE_MAGIC:
+            raise ChainError("not a block file")
         self._data = data
-        self._spans = spans  # (start, end) of each block record
+        self._starts, self._ends = array("Q"), array("Q")
+        offset = 8
+        for _ in range(_u32(data, 4, "block count")):
+            size = _u32(data, offset, "block record size")
+            offset += 4
+            if offset + size > len(data):
+                raise ChainError(f"truncated block record at offset {offset}")
+            self._starts.append(offset)
+            offset += size
+            self._ends.append(offset)
+        if offset != len(data):
+            raise ChainError("trailing bytes after final block")
+
+    def append(self, block: Block) -> None:
+        """Add the next block's record; serializes the block once."""
+        raw = block.serialize()
+        data = self._data
+        data += struct.pack("<I", len(raw))
+        self._starts.append(len(data))
+        data += raw
+        self._ends.append(len(data))
+        struct.pack_into("<I", data, 4, len(self._ends))
 
     def __len__(self) -> int:
-        return len(self._spans)
+        return len(self._ends)
 
     def __getitem__(self, height: int) -> Block:
-        start, end = self._spans[height]
-        block, used = Block.parse(self._data[start:end])
-        if used != end - start:
+        raw = self.raw(height)
+        block, used = Block.parse(raw)
+        if used != len(raw):
             raise ChainError("trailing bytes inside block record")
         return block
+
+    def __iter__(self) -> Iterator[Block]:
+        return map(self.__getitem__, range(len(self)))
+
+    def raw(self, height: int) -> bytes:
+        return bytes(self._data[self._starts[height]:self._ends[height]])
+
+    def size(self, height: int) -> int:
+        return self._ends[height] - self._starts[height]
+
+    def header(self, height: int) -> BlockHeader:
+        start = self._starts[height]
+        return BlockHeader.parse(
+            self._data[start:min(start + HEADER_SIZE, self._ends[height])])
+
+    def coinbase(self, height: int) -> Transaction:
+        """The block's first transaction, parsed without the others."""
+        return Transaction.parse(self.raw(height), HEADER_SIZE + 4)[0]
+
+
+def write_block_file(path, blocks: BlockFile) -> None:
+    with open(path, "wb") as fh:
+        fh.write(blocks._data)
 
 
 def read_block_file(path) -> BlockFile:
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != BLOCK_FILE_MAGIC:
-        raise ChainError("not a block file")
-    count = _u32(data, 4, "block count")
-    offset = 8
-    spans = []
-    for _ in range(count):
-        size = _u32(data, offset, "block record size")
-        offset += 4
-        if offset + size > len(data):
-            raise ChainError(f"truncated block record at offset {offset}")
-        spans.append((offset, offset + size))
-        offset += size
-    if offset != len(data):
-        raise ChainError("trailing bytes after final block")
-    return BlockFile(data, spans)
+        # read into the store's own buffer, so no second copy is held
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        fh.readinto(data)
+    return BlockFile(data)

@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 from .hashing import hash160, sha256
 from . import scripts
-from .chain import (Block, ChainParams, Transaction, TxInput, TxOutput,
-                    UtxoSet, coinbase_tx, genesis_block, make_block,
+from .chain import (Block, BlockFile, ChainParams, Transaction, TxInput,
+                    TxOutput, UtxoSet, coinbase_tx, genesis_block, make_block,
                     validate_and_apply_block)
 
 DEFAULT_MIXTURE = (
@@ -67,7 +67,8 @@ class ChainBuilder:
 
     The builder owns the authoritative UTXO set and runs the real
     validator on every block it produces, so invalid construction
-    fails immediately rather than downstream.
+    fails immediately rather than downstream. It keeps each block as
+    its bytes in `blocks`, not as a parsed `Block`.
     """
 
     def __init__(self, profile: WorkloadProfile, params: ChainParams, seed: int):
@@ -75,7 +76,7 @@ class ChainBuilder:
         self.params = params
         self.rng = random.Random(seed)
         self.utxo = UtxoSet()
-        self.blocks: list[Block] = []
+        self.blocks = BlockFile()
         self.ids: list[bytes] = []  # block ids, as validation computed them
         self.wallet: list[WalletUtxo] = []
         gen = genesis_block(params)
@@ -117,7 +118,7 @@ class ChainBuilder:
                                       "p2pkh", (key,)))
         return block
 
-    def build(self, n_blocks: int) -> list[Block]:
+    def build(self, n_blocks: int) -> BlockFile:
         for _ in range(n_blocks):
             self.next_block()
         return self.blocks
@@ -256,6 +257,6 @@ class ChainBuilder:
 
 
 def generate_chain(profile: WorkloadProfile, n_blocks: int,
-                   seed: int = 0) -> list[Block]:
+                   seed: int = 0) -> BlockFile:
     """Generate genesis plus n_blocks fully validated blocks."""
     return ChainBuilder(profile, ChainParams(), seed).build(n_blocks)

@@ -67,13 +67,17 @@ def _fail(message: str, code: int = VERIFY_FAILED) -> int:
     return code
 
 
-def _int_at_least(least: int):
-    """An argparse type: an integer no smaller than least."""
+def _int_at_least(least: int, below: int | None = None):
+    """An argparse type: an integer no smaller than least and, when below
+    is given, smaller than below."""
     def parse(text: str) -> int:
         value = int(text)
         if value < least:
             raise argparse.ArgumentTypeError(
                 f"must be at least {least}, got {value}")
+        if below is not None and value >= below:
+            raise argparse.ArgumentTypeError(
+                f"must be below {below}, got {value}")
         return value
     parse.__name__ = "int"  # argparse says "invalid int value" for non-ints
     return parse
@@ -250,7 +254,7 @@ def _cmd_chain_gen(args) -> int:
         header_path = out_dir / args.headers
         index.write(header_path)
         written.append(str(header_path))
-    tip = blocks[-1].block_id()
+    tip = blocks.header(-1).block_id()
     print(f"chain: {len(blocks)} blocks (genesis + {len(blocks) - 1}), "
           f"tip {tip.hex()}")
     print(f"seed {args.seed}")
@@ -520,8 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim_sub = sim_p.add_subparsers(dest="sim_command", required=True)
     boot = sim_sub.add_parser("bootstrap", help="run a network scenario")
     boot.add_argument("--scenario", required=True, help="scenario file")
-    boot.add_argument("--seed", type=int, default=None,
-                      help="override the scenario seed")
+    boot.add_argument("--seed", type=_int_at_least(-2**63, 2**63),
+                      default=None, help="override the scenario seed")
     boot.add_argument("--trace", action="store_true",
                       help="also write the message trace")
     boot.add_argument("--prefix", default="run")

@@ -197,7 +197,6 @@ class RunReport:
 class Simulation:
     def __init__(self, scenario: SimScenario):
         self.scenario = scenario
-        self.params = scenario.params
         self.builder = ChainBuilder(scenario.profile, ChainParams(),
                                     _sub_seed(scenario.seed, "chain"))
         self.rng = random.Random(_sub_seed(scenario.seed, "net"))
@@ -208,7 +207,6 @@ class Simulation:
         self.miners = [n for n in scenario.nodes if n.role == "miner"]
         for cfg in self.joiners:  # a joiner holds no block before it joins
             self.nodes[cfg.name].pruned_below = scenario.chain_length + 1
-        self.block_bytes: list[int] = [len(self.builder.blocks[0].serialize())]
         self.appstore = appdata_mod.AppDataStore()
         self.appstore.add_block(self.builder.blocks[0], 0, self.builder.ids[0])
         self.pulses: dict[int, PulseRecord] = {}
@@ -251,10 +249,8 @@ class Simulation:
             miner = self.rng.choices(self.miners)[0]
             extra = self._coinbase_extra(miner, height)
             block = self.builder.next_block(extra)
-            raw_size = len(block.serialize())
-            self.block_bytes.append(raw_size)
             self.appstore.add_block(block, height, self.builder.ids[height])
-            self._gossip(miner.name, raw_size)
+            self._gossip(miner.name, self.builder.blocks.size(height))
             self._pulse_bookkeeping(height)
         for joiner in self.joiners:
             outcome = self.bootstrap(joiner)
@@ -262,7 +258,7 @@ class Simulation:
         return self._report()
 
     def _coinbase_extra(self, miner: NodeConfig, height: int) -> bytes:
-        pulse = coordination.pulse_for_height(height, self.params)
+        pulse = coordination.pulse_for_height(height, self.scenario.params)
         if pulse is not None and miner.coinprune and pulse in self.pulses:
             rec = self.pulses[pulse]
             if miner.adversarial and "bogus_tags" in self.scenario.faults:
@@ -288,7 +284,7 @@ class Simulation:
             frontier = nxt
 
     def _pulse_bookkeeping(self, height: int) -> None:
-        params = self.params
+        params = self.scenario.params
         if height % params.delta_p == 0:
             index = height // params.delta_p
             self.pulses[index] = self._make_pulse_record(index, height)
@@ -328,7 +324,7 @@ class Simulation:
         below it."""
         rec = self.pulses[index]
         rec.outcome = coordination.tally_window(self._window_tags(index),
-                                                self.params)
+                                                self.scenario.params)
         status, tag_hex, count = rec.status()
         self.trace.add(f"window {index} closed at {tip_height} {status} "
                        f"{tag_hex} count {count}")
@@ -351,8 +347,8 @@ class Simulation:
 
     def _window_tags(self, index: int) -> list[bytes | None]:
         return [coordination.parse_coinbase_tag(
-                    self.builder.blocks[h].transactions[0].inputs[0].unlock)
-                for h in coordination.window_range(index, self.params)]
+                    self.builder.blocks.coinbase(h).inputs[0].unlock)
+                for h in coordination.window_range(index, self.scenario.params)]
 
     # --- serving side -------------------------------------------------------
 
@@ -456,14 +452,15 @@ class Simulation:
                        snapshot_mod.HEADER_SIZE)
         self._round(name)
 
+        params = self.scenario.params
         height = served[0].header.height
-        if height % self.params.delta_p != 0 or height == 0:
+        if height % params.delta_p != 0 or height == 0:
             return "snapshot height is not a pulse"
-        index = height // self.params.delta_p
+        index = height // params.delta_p
         if height > tip_height \
                 or self.builder.ids[height] != served[0].header.block_id:
             return "snapshot header contradicts headerchain"
-        if (coordination.latest_closed_pulse(tip_height, self.params) or 0) < index:
+        if (coordination.latest_closed_pulse(tip_height, params) or 0) < index:
             return "reaffirmation window still open"
 
         fetched = []
@@ -476,24 +473,24 @@ class Simulation:
 
         try:
             utxo = snapshot_mod.apply_snapshot(snap)
+            store = appdata_mod.parse_store(app_snap)
         except snapshot_mod.SnapshotError as exc:
             return f"snapshot apply failed: {exc}"
 
         chaintail = range(height + 1, tip_height + 1)
         self._download_blocks(name, group, chaintail)
         try:
-            self._replay(utxo, chaintail)
+            self._replay(utxo, chaintail, store)
         except (ChainError, SimError) as exc:
             return f"chaintail replay failed: {exc}"
 
-        outcome = coordination.tally_window(self._window_tags(index), self.params)
+        outcome = coordination.tally_window(self._window_tags(index), params)
         if not outcome.accepted:
             return "pulse window skipped on-chain"
         if outcome.tag != appdata_mod.combined_tag(snap.id, app_snap.id):
             return "snapshot was not the reaffirmed tag"
 
-        self._keep_join(name, utxo, appdata_mod.parse_store(app_snap),
-                        chaintail, served)
+        self._keep_join(name, utxo, store, chaintail, served)
         return ""
 
     def _fetch_object(self, name: str, group: list[NodeConfig], entry: tuple,
@@ -553,18 +550,19 @@ class Simulation:
         tip_height = self._sync_headers(name, unpruned[0])
         chain = range(0, tip_height + 1)
         self._download_blocks(name, unpruned, chain)
-        utxo = UtxoSet()
+        utxo, store = UtxoSet(), appdata_mod.AppDataStore()
         try:
-            self._replay(utxo, chain)
+            self._replay(utxo, chain, store)
         except (ChainError, SimError) as exc:
             return f"full replay failed: {exc}"
-        self._keep_join(name, utxo, appdata_mod.AppDataStore(), chain)
+        self._keep_join(name, utxo, store, chain)
         return ""
 
     def _sync_headers(self, name: str, peer: NodeConfig) -> int:
         """Fetch and verify the headerchain from one peer; its tip height."""
         self._send(name, peer.name, "getheaders", 4)
-        headers = [b.header for b in self.builder.blocks]
+        blocks = self.builder.blocks
+        headers = [blocks.header(h) for h in range(len(blocks))]
         self._send(peer.name, name, "headers", 4 + HEADER_SIZE * len(headers))
         self._round(name)
         verify_headerchain(headers, self.builder.params)
@@ -583,26 +581,28 @@ class Simulation:
                 self._send(name, peer.name, "getdata",
                            4 + INV_ENTRY_SIZE * len(take))
                 for h in take:
-                    self._send(peer.name, name, "block", self.block_bytes[h])
+                    self._send(peer.name, name, "block",
+                               self.builder.blocks.size(h))
             self._round(name)
 
-    def _replay(self, utxo: UtxoSet, heights: range) -> None:
-        """Validate and apply the downloaded blocks; they must end at the
+    def _replay(self, utxo: UtxoSet, heights: range,
+                store: appdata_mod.AppDataStore) -> None:
+        """Validate and apply the downloaded blocks, each parsed once and
+        then added to the app-data store; they must end at the
         headerchain's block at the last height."""
         start = heights[0]
         prev_id = self.builder.ids[start - 1] if start else b"\x00" * 32
         tip_id = replay_blocks(utxo, self.builder.blocks, heights, prev_id,
-                               self.builder.params)
+                               self.builder.params, store.add_block)
         if tip_id != self.builder.ids[heights[-1]]:
             raise SimError(f"block {heights[-1]} does not match headerchain")
 
     def _keep_join(self, name: str, utxo: UtxoSet,
                    store: appdata_mod.AppDataStore, heights: range,
                    held: tuple[Snapshot, Snapshot] | None = None) -> None:
-        """Record a join's state, its app data extended over the replay;
-        the joiner keeps the replayed blocks and the applied snapshot."""
-        for h in heights:
-            store.add_block(self.builder.blocks[h], h, self.builder.ids[h])
+        """Record a join's state and its app data, both extended over the
+        replay; the joiner keeps the replayed blocks and the applied
+        snapshot."""
         node = self.nodes[name]
         node.pruned_below, node.held = heights.start, held
         self.join_utxo[name] = utxo
@@ -616,8 +616,10 @@ class Simulation:
         snap_bytes = app_bytes = 0
         if node.held is not None:
             snap_bytes, app_bytes = map(snapshot_mod.wire_size, node.held)
-        return (HEADER_RECORD_SIZE * len(self.block_bytes),
-                sum(self.block_bytes[node.pruned_below:]), snap_bytes, app_bytes)
+        blocks = self.builder.blocks
+        return (HEADER_RECORD_SIZE * len(blocks),
+                sum(map(blocks.size, range(node.pruned_below, len(blocks)))),
+                snap_bytes, app_bytes)
 
     def _report(self) -> RunReport:
         rows = []

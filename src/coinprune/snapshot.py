@@ -111,7 +111,7 @@ def build_snapshot(utxo: UtxoSet, height: int, block_id: bytes,
         records = map(obfuscate_record, records)
     snap = Snapshot.assemble(height, block_id, chunk_records(records))
     if not obfuscate and len(snap.chunks) > 1:
-        utxo._lay_base(snap.chunks, check=False)
+        utxo._lay_base(snap.chunks, None)
     return snap
 
 
@@ -151,9 +151,10 @@ def decode_records(snapshot: Snapshot,
 def apply_snapshot(snapshot: Snapshot) -> UtxoSet:
     """The UTXO set the snapshot holds. Verify the snapshot before
     calling this. The set reads its coins from the snapshot's chunks in
-    place; each record's head is checked once, and the records must be
-    in strictly ascending (txid, vout) order."""
-    return UtxoSet.from_chunks(snapshot.chunks)
+    place; each record's head is checked once, the records must be in
+    strictly ascending (txid, vout) order, and no coin may be mined
+    above the snapshot's height."""
+    return UtxoSet.from_chunks(snapshot.chunks, snapshot.header.height)
 
 
 def wire_size(snapshot: Snapshot) -> int:

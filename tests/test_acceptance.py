@@ -48,7 +48,8 @@ def _window_winner(blocks, pulse_height: int, params: PulseParams):
     coinbase counts its first frame once; a unique most-frequent tag with
     at least k counts wins."""
     start = pulse_height + params.delta_d + 1
-    window = blocks[start:start + params.delta_r]
+    window = [blocks[h] for h in
+              range(start, min(start + params.delta_r, len(blocks)))]
     if len(window) != params.delta_r:
         return None
     counts = Counter()
@@ -283,12 +284,13 @@ def test_criterion_6_storage_accounting(acceptance):
                     and rec.outcome.accepted \
                     and rec.outcome.tag == rec.genuine_tag:
                 best = rec
-        full = sum(sim.block_bytes[:tip + 1])
+        full = sum(map(sim.builder.blocks.size, range(tip + 1)))
         if best is None:
             return full, full, 0
         pruned = (140 * (tip + 1) + wire_size(best.genuine_snap)
                   + wire_size(best.genuine_app)
-                  + sum(sim.block_bytes[best.height + 1:tip + 1]))
+                  + sum(map(sim.builder.blocks.size,
+                            range(best.height + 1, tip + 1))))
         return pruned, full, best.height
 
     ratios = {}

@@ -1,12 +1,14 @@
 import struct
+from itertools import islice
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coinprune.chain import (COINBASE_TXID, COINBASE_VOUT,
+from coinprune.chain import (BLOCK_FILE_MAGIC, COINBASE_TXID, COINBASE_VOUT,
                              BlockValidationError, ChainError, ChainParams,
-                             HEADER_RECORD_SIZE, Block, BlockHeader,
+                             HEADER_RECORD_SIZE, HEADER_SIZE, Block,
+                             BlockHeader,
                              HeaderIndex, Transaction,
                              TxInput, TxOutput, UtxoSet, best_tip, check_pow,
                              coinbase_tx, genesis_block, header_record,
@@ -331,7 +333,7 @@ def test_header_record_is_exactly_140_bytes(light_chain):
 def test_header_index_contiguity_and_file_roundtrip(tmp_path, light_chain):
     index = HeaderIndex()
     work = 0
-    for height, block in enumerate(light_chain[:20]):
+    for height, block in enumerate(islice(light_chain, 20)):
         work += work_from_bits(PARAMS.bits)
         index.append(header_record(block, height, work))
     with pytest.raises(ChainError):
@@ -363,13 +365,43 @@ def test_best_tip_prefers_cumulative_work(light_chain):
 
 
 def test_block_file_roundtrip(tmp_path, light_chain):
+    # a builder's store, written and read back, byte for byte
     path = tmp_path / "chain.blk"
-    write_block_file(path, light_chain[:30])
+    write_block_file(path, light_chain)
+    raws = [light_chain.raw(h) for h in range(len(light_chain))]
+    assert path.read_bytes() == BLOCK_FILE_MAGIC \
+        + struct.pack("<I", len(raws)) \
+        + b"".join(struct.pack("<I", len(raw)) + raw for raw in raws)
     loaded = read_block_file(path)
-    assert [b.serialize() for b in loaded] == \
-        [b.serialize() for b in light_chain[:30]]
+    assert [b.serialize() for b in loaded] == raws
+    write_block_file(tmp_path / "again.blk", loaded)
+    assert (tmp_path / "again.blk").read_bytes() == path.read_bytes()
     with pytest.raises(ChainError):
         read_block_file(__file__)
+
+
+def test_stored_blocks_read_back_as_their_bytes(light_chain):
+    for height in range(-1, len(light_chain)):
+        block = light_chain[height]
+        raw = light_chain.raw(height)
+        assert block.serialize() == raw
+        assert light_chain.size(height) == len(raw)
+        assert light_chain.header(height) == block.header \
+            == BlockHeader.parse(raw[:HEADER_SIZE])
+        assert light_chain.coinbase(height) == block.transactions[0]
+
+
+def test_parsed_transactions_keep_and_hash_their_slices(light_chain):
+    raw = light_chain.raw(len(light_chain) - 1)
+    (count,) = struct.unpack_from("<I", raw, HEADER_SIZE)
+    assert count > 2
+    offset = HEADER_SIZE + 4
+    for _ in range(count):
+        tx, end = Transaction.parse(bytearray(raw), offset)
+        assert tx.serialize() == raw[offset:end]
+        assert tx.txid() == hash256(raw[offset:end])
+        offset = end
+    assert offset == len(raw)
 
 
 GENESIS_RAW = genesis_block(PARAMS).serialize()

@@ -6,9 +6,14 @@ through the consensus validator from a fresh UTXO set; everything else
 because the generator is workload shaping, not protocol.
 """
 
+import gc
+import types
+from itertools import islice
+
 import pytest
 
-from coinprune.chain import Block, ChainParams, UtxoSet, validate_and_apply_block
+from coinprune.chain import (Block, ChainParams, Transaction, UtxoSet,
+                             validate_and_apply_block)
 from coinprune.chaingen import ChainBuilder, WorkloadProfile, generate_chain, light_profile
 from coinprune.scripts import MAX_OP_RETURN_PAYLOAD, ScriptClass, classify, decompress
 
@@ -75,7 +80,7 @@ def test_mixture_fractions(default_chain):
 
 def test_op_return_outputs_generated_and_excluded(default_chain):
     seen = 0
-    for block in default_chain[:400]:
+    for block in islice(default_chain, 400):
         for tx in block.transactions[1:]:
             for out in tx.outputs:
                 if classify(out.script) is ScriptClass.OP_RETURN:
@@ -86,7 +91,7 @@ def test_op_return_outputs_generated_and_excluded(default_chain):
     utxo = UtxoSet()
     params = ChainParams()
     prev = b"\x00" * 32
-    for height, block in enumerate(default_chain[:200]):
+    for height, block in enumerate(islice(default_chain, 200)):
         validate_and_apply_block(utxo, block, height, prev, params)
         prev = block.block_id()
     for entry in utxo.entries():
@@ -114,13 +119,32 @@ def test_light_profile_is_lighter():
     light.build(400)
     # compare steady-state tails; early blocks are wallet-constrained in
     # both profiles and tell you nothing
-    tail = slice(300, None)
-    default_tail = sum(len(b.serialize()) for b in default.blocks[tail])
-    light_tail = sum(len(b.serialize()) for b in light.blocks[tail])
+    tail = range(300, len(light.blocks))
+    default_tail = sum(map(default.blocks.size, tail))
+    light_tail = sum(map(light.blocks.size, tail))
     assert light_tail < default_tail
+
+
+def test_builder_keeps_no_parsed_blocks():
+    # the builder holds its chain as bytes: nothing it references, short
+    # of classes, modules and functions, is a parsed block or transaction
+    builder = ChainBuilder(light_profile(), ChainParams(), 7)
+    builder.build(30)
+    seen, stack, parsed = set(), [builder], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(
+                obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (Block, Transaction)):
+            parsed.append(obj)
+        stack.extend(gc.get_referents(obj))
+    assert {id(builder.wallet), id(builder.utxo), id(builder.blocks)} <= seen
+    assert not parsed
 
 
 def test_unfundable_profile_degrades_to_coinbase_blocks():
     profile = WorkloadProfile(txs_per_block=50, spend_probability=0.0)
     blocks = generate_chain(profile, 20, seed=3)
-    assert all(len(b.transactions) == 1 for b in blocks[1:])
+    assert all(len(b.transactions) == 1 for b in islice(blocks, 1, None))

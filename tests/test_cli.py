@@ -11,7 +11,7 @@ import json
 import tracemalloc
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import Phase, event, given, settings
 from hypothesis import strategies as st
 
 from coinprune.cli import OUT_DIR_ENV, main
@@ -264,6 +264,20 @@ def test_sim_bootstrap_run(tmp_path, capsys):
     capsys.readouterr()
     alt_meta = json.loads((tmp_path / "alt_meta.json").read_text())
     assert alt_meta["seed"] == 9
+
+
+@pytest.mark.parametrize("seed", [str(2**63), str(-2**63 - 1)])
+def test_sim_bootstrap_seed_outside_64_bits_is_a_usage_error(tmp_path, capsys,
+                                                            seed):
+    scn = tmp_path / "plain.scn"
+    scn.write_text(SCENARIO)
+    code = main(["sim", "bootstrap", "--scenario", str(scn), "--seed", seed,
+                 "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--seed" in err and seed in err
+    assert [p.name for p in tmp_path.iterdir()] == ["plain.scn"]
 
 
 def test_sim_bootstrap_reports_failed_join(tmp_path, capsys):
@@ -646,7 +660,10 @@ def argv_fuzz_files(tmp_path_factory):
     ("chain", "gen"), ("snapshot", "create"), ("snapshot", "verify"),
     ("snapshot", "id"), ("sim", "bootstrap"), ("sim", "security"),
     ("report",)], ids=" ".join)
-@settings(deadline=None, max_examples=60)
+# no explain phase: it replays a failing example under a line tracer,
+# which through the sweep's loops stretched a failing run to minutes
+@settings(deadline=None, max_examples=60,
+          phases=[phase for phase in Phase if phase is not Phase.explain])
 @given(data=st.data())
 def test_every_command_fails_closed_on_generated_argv(argv_fuzz_files,
                                                       command, data):

@@ -103,7 +103,7 @@ def test_scenario_reaches_every_join_path(golden_run):
     assert "join join0 accepted after 2 attempts" in lines
     # the adversary holds and serves its forged snapshot
     snap, _ = sim.nodes["join0"].held
-    rec = sim.pulses[snap.header.height // sim.params.delta_p]
+    rec = sim.pulses[snap.header.height // sim.scenario.params.delta_p]
     stored = {row[0]: row[3] for row in report.breakdown}
     assert stored["adv0"] == wire_size(rec.bogus_snap) != stored["full0"]
 

@@ -8,6 +8,7 @@ snapshot, and legacy nodes stay untouched by the protocol overlay.
 """
 
 import struct
+from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 
 from coinprune import netsim, scripts
 from coinprune import snapshot as snapshot_mod
-from coinprune.chain import (BlockHeader, ChainParams, TxOutput, coinbase_tx,
-                             make_block)
+from coinprune.chain import (BlockFile, BlockHeader, ChainParams, TxOutput,
+                             coinbase_tx, make_block)
 from coinprune.coordination import PulseParams
 from coinprune.hashing import hash256
 from coinprune.appdata import AppDataEntry, combined_tag
@@ -52,7 +53,7 @@ def _held(sim, name: str):
     """The pulse record of the snapshot a joiner keeps, and the tag of
     what it holds."""
     snap, app = sim.nodes[name].held
-    rec = sim.pulses[snap.header.height // sim.params.delta_p]
+    rec = sim.pulses[snap.header.height // sim.scenario.params.delta_p]
     return rec, combined_tag(snap.id, app.id)
 
 
@@ -303,8 +304,12 @@ def test_join_rejects_a_foreign_tip_block(joiner):
     coinbase = coinbase_tx(tip, [TxOutput(params.subsidy,
                                           scripts.p2pkh_script(b"\x00" * 20))],
                            b"foreign")
-    blocks[tip] = make_block(blocks[tip - 1].block_id(), [coinbase],
-                             blocks[tip].header.timestamp, params.bits)
+    swapped = BlockFile()
+    for block in islice(blocks, tip):
+        swapped.append(block)
+    swapped.append(make_block(blocks.header(tip - 1).block_id(), [coinbase],
+                              blocks.header(tip).timestamp, params.bits))
+    sim.builder.blocks = swapped
     cfg = next(c for c in sim.joiners if c.name == joiner)
     outcome = sim.bootstrap(cfg)
     assert not outcome.accepted

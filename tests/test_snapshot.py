@@ -3,7 +3,7 @@ import struct
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from coinprune import snapshot as snapshot_mod
@@ -24,6 +24,8 @@ from coinprune.snapshot import (CHUNK_SIZE, Snapshot, SnapshotError,
 EMPTY_ID = "c970065223a20aeffece263aab16497d3bf99fe6ae6b6e01e731f41dae07cffd"
 # layered id over one fixed 1024-byte chunk (bytes 0..255 repeated), frozen
 ONE_CHUNK_ID = "b46b688a02e3669a1328e6591af4e52d6934624fb2e5d7448c831fa3fb4fba36"
+# the highest height a record can carry: a snapshot there holds any coin
+TOP = 2 ** 32 - 1
 
 
 def _entry(i: int, vout: int = 0, script: bytes | None = None) -> UtxoEntry:
@@ -227,7 +229,7 @@ def test_file_rejects_a_wrong_chunk_count(tmp_path):
 
 def test_apply_roundtrip():
     utxo = _filled_set(300)
-    snap = build_snapshot(utxo, 44, b"\x03" * 32)
+    snap = build_snapshot(utxo, 299, b"\x03" * 32)
     restored = apply_snapshot(snap)
     assert {(e.txid, e.vout): e for e in restored.entries()} == \
         {(e.txid, e.vout): e for e in utxo.entries()}
@@ -260,7 +262,7 @@ def test_applied_index_holds_under_24_traced_bytes_per_coin():
         utxo.add(UtxoEntry(rng.randbytes(32), rng.randrange(4),
                            rng.randrange(1, 10 ** 12), rng.randrange(1, 800_000),
                            False, compress(p2pkh_script(rng.randbytes(20)))))
-    snap = build_snapshot(utxo, 7, b"\x05" * 32)
+    snap = build_snapshot(utxo, 800_000, b"\x05" * 32)
     del utxo
     tracemalloc.start()
     try:
@@ -293,10 +295,24 @@ def test_apply_rejects_records_out_of_order():
                    [records[2] + records[3], records[0] + records[1]],
                    [b"".join(vouts)]):
         with pytest.raises(SnapshotError, match="out of order"):
-            apply_snapshot(Snapshot.assemble(1, b"\x00" * 32, chunks))
+            apply_snapshot(Snapshot.assemble(3, b"\x00" * 32, chunks))
     applied = apply_snapshot(Snapshot.assemble(
-        1, b"\x00" * 32, [records[0] + records[1], records[2] + records[3]]))
+        3, b"\x00" * 32, [records[0] + records[1], records[2] + records[3]]))
     assert sorted(applied.entries()) == sorted(ordered)
+
+
+def test_apply_rejects_a_record_above_the_snapshot_height():
+    txid = hash256(b"three outputs")
+    coins = [UtxoEntry(txid, vout, 1000, height, False,
+                       compress(p2pkh_script(txid[:20])))
+             for vout, height in enumerate((3, 4, 5))]
+    records = [encode_record(e) for e in coins]
+    chunks = [records[0], records[1] + records[2]]
+    with pytest.raises(SnapshotError, match="snapshot's height 4 at byte "
+                                            f"{len(records[1])} of chunk 1$"):
+        apply_snapshot(Snapshot.assemble(4, b"\x00" * 32, chunks))
+    applied = apply_snapshot(Snapshot.assemble(5, b"\x00" * 32, chunks))
+    assert sorted(applied.entries()) == coins
 
 
 def test_file_roundtrip(tmp_path):
@@ -348,15 +364,17 @@ def test_read_snapshot_file_fails_closed(tmp_path_factory, raw):
     assert path.read_bytes() == raw
 
 
-@given(st.lists(record_soup, max_size=3))
-def test_apply_snapshot_fails_closed(chunks):
-    snap = Snapshot.assemble(1, b"\x00" * 32, chunks)
+@given(st.lists(record_soup, max_size=3), st.integers(0, TOP))
+@example([encode_record(_entry(7))], 6)  # a coin mined above the snapshot
+def test_apply_snapshot_fails_closed(chunks, height):
+    snap = Snapshot.assemble(height, b"\x00" * 32, chunks)
     try:
         utxo = apply_snapshot(snap)
     except SnapshotError:
         return
     assert sum(len(encode_record(e)) for e in utxo.entries()) \
         == sum(len(c) for c in chunks)
+    assert all(e.height <= height for e in utxo.entries())
 
 
 # --- the record-backed set against an independent oracle ---------------------
@@ -394,7 +412,7 @@ def test_record_backed_set_matches_oracle(added):
     assert serialize_utxo_set(utxo) == _oracle_bytes(added)
 
     hidden = [e._replace(compressed=obfuscate(e.compressed)) for e in added]
-    applied = apply_snapshot(build_snapshot(utxo, 3, b"\x06" * 32,
+    applied = apply_snapshot(build_snapshot(utxo, TOP, b"\x06" * 32,
                                             obfuscate=True))
     assert all(applied.get((e.txid, e.vout)) == e for e in hidden)
     assert serialize_utxo_set(applied) == _oracle_bytes(hidden)
@@ -440,7 +458,7 @@ def test_applied_set_layers_match_oracle(coins_):
     source = UtxoSet()
     for entry in base:
         source.add(entry)
-    applied = apply_snapshot(build_snapshot(source, 3, b"\x06" * 32))
+    applied = apply_snapshot(build_snapshot(source, TOP, b"\x06" * 32))
     untouched = applied.copy()
     assert serialize_utxo_set(applied) == _oracle_bytes(base)
 
@@ -481,7 +499,7 @@ def test_canonical_order_holds_past_one_byte_of_vout():
     for entry in added:
         utxo.add(entry)
     assert serialize_utxo_set(utxo) == _oracle_bytes(added)
-    applied = apply_snapshot(build_snapshot(utxo, 3, b"\x06" * 32))
+    applied = apply_snapshot(build_snapshot(utxo, 5, b"\x06" * 32))
     assert serialize_utxo_set(applied) == _oracle_bytes(added)
     for entry in added:
         assert utxo.get((txid, entry.vout)) == entry
@@ -584,13 +602,14 @@ def test_an_applied_layout_does_not_change_the_built_id():
     # a peer may chunk a snapshot in any layout; a build re-packs the
     # records greedily, as a fresh set of the same coins would
     coins = sorted((_entry(i) for i in range(FOLDED)), key=_outpoint)
-    one_per_chunk = Snapshot.assemble(9, b"\x07" * 32,
+    one_per_chunk = Snapshot.assemble(FOLDED, b"\x07" * 32,
                                       [encode_record(e) for e in coins])
     applied = apply_snapshot(one_per_chunk)
     fresh = _set_of(coins)
     for obfuscate in (True, False, False):
-        built = build_snapshot(applied, 9, b"\x07" * 32, obfuscate=obfuscate)
-        assert built == build_snapshot(fresh, 9, b"\x07" * 32,
+        built = build_snapshot(applied, FOLDED, b"\x07" * 32,
+                               obfuscate=obfuscate)
+        assert built == build_snapshot(fresh, FOLDED, b"\x07" * 32,
                                        obfuscate=obfuscate)
         assert built.id != one_per_chunk.id
     assert applied._chunks is built.chunks and len(built.chunks) == 2
