@@ -456,16 +456,18 @@ class UtxoSet:
         packed from exactly this set's records."""
         prefixes, places = array("Q"), array("Q")
         add_prefix, add_place = prefixes.append, places.append
-        last = (b"", -1)
+        last_txid, last_vout = b"", -1
         for number, chunk in enumerate(chunks):
             offset = 0
             while offset < len(chunk):
                 if height is not None:
                     end = _record_end(chunk, offset)
                     txid, vout, mined = _ORDER_HEAD.unpack_from(chunk, offset)
-                    outpoint = (txid, vout)
-                    if outpoint <= last:
-                        if outpoint == last:
+                    # (txid, vout) <= the last outpoint, field by field:
+                    # building and comparing tuples cost apply about 7 %
+                    if txid <= last_txid \
+                            and (txid != last_txid or vout <= last_vout):
+                        if txid == last_txid and vout == last_vout:
                             raise SnapshotError(
                                 f"duplicate outpoint {txid.hex()}:{vout}")
                         raise SnapshotError(f"record out of order at byte "
@@ -474,7 +476,7 @@ class UtxoSet:
                         raise SnapshotError(
                             f"record above the snapshot's height {height} "
                             f"at byte {offset} of chunk {number}")
-                    last = outpoint
+                    last_txid, last_vout = txid, vout
                 else:
                     end = offset + _RECORD_SIZE[chunk[offset + _CASE_AT]]
                 add_prefix(_PREFIX.unpack_from(chunk, offset)[0])
