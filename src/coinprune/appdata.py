@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .hashing import hash256
 from . import scripts
 from .chain import Block
-from .snapshot import Snapshot, SnapshotError, chunk_records, decode_records
+from .snapshot import Snapshot, SnapshotError, chunk_records
 
 
 class AppDataEntry(NamedTuple):
@@ -66,24 +66,13 @@ class AppDataStore:
 
     def __init__(self) -> None:
         self._entries: list[tuple[int, AppDataEntry]] = []
-        self._by_txid: dict[bytes, list[AppDataEntry]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def add_block(self, block: Block, height: int,
-                  block_id: bytes) -> list[AppDataEntry]:
-        added = extract_op_return(block, block_id)
-        for entry in added:
-            self.add_entry(height, entry)
-        return added
-
-    def add_entry(self, height: int, entry: AppDataEntry) -> None:
-        self._entries.append((height, entry))
-        self._by_txid.setdefault(entry.txid, []).append(entry)
-
-    def lookup(self, txid: bytes) -> list[AppDataEntry]:
-        return list(self._by_txid.get(txid, ()))
+    def add_block(self, block: Block, height: int, block_id: bytes) -> None:
+        self._entries.extend((height, entry)
+                             for entry in extract_op_return(block, block_id))
 
     def snapshot_at(self, height: int, block_id: bytes) -> Snapshot:
         """Chunked store of all entries up to height, identified like a snapshot."""
@@ -92,10 +81,15 @@ class AppDataStore:
 
 
 def parse_store(snapshot: Snapshot) -> AppDataStore:
-    """Rebuild a store from a fetched app-data snapshot."""
-    store = AppDataStore()
-    for entry in decode_records(snapshot, AppDataEntry.decode):
-        store.add_entry(snapshot.header.height, entry)
+    """Rebuild a store from a fetched app-data snapshot. Each chunk is
+    walked in place, so an entry that crosses a chunk boundary
+    (chunk_records never writes one) is truncated and fails."""
+    store, height = AppDataStore(), snapshot.header.height
+    for chunk in snapshot.chunks:
+        offset = 0
+        while offset < len(chunk):
+            entry, offset = AppDataEntry.decode(chunk, offset)
+            store._entries.append((height, entry))
     return store
 
 

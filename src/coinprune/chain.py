@@ -391,13 +391,6 @@ def _record_end(buf: bytes, offset: int) -> int:
     return end
 
 
-def decode_record(buf: bytes, offset: int = 0) -> tuple[UtxoEntry, int]:
-    """The entry of the record at `offset` and the offset after it;
-    SnapshotError where `_record_end` finds the head malformed."""
-    end = _record_end(buf, offset)
-    return _entry(buf[offset:end]), end
-
-
 def _entry(record: bytes) -> UtxoEntry:
     """Decode a record that was checked or packed before."""
     txid, vout, amount, height, coinbase, case = _RECORD_HEAD.unpack_from(record)

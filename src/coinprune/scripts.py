@@ -46,7 +46,6 @@ OP_DUP = 0x76
 OP_EQUAL = 0x87
 OP_EQUALVERIFY = 0x88
 OP_HASH160 = 0xa9
-OP_HASH256 = 0xaa
 OP_CHECKSIG = 0xac
 OP_CHECKMULTISIG = 0xae
 OP_1 = 0x51
@@ -295,41 +294,6 @@ def compress(script: bytes) -> CompressedTxOut:
     if n > MAX_SCRIPT_SIZE:
         raise ScriptError(f"script too large to store: {n} bytes")
     return CompressedTxOut(CASE_UNCOMPRESSED_BASE + n, bytes(script))
-
-
-def decompress(entry: CompressedTxOut) -> bytes:
-    """Rebuild the script template an entry stands for.
-
-    Obfuscated entries decompress to commitment templates carrying an
-    OP_HASH256 marker after the original hashing step; these are the
-    validation shapes, not spendable originals.
-    """
-    case, payload = entry
-    if payload_size(case) != len(payload):
-        raise ScriptError(
-            f"payload size {len(payload)} wrong for case 0x{case:02x}")
-    if case == CASE_P2PKH:
-        return p2pkh_script(payload)
-    if case == CASE_P2SH:
-        return p2sh_script(payload)
-    if case in (CASE_P2PK_EVEN, CASE_P2PK_ODD):
-        return p2pk_script(bytes([case]) + payload)
-    if case in (CASE_P2PK_UNCOMP_EVEN, CASE_P2PK_UNCOMP_ODD):
-        pubkey = uncompressed_pubkey(payload)
-        parity = pubkey[-1] & 1
-        if parity != case - CASE_P2PK_UNCOMP_EVEN:
-            raise ScriptError("stored key parity does not match derived y")
-        return p2pk_script(pubkey)
-    if case == CASE_OBF_P2PKH:
-        return bytes([OP_DUP, OP_HASH160, OP_HASH256, 32]) + payload \
-            + bytes([OP_EQUALVERIFY, OP_CHECKSIG])
-    if case == CASE_OBF_P2SH:
-        return bytes([OP_HASH160, OP_HASH256, 32]) + payload + bytes([OP_EQUAL])
-    if case == CASE_OBF_P2WPKH:
-        return bytes([OP_0, 20, OP_HASH256, 32]) + payload
-    if case == CASE_OBF_P2WSH:
-        return bytes([OP_0, 32, OP_HASH256, 32]) + payload
-    return payload
 
 
 def obfuscate(entry: CompressedTxOut) -> CompressedTxOut:

@@ -27,6 +27,7 @@ byte-identical CSVs.
 import csv
 import enum
 import io
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -270,7 +271,9 @@ def sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
     batch = max(64, len(cells) // (jobs * 8))
     chunks = [cells[i:i + batch] for i in range(0, len(cells), batch)]
     rows = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a forked pool starts all its workers at the first submit
+    workers = min(jobs, len(chunks), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(_cell_batch, [config] * len(chunks), chunks):
             rows.extend(part)
     return SweepResult(config, tuple(rows))

@@ -14,7 +14,7 @@ rest, and an empty set still has a well-defined id.
 
 import os
 import struct
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .hashing import hash256
 # the record codec lives in chain, beside the set that holds records
@@ -133,19 +133,6 @@ def verify_snapshot(snapshot: Snapshot, expected_id: bytes,
     if snapshot.id != expected_id:
         return SnapshotCheck(False, None, "snapshot id mismatch")
     return SnapshotCheck(True, None, "")
-
-
-def decode_records(snapshot: Snapshot,
-                   decode: Callable[[bytes, int], tuple]) -> Iterator:
-    """Every record of a snapshot in order; `decode(chunk, offset)` returns
-    one record and the offset after it, or raises SnapshotError. Each
-    chunk is walked in place, so a record that crosses a chunk boundary
-    (chunk_records never writes one) is truncated and fails."""
-    for chunk in snapshot.chunks:
-        offset = 0
-        while offset < len(chunk):
-            record, offset = decode(chunk, offset)
-            yield record
 
 
 def apply_snapshot(snapshot: Snapshot) -> UtxoSet:

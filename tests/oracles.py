@@ -1,0 +1,95 @@
+"""Test-side oracles, written from the documented formats rather than
+from the code they check.
+
+- `decompress` rebuilds an output script from a compressed entry, using
+  the case table in the `coinprune.scripts` module docstring and
+  Bitcoin's opcode bytes.
+- `appdata_entries` reads an app-data snapshot's chunks in the entry
+  layout of `coinprune.appdata`: a length byte, that many payload
+  bytes, the 32-byte txid, then the 32-byte block id.
+- `op_return_entries` scans blocks for outputs framed 0x6a, length,
+  payload.
+"""
+
+import hashlib
+
+# opcode bytes, from Bitcoin's script table
+_ZERO = b"\x00"
+_RETURN = b"\x6a"
+_DUP = b"\x76"
+_EQUAL = b"\x87"
+_EQUALVERIFY = b"\x88"
+_HASH160 = b"\xa9"
+_HASH256 = b"\xaa"
+_CHECKSIG = b"\xac"
+
+
+def _hash256(data: bytes) -> bytes:
+    return hashlib.sha256(hashlib.sha256(data).digest()).digest()
+
+
+# case -> (payload size, bytes before the payload, bytes after it). The
+# obfuscated cases stand for their commitment form: the original
+# template's hashing step followed by an OP_HASH256 marker and a push
+# of the 32-byte commitment.
+_TEMPLATES = {
+    0x00: (20, _DUP + _HASH160 + b"\x14", _EQUALVERIFY + _CHECKSIG),  # P2PKH
+    0x01: (20, _HASH160 + b"\x14", _EQUAL),  # P2SH
+    0x02: (32, b"\x21\x02", _CHECKSIG),  # P2PK compressed, even
+    0x03: (32, b"\x21\x03", _CHECKSIG),  # P2PK compressed, odd
+    0x06: (32, _DUP + _HASH160 + _HASH256 + b"\x20",
+           _EQUALVERIFY + _CHECKSIG),  # obfuscated P2PKH
+    0x07: (32, _HASH160 + _HASH256 + b"\x20", _EQUAL),  # obfuscated P2SH
+    0x08: (32, _ZERO + b"\x14" + _HASH256 + b"\x20", b""),  # obf. P2WPKH
+    0x09: (32, _ZERO + b"\x20" + _HASH256 + b"\x20", b""),  # obf. P2WSH
+}
+
+
+def decompress(entry) -> bytes:
+    """The script a `(case, payload)` entry stands for; ValueError when
+    the payload does not fit its case."""
+    case, payload = entry
+    if case in _TEMPLATES:
+        size, head, tail = _TEMPLATES[case]
+        if len(payload) != size:
+            raise ValueError(f"case {case:#04x} takes {size} bytes")
+        return head + payload + tail
+    if case in (0x04, 0x05):  # P2PK uncompressed: y = HASH256(x)
+        y = _hash256(payload)
+        if len(payload) != 32 or y[-1] % 2 != case - 0x04:
+            raise ValueError(f"no key of case {case:#04x} has this x")
+        return b"\x41\x04" + payload + y + _CHECKSIG
+    if case >= 0x0A and len(payload) == case - 0x0A:  # stored verbatim
+        return payload
+    raise ValueError(f"case {case:#04x} with {len(payload)} payload bytes")
+
+
+def appdata_entries(snapshot) -> list[tuple[bytes, bytes, bytes]]:
+    """Every (payload, txid, block id) of an app-data snapshot, in
+    order; AssertionError when a chunk does not split into entries."""
+    found = []
+    for chunk in snapshot.chunks:
+        at = 0
+        while at < len(chunk):
+            n = chunk[at]
+            end = at + 1 + n + 64
+            assert end <= len(chunk), f"entry at byte {at} runs past its chunk"
+            found.append((chunk[at + 1:at + 1 + n],
+                          chunk[at + 1 + n:end - 32], chunk[end - 32:end]))
+            at = end
+    return found
+
+
+def op_return_entries(blocks) -> list[tuple[int, tuple[bytes, bytes, bytes]]]:
+    """(height, (payload, txid, block id)) of every output script framed
+    0x6a, length, payload, in chain, transaction and output order."""
+    found = []
+    for height, block in enumerate(blocks):
+        block_id = block.block_id()
+        for tx in block.transactions:
+            for out in tx.outputs:
+                script = out.script
+                if script[:1] == _RETURN:
+                    found.append((height, (script[2:2 + script[1]],
+                                           tx.txid(), block_id)))
+    return found

@@ -7,8 +7,10 @@ from coinprune.appdata import (AppDataEntry, AppDataStore, combined_tag,
 from coinprune.chain import ChainParams, UtxoSet, validate_and_apply_block
 from coinprune.chaingen import WorkloadProfile, generate_chain
 from coinprune.hashing import hash256
-from coinprune.scripts import decompress, is_op_return
-from coinprune.snapshot import Snapshot, SnapshotError, decode_records
+from coinprune.scripts import is_op_return
+from coinprune.snapshot import Snapshot, SnapshotError
+
+from oracles import appdata_entries, decompress, op_return_entries
 
 # hash256 of thirty-two 0x01 bytes followed by thirty-two 0x02 bytes
 COMBINED_GOLDEN = "39ce20bede82c96b8908bec4a157b09c549b3db90b9b474bda9ae9b9030310b4"
@@ -21,21 +23,6 @@ def op_return_chain():
     return generate_chain(OP_RETURN_HEAVY, 120, seed=77)
 
 
-def _oracle_entries(blocks):
-    """Independent scan: every output script framed 0x6a len payload."""
-    found = []
-    for height, block in enumerate(blocks):
-        block_id = block.block_id()
-        for tx in block.transactions:
-            for out in tx.outputs:
-                script = out.script
-                if script[:1] == b"\x6a":
-                    payload = script[2:2 + script[1]]
-                    found.append((height, AppDataEntry(payload, tx.txid(),
-                                                       block_id)))
-    return found
-
-
 def _store(blocks) -> AppDataStore:
     store = AppDataStore()
     for height, block in enumerate(blocks):
@@ -43,25 +30,26 @@ def _store(blocks) -> AppDataStore:
     return store
 
 
-def _entries(store: AppDataStore, blocks) -> list[AppDataEntry]:
+def _entries(store: AppDataStore, blocks) -> list[tuple]:
     """The store's entries in order, read back through its snapshot."""
     tip = len(blocks) - 1
-    return list(decode_records(store.snapshot_at(tip, blocks[tip].block_id()),
-                               AppDataEntry.decode))
+    return appdata_entries(store.snapshot_at(tip, blocks[tip].block_id()))
 
 
 def test_extraction_matches_independent_scan(op_return_chain):
     store = _store(op_return_chain)
-    expected = _oracle_entries(op_return_chain)
+    expected = op_return_entries(op_return_chain)
     assert len(store) == len(expected) > 50
     assert _entries(store, op_return_chain) == [e for _, e in expected]
 
 
-def test_lookup_by_txid(op_return_chain):
-    store = _store(op_return_chain)
-    for _, entry in _oracle_entries(op_return_chain):
-        assert entry in store.lookup(entry.txid)
-    assert store.lookup(b"\x00" * 32) == []
+def test_parsed_store_matches_independent_scan(op_return_chain):
+    # a joiner's store is parsed from the fetched snapshot
+    tip = len(op_return_chain) - 1
+    snap = _store(op_return_chain).snapshot_at(
+        tip, op_return_chain[tip].block_id())
+    assert _entries(parse_store(snap), op_return_chain) \
+        == [e for _, e in op_return_entries(op_return_chain)]
 
 
 def test_payloads_never_enter_utxo_set(op_return_chain):
@@ -134,6 +122,5 @@ def test_parse_store_fails_closed(chunks):
         store = parse_store(snap)
     except SnapshotError:
         return
-    entries = decode_records(store.snapshot_at(1, b"\x00" * 32),
-                             AppDataEntry.decode)
-    assert b"".join(e.serialize() for e in entries) == b"".join(chunks)
+    assert b"".join(store.snapshot_at(1, b"\x00" * 32).chunks) \
+        == b"".join(chunks)

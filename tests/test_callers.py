@@ -12,6 +12,7 @@ import argparse
 import ast
 import contextlib
 import io
+import re
 import sys
 from pathlib import Path
 
@@ -19,22 +20,22 @@ import pytest
 
 from coinprune import chain, cli
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "coinprune"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "coinprune"
+
+# called by perfbench/, whose files a benchmark change alone may edit;
+# each goes once perfbench stops calling it
+PINNED_BY_BENCHMARK = {
+    "chain.UtxoSet.entries": "snapshot-bulk's set-up samples leak payloads "
+                             "from the held coins",
+    "snapshot.serialize_utxo_set": "sim-bootstrap and snapshot-bulk compare "
+                                   "joined and applied states with it",
+}
 
 ALLOWED = {
-    "appdata.AppDataStore.lookup": "acceptance criterion 7 reads preserved "
-                                   "payloads back by txid",
     "chain.best_tip": "the private-fork joiner picks the most-work chain "
                       "with it",
-    "chain.decode_record": "the entry-level record parser the record fuzz "
-                           "tests drive; it checks each head with the same "
-                           "code as apply_snapshot's walk",
-    "chain.UtxoSet.entries": "reads the held records back as entries for "
-                             "the state tests and the benchmark's set-up",
-    "scripts.decompress": "the lossless-compression oracle of the script "
-                          "tests",
-    "snapshot.serialize_utxo_set": "the state oracle the tests and the "
-                                   "benchmark compare joined states against",
+    **PINNED_BY_BENCHMARK,
 }
 
 # small enough to run in about a second under the profiler; the joiner's
@@ -159,3 +160,12 @@ def test_allowlist_holds_only_uncalled_functions(executed):
     # an allowlisted name that was deleted or gained a caller goes too
     stale = sorted(ALLOWED.keys() - _uncalled(executed))
     assert not stale, f"allowlisted but run by a command, or gone: {stale}"
+
+
+def test_benchmark_still_calls_every_pinned_name():
+    # a pinned name perfbench no longer calls has lost its reason to stay
+    bench = "".join(p.read_text() for p in (ROOT / "perfbench").glob("*.py"))
+    stale = sorted(name for name in PINNED_BY_BENCHMARK
+                   if not re.search(
+                       rf"\b{re.escape(name.rsplit('.', 1)[-1])}\(", bench))
+    assert not stale, f"pinned by the benchmark but not called there: {stale}"

@@ -15,7 +15,9 @@ import pytest
 from coinprune.chain import (Block, ChainParams, Transaction, UtxoSet,
                              validate_and_apply_block)
 from coinprune.chaingen import ChainBuilder, WorkloadProfile, generate_chain, light_profile
-from coinprune.scripts import MAX_OP_RETURN_PAYLOAD, ScriptClass, classify, decompress
+from coinprune.scripts import MAX_OP_RETURN_PAYLOAD, ScriptClass, classify
+
+from oracles import decompress
 
 
 @pytest.fixture(scope="module")

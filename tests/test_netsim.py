@@ -20,11 +20,13 @@ from coinprune.chain import (BlockFile, BlockHeader, ChainParams, TxOutput,
                              coinbase_tx, make_block)
 from coinprune.coordination import PulseParams
 from coinprune.hashing import hash256
-from coinprune.appdata import AppDataEntry, combined_tag
+from coinprune.appdata import combined_tag
 from coinprune.netsim import (MAX_BOOTSTRAP_ATTEMPTS, NodeConfig, SimError,
                               SimScenario, Simulation, format_scenario,
                               parse_scenario, run_simulation)
 from coinprune.snapshot import build_snapshot, serialize_utxo_set, wire_size
+
+from oracles import appdata_entries, op_return_entries
 
 PARAMS = PulseParams(delta_p=200, delta_r=50, delta_d=6, k=5)
 
@@ -113,14 +115,11 @@ def test_snapshot_join_cheaper_than_full_sync(honest_run):
 
 def test_joiner_appdata_matches_canonical(honest_run):
     sim, _ = honest_run
-    store = sim.join_stores["jcp"]
     tip = sim.builder.height
-    canonical = list(snapshot_mod.decode_records(
-        sim.appstore.snapshot_at(tip, sim.builder.ids[tip]),
-        AppDataEntry.decode))
-    assert len(store) == len(canonical) > 0
-    for entry in canonical[:50]:
-        assert entry in store.lookup(entry.txid)
+    joined = appdata_entries(
+        sim.join_stores["jcp"].snapshot_at(tip, sim.builder.ids[tip]))
+    scanned = [e for _, e in op_return_entries(sim.builder.blocks)]
+    assert joined == scanned and len(joined) > 0
 
 
 def test_rerun_is_byte_identical(honest_run):

@@ -9,7 +9,7 @@ from coinprune.scripts import (CASE_OBF_P2PKH, CASE_OBF_P2SH, CASE_OBF_P2WPKH,
                                CASE_P2PKH, CASE_P2SH, CASE_UNCOMPRESSED_BASE,
                                MAX_SCRIPT_SIZE, OP_CHECKSIG, CompressedTxOut,
                                ScriptClass, ScriptError, SpendContext,
-                               classify, compress, decompress,
+                               classify, compress,
                                is_op_return, key_unlock, obfuscate,
                                op_return_payload, op_return_script,
                                p2ms_script, p2pk_script, p2pkh_script,
@@ -17,6 +17,8 @@ from coinprune.scripts import (CASE_OBF_P2PKH, CASE_OBF_P2SH, CASE_OBF_P2WPKH,
                                script_unlock, script_well_formed, sign,
                                signature_unlock, uncompressed_pubkey,
                                validate_spend)
+
+from oracles import decompress
 
 bytes20 = st.binary(min_size=20, max_size=20)
 bytes32 = st.binary(min_size=32, max_size=32)

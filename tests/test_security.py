@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from coinprune import security
 from coinprune.security import (CellResult, SweepConfig, TrialOutcome,
                                 adversary_count, evaluate_cell, percent_grid,
                                 support_count, sweep)
@@ -163,6 +164,40 @@ def test_sweep_is_deterministic_and_jobs_invariant():
             for dr, k, i, j in
             [(dr, k, i, j) for dr in (100,) for k in (5, 10)
              for i in range(3) for j in range(11)]]
+
+
+@pytest.mark.parametrize("f_a_step, jobs, cpus, workers", [
+    (10, 100_000, 4, 2),  # 66 cells in 2 batches: one worker per batch
+    (1, 100_000, 4, 4),  # 606 cells in 10 batches: one worker per core
+    (1, 3, 4, 3),  # fewer jobs than batches and cores
+    (1, 100_000, None, 1),  # core count unknown
+])
+def test_sweep_caps_its_pool(monkeypatch, f_a_step, jobs, cpus, workers):
+    # a forked pool starts all its workers at the first submit, so an
+    # uncapped --jobs 100000 would fork 100,000 processes; this pool
+    # records the size it was asked for and maps in this process
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(security, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(security.os, "cpu_count", lambda: cpus)
+    config = SweepConfig(f_c_values=(0.0, 0.5, 1.0),
+                         f_a_values=percent_grid(f_a_step),
+                         delta_r_values=(100,), k_values=(5, 10), trials=50)
+    assert sweep(config, jobs=jobs).to_csv() == sweep(config).to_csv()
+    assert sizes == [workers]
 
 
 def test_thresholds_csv_blank_when_never_compromised():

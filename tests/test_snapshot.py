@@ -7,8 +7,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from coinprune import snapshot as snapshot_mod
-from coinprune.chain import (ChainError, UtxoEntry, UtxoSet, decode_record,
-                             encode_record, obfuscate_record)
+from coinprune.chain import (ChainError, UtxoEntry, UtxoSet, encode_record,
+                             obfuscate_record)
 from coinprune.hashing import hash256
 from coinprune.scripts import (CompressedTxOut, compress, obfuscate,
                                p2pk_script, p2pkh_script, p2sh_script,
@@ -77,30 +77,31 @@ def test_layered_id_dual_route():
     assert snap.digests == tuple(hash256(c) for c in snap.chunks)
 
 
-# --- records ------------------------------------------------------------------
+# --- records ---------------------------------------------------------------
+# read through UtxoSet.from_chunks, the path apply_snapshot takes
 
 @given(entries)
 def test_record_roundtrip(entry):
     raw = encode_record(entry)
-    decoded, used = decode_record(raw, 0)
-    assert used == len(raw)
-    assert decoded == entry
+    utxo = UtxoSet.from_chunks([raw], TOP)
+    assert len(utxo) == 1 and bytes(utxo) == raw
+    assert utxo.get((entry.txid, entry.vout)) == entry
 
 
 @given(entries)
 def test_obfuscated_record_roundtrip_keeps_flag(entry):
     raw = obfuscate_record(encode_record(entry))
-    decoded, _ = decode_record(raw, 0)
+    decoded = UtxoSet.from_chunks([raw], TOP).get((entry.txid, entry.vout))
     assert (decoded.txid, decoded.vout, decoded.amount, decoded.height,
             decoded.coinbase) == (entry.txid, entry.vout, entry.amount,
                                   entry.height, entry.coinbase)
 
 
 def test_decode_reports_byte_offset():
-    raw = encode_record(_entry(1))
+    first, second = sorted(map(encode_record, (_entry(1), _entry(2))))
     with pytest.raises(SnapshotError) as err:
-        decode_record(raw[:-1], 0)
-    assert "0" in str(err.value)
+        UtxoSet.from_chunks([first + second[:-1]], TOP)
+    assert str(err.value) == f"truncated record payload at byte {len(first)}"
 
 
 def test_serialization_sorted_by_outpoint():
@@ -140,12 +141,8 @@ def test_chunks_respect_limit_and_never_split_records():
         assert 0 < len(chunk) <= CHUNK_SIZE
         # each chunk decodes standalone: records end exactly on the
         # chunk boundary, so none was split across chunks
-        offset = 0
-        while offset < len(chunk):
-            _, offset = decode_record(chunk, offset)
-        assert offset == len(chunk)
-        total += len(chunk)
-    assert total == len(serialize_utxo_set(utxo))
+        total += len(UtxoSet.from_chunks([chunk], TOP))
+    assert total == len(utxo) == 20000
 
 
 def test_chunking_is_greedy():
@@ -238,9 +235,7 @@ def test_apply_roundtrip():
 def test_apply_rejects_a_bad_coinbase_flag():
     record = bytearray(encode_record(_entry(1)))
     record[48] = 2  # the byte after txid, vout, amount and height
-    with pytest.raises(SnapshotError):
-        decode_record(bytes(record))
-    with pytest.raises(SnapshotError):
+    with pytest.raises(SnapshotError, match="^bad coinbase flag at byte 0$"):
         apply_snapshot(Snapshot.assemble(1, b"\x00" * 32, [bytes(record)]))
 
 
