@@ -418,7 +418,7 @@ class UtxoSet:
     built chunks become the base and the dict is emptied, so the set
     and the snapshot share one copy of the records (about 90 bytes per
     coin in all, against about 207 in the dict). A one-chunk set keeps
-    its dict, whose lookups are cheaper than the base's bisection.
+    its dict, whose hash probes are cheaper than the base's bisection.
     """
 
     def __init__(self) -> None:
