@@ -108,10 +108,10 @@ class ChainBuilder:
         self.ids.append(validate_and_apply_block(self.utxo, block, height,
                                                  prev_id, self.params))
         self.blocks.append(block)
-        # wallet bookkeeping only after the block is accepted
-        spent_set = set(spent)
-        self.wallet = [w for w in self.wallet
-                       if (w.txid, w.vout) not in spent_set]
+        # wallet bookkeeping only after the block is accepted; `spent`
+        # holds wallet positions in ascending order
+        for pos in reversed(spent):
+            del self.wallet[pos]
         self.wallet.extend(created)
         cb_txid = coinbase.txid()
         self.wallet.append(WalletUtxo(cb_txid, 0, self.params.subsidy + fees,
@@ -131,7 +131,7 @@ class ChainBuilder:
         victims = self._pick_victims()
         txs: list[Transaction] = []
         fees = 0
-        spent: list[tuple[bytes, int]] = []
+        spent: list[int] = []
         created: list[WalletUtxo] = []
         i = 0
         while i < len(victims) and len(txs) < profile.txs_per_block:
@@ -140,16 +140,16 @@ class ChainBuilder:
             if i < len(victims) and rng.random() < TWO_INPUT_RATE:
                 group.append(victims[i])
                 i += 1
-            tx = self._spend_tx(group, created)
+            tx = self._spend_tx([self.wallet[pos] for pos in group], created)
             if tx is None:
                 continue
             txs.append(tx)
             fees += FEE
-            spent.extend((w.txid, w.vout) for w in group)
+            spent.extend(group)
         return txs, fees, spent, created
 
-    def _pick_victims(self) -> list[WalletUtxo]:
-        """Sample wallet outputs to spend this block.
+    def _pick_victims(self) -> list[int]:
+        """Sample wallet outputs to spend this block, as ascending positions.
 
         Approximates per-UTXO Bernoulli(spend_probability): exact for
         small wallets, a rounded normal draw of the binomial count for
@@ -161,14 +161,12 @@ class ChainBuilder:
         if n == 0 or p <= 0:
             return []
         if n <= 64:
-            picked = [w for w in self.wallet if rng.random() < p]
-            return picked
+            return [pos for pos in range(n) if rng.random() < p]
         mean = n * p
         sd = math.sqrt(n * p * (1 - p))
         count = int(round(rng.gauss(mean, sd)))
         count = max(0, min(n, count))
-        idx = rng.sample(range(n), count)
-        return [self.wallet[j] for j in sorted(idx)]
+        return sorted(rng.sample(range(n), count))
 
     def _spend_tx(self, group: list[WalletUtxo],
                   created: list[WalletUtxo]) -> Transaction | None:

@@ -21,21 +21,22 @@ nobody reached the threshold k). A cell's trials run in one of two modes:
 Cells of the (f_C, f_A, delta_r, k) grid are independent. Each cell
 gets its own RNG stream spawned from (seed, cell coordinates), so the
 sweep can be evaluated with any number of workers and still produce
-byte-identical CSVs.
+byte-identical CSVs. numpy and the process pool load only when a sweep
+runs, so every CLI command can import this module without paying for them.
 """
 
 import csv
 import enum
 import io
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .coordination import CoordinationError, PulseParams, tally_window
 from .hashing import hash256
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Fixed 32-byte tags for the blockwise oracle. Their values never
 # matter, only that honest and adversarial miners each coordinate on
@@ -72,7 +73,7 @@ def adversary_count(f_c: float, f_a: float, n_miners: int) -> int:
 
 
 def run_trial_blockwise(f_c: float, f_a: float, delta_r: int, k: int,
-                        rng: np.random.Generator,
+                        rng: "np.random.Generator",
                         n_miners: int = 1000) -> TrialOutcome:
     """One window trial, block by block, through the real tally.
 
@@ -139,7 +140,8 @@ class CellResult(NamedTuple):
 
 
 def _cell_rng(config: SweepConfig, delta_r: int, k: int,
-              i_fc: int, i_fa: int) -> np.random.Generator:
+              i_fc: int, i_fa: int) -> "np.random.Generator":
+    import numpy as np
     # spawn_key ties the stream to the cell itself, not to evaluation
     # order, so any worker partition reproduces the same draws
     seq = np.random.SeedSequence(config.seed, spawn_key=(delta_r, k, i_fc, i_fa))
@@ -168,6 +170,7 @@ def evaluate_cell(config: SweepConfig, delta_r: int, k: int,
         if n_support:
             a = rng.binomial(m, n_bogus / n_support)
         else:
+            import numpy as np
             a = np.zeros(trials, dtype=np.int64)
         h = m - a
         n_adv = int(((a > h) & (a >= k)).sum())
@@ -259,6 +262,11 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
+def _pool(workers: int):
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
     """Evaluate every grid cell; `jobs` never changes the result bytes."""
     cells = _cell_order(config)
@@ -271,9 +279,11 @@ def sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
     batch = max(64, len(cells) // (jobs * 8))
     chunks = [cells[i:i + batch] for i in range(0, len(cells), batch)]
     rows = []
-    # a forked pool starts all its workers at the first submit
+    # a forked pool starts all its workers at the first submit; they
+    # inherit numpy from this process instead of each importing it
+    import numpy  # noqa: F401
     workers = min(jobs, len(chunks), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with _pool(workers) as pool:
         for part in pool.map(_cell_batch, [config] * len(chunks), chunks):
             rows.extend(part)
     return SweepResult(config, tuple(rows))

@@ -191,7 +191,7 @@ def test_sweep_caps_its_pool(monkeypatch, f_a_step, jobs, cpus, workers):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(security, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(security, "_pool", InProcessPool)
     monkeypatch.setattr(security.os, "cpu_count", lambda: cpus)
     config = SweepConfig(f_c_values=(0.0, 0.5, 1.0),
                          f_a_values=percent_grid(f_a_step),
