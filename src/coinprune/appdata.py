@@ -2,9 +2,11 @@
 
 Pruning discards full blocks, and with them any OP_RETURN payloads
 applications anchored on the chain. To keep those alive, nodes maintain
-an append-only store of (payload, txid, block id) triples extracted
-from each accepted block. The store is chunked and identified exactly
-like a snapshot, and the on-chain reaffirmation tag commits to both:
+an append-only store of (payload, txid, block id) entries extracted
+from each accepted block, each held as its serialized bytes: a length
+byte, the payload of at most 80 bytes, the 32-byte txid, then the
+32-byte block id. The store is chunked and identified exactly like a
+snapshot, and the on-chain reaffirmation tag commits to both:
 
     tag = HASH256(snapshot_id || appdata_id)
 
@@ -12,7 +14,8 @@ so a joining node can verify the preserved payloads against the same
 miner vote that reaffirms the UTXO state.
 """
 
-from typing import NamedTuple
+from array import array
+from bisect import bisect_right
 
 from .hashing import hash256
 from . import scripts
@@ -20,35 +23,10 @@ from .chain import Block
 from .snapshot import Snapshot, SnapshotError, chunk_records
 
 
-class AppDataEntry(NamedTuple):
-    payload: bytes
-    txid: bytes
-    block_id: bytes
-
-    def serialize(self) -> bytes:
-        if len(self.payload) > scripts.MAX_OP_RETURN_PAYLOAD:
-            raise SnapshotError("app-data payload above 80 bytes")
-        return bytes([len(self.payload)]) + self.payload + self.txid + self.block_id
-
-    @classmethod
-    def decode(cls, buf: bytes, offset: int = 0) -> tuple["AppDataEntry", int]:
-        if offset >= len(buf):
-            raise SnapshotError(f"truncated app-data entry at byte {offset}")
-        n = buf[offset]
-        if n > scripts.MAX_OP_RETURN_PAYLOAD:
-            raise SnapshotError(f"byte {offset}: app-data payload above 80 bytes")
-        end = offset + 1 + n + 64
-        if end > len(buf):
-            raise SnapshotError(f"truncated app-data entry at byte {offset}")
-        payload = bytes(buf[offset + 1:offset + 1 + n])
-        txid = bytes(buf[offset + 1 + n:offset + 1 + n + 32])
-        block_id = bytes(buf[offset + 1 + n + 32:end])
-        return cls(payload, txid, block_id), end
-
-
-def extract_op_return(block: Block, block_id: bytes) -> list[AppDataEntry]:
-    """All OP_RETURN payloads of a block, in transaction/output order;
-    block_id is the id its caller already computed."""
+def extract_op_return(block: Block, block_id: bytes) -> list[bytes]:
+    """The serialized entry of every OP_RETURN payload of a block (at
+    most 80 bytes each, which op_return_payload checks), in
+    transaction/output order; block_id is the id its caller computed."""
     entries = []
     for tx in block.transactions:
         txid = None
@@ -56,28 +34,49 @@ def extract_op_return(block: Block, block_id: bytes) -> list[AppDataEntry]:
             if scripts.is_op_return(txout.script):
                 if txid is None:
                     txid = tx.txid()
-                entries.append(AppDataEntry(
-                    scripts.op_return_payload(txout.script), txid, block_id))
+                payload = scripts.op_return_payload(txout.script)
+                entries.append(bytes((len(payload),)) + payload + txid
+                               + block_id)
     return entries
 
 
+def _entry_end(buf: bytes, offset: int) -> int:
+    """The offset after the entry at `offset` < len(buf); SnapshotError
+    on a payload above 80 bytes or an entry that runs past `buf`."""
+    n = buf[offset]
+    if n > scripts.MAX_OP_RETURN_PAYLOAD:
+        raise SnapshotError(f"byte {offset}: app-data payload above 80 bytes")
+    end = offset + 1 + n + 64
+    if end > len(buf):
+        raise SnapshotError(f"truncated app-data entry at byte {offset}")
+    return end
+
+
 class AppDataStore:
-    """Append-only store of extracted payloads, in chain order."""
+    """Append-only store of extracted entries, in chain order. The
+    entries' bytes are held back to back in one buffer, beside each
+    entry's end offset in it and the height of its block."""
 
     def __init__(self) -> None:
-        self._entries: list[tuple[int, AppDataEntry]] = []
+        self._bytes = bytearray()
+        self._ends = array("Q")
+        self._heights = array("I")  # ascending, as blocks are added
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._ends)
 
     def add_block(self, block: Block, height: int, block_id: bytes) -> None:
-        self._entries.extend((height, entry)
-                             for entry in extract_op_return(block, block_id))
+        for entry in extract_op_return(block, block_id):
+            self._bytes += entry
+            self._ends.append(len(self._bytes))
+            self._heights.append(height)
 
     def snapshot_at(self, height: int, block_id: bytes) -> Snapshot:
         """Chunked store of all entries up to height, identified like a snapshot."""
+        cut = bisect_right(self._heights, height)
+        data, ends = self._bytes, self._ends[:cut]
         return Snapshot.assemble(height, block_id, chunk_records(
-            e.serialize() for h, e in self._entries if h <= height))
+            data[start:end] for start, end in zip([0, *ends], ends)))
 
 
 def parse_store(snapshot: Snapshot) -> AppDataStore:
@@ -86,10 +85,12 @@ def parse_store(snapshot: Snapshot) -> AppDataStore:
     (chunk_records never writes one) is truncated and fails."""
     store, height = AppDataStore(), snapshot.header.height
     for chunk in snapshot.chunks:
-        offset = 0
+        offset, base = 0, len(store._bytes)
         while offset < len(chunk):
-            entry, offset = AppDataEntry.decode(chunk, offset)
-            store._entries.append((height, entry))
+            offset = _entry_end(chunk, offset)
+            store._ends.append(base + offset)
+            store._heights.append(height)
+        store._bytes += chunk
     return store
 
 

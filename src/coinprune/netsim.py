@@ -600,11 +600,12 @@ class Simulation:
     def _keep_join(self, name: str, utxo: UtxoSet,
                    store: appdata_mod.AppDataStore, heights: range,
                    held: tuple[Snapshot, Snapshot] | None = None) -> None:
-        """Record a join's state and its app data, both extended over the
-        replay; the joiner keeps the replayed blocks and the applied
-        snapshot."""
+        """Record a join's state, folded into its records, and its app
+        data, both extended over the replay; the joiner keeps the
+        replayed blocks and the applied snapshot."""
         node = self.nodes[name]
         node.pruned_below, node.held = heights.start, held
+        utxo.fold(snapshot_mod.chunk_records(utxo.records()))
         self.join_utxo[name] = utxo
         self.join_stores[name] = store
 

@@ -111,7 +111,7 @@ def build_snapshot(utxo: UtxoSet, height: int, block_id: bytes,
         records = map(obfuscate_record, records)
     snap = Snapshot.assemble(height, block_id, chunk_records(records))
     if not obfuscate and len(snap.chunks) > 1:
-        utxo._lay_base(snap.chunks, None)
+        utxo.fold(snap.chunks)
     return snap
 
 

@@ -6,7 +6,8 @@ from the code they check.
   Bitcoin's opcode bytes.
 - `appdata_entries` reads an app-data snapshot's chunks in the entry
   layout of `coinprune.appdata`: a length byte, that many payload
-  bytes, the 32-byte txid, then the 32-byte block id.
+  bytes, the 32-byte txid, then the 32-byte block id. `appdata_entry`
+  writes one entry in that layout.
 - `op_return_entries` scans blocks for outputs framed 0x6a, length,
   payload.
 """
@@ -78,6 +79,12 @@ def appdata_entries(snapshot) -> list[tuple[bytes, bytes, bytes]]:
                           chunk[at + 1 + n:end - 32], chunk[end - 32:end]))
             at = end
     return found
+
+
+def appdata_entry(payload: bytes, txid: bytes, block_id: bytes) -> bytes:
+    """One entry's bytes in the layout `appdata_entries` reads; the
+    payload may be up to 255 bytes, past what the store accepts."""
+    return bytes([len(payload)]) + payload + txid + block_id
 
 
 def op_return_entries(blocks) -> list[tuple[int, tuple[bytes, bytes, bytes]]]:

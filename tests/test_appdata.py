@@ -1,16 +1,20 @@
+import random
+import tracemalloc
+from itertools import islice
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from coinprune.appdata import (AppDataEntry, AppDataStore, combined_tag,
-                               parse_store)
+from coinprune.appdata import AppDataStore, combined_tag, parse_store
 from coinprune.chain import ChainParams, UtxoSet, validate_and_apply_block
 from coinprune.chaingen import WorkloadProfile, generate_chain
 from coinprune.hashing import hash256
 from coinprune.scripts import is_op_return
-from coinprune.snapshot import Snapshot, SnapshotError
+from coinprune.snapshot import Snapshot, SnapshotError, chunk_records
 
-from oracles import appdata_entries, decompress, op_return_entries
+from oracles import (appdata_entries, appdata_entry, decompress,
+                     op_return_entries)
 
 # hash256 of thirty-two 0x01 bytes followed by thirty-two 0x02 bytes
 COMBINED_GOLDEN = "39ce20bede82c96b8908bec4a157b09c549b3db90b9b474bda9ae9b9030310b4"
@@ -65,13 +69,21 @@ def test_payloads_never_enter_utxo_set(op_return_chain):
 
 @given(st.binary(max_size=255), st.binary(min_size=32, max_size=32),
        st.binary(min_size=32, max_size=32))
+@example(b"\x6a" * 80, b"\x01" * 32, b"\x02" * 32)
+@example(b"\x6a" * 81, b"\x01" * 32, b"\x02" * 32)
 def test_entry_roundtrip(payload, txid, block_id):
-    entry = AppDataEntry(payload, txid, block_id)
-    raw = entry.serialize()
-    assert len(raw) == 1 + len(payload) + 64
-    decoded, used = AppDataEntry.decode(raw, 0)
-    assert decoded == entry
-    assert used == len(raw)
+    # payloads of up to 80 bytes round-trip through a parsed store;
+    # a longer one is refused
+    snap = Snapshot.assemble(1, b"\x00" * 32,
+                             [appdata_entry(payload, txid, block_id)])
+    if len(payload) > 80:
+        with pytest.raises(SnapshotError, match="above 80 bytes"):
+            parse_store(snap)
+        return
+    store = parse_store(snap)
+    assert len(store) == 1
+    assert appdata_entries(store.snapshot_at(1, b"\x00" * 32)) \
+        == [(payload, txid, block_id)]
 
 
 def test_snapshot_roundtrip(op_return_chain):
@@ -85,6 +97,42 @@ def test_snapshot_roundtrip(op_return_chain):
     # same seed, same chain, same snapshot id
     again = store.snapshot_at(tip, op_return_chain[tip].block_id())
     assert again.id == snap.id
+
+
+def test_a_cut_below_the_tip_equals_a_store_built_to_it(op_return_chain):
+    store = _store(op_return_chain)
+    for height in (0, 1, 37, 60, len(op_return_chain) - 2):
+        block_id = op_return_chain[height].block_id()
+        cut = store.snapshot_at(height, block_id)
+        assert cut == _store(islice(op_return_chain, height + 1)) \
+            .snapshot_at(height, block_id)
+        assert appdata_entries(cut) == [
+            e for h, e in op_return_entries(op_return_chain) if h <= height]
+
+
+def test_a_store_holds_under_24_traced_bytes_per_entry_beyond_its_bytes(
+        op_return_chain):
+    # held as (height, entry) tuples with a bytes object per field, an
+    # entry traced about 300 bytes; held as bytes, a store keeps each
+    # entry's end offset and height beside them
+    rng = random.Random(18)
+    fetched = [appdata_entry(rng.randbytes(rng.randrange(81)),
+                             rng.randbytes(32), rng.randbytes(32))
+               for _ in range(3000)]
+    snap = Snapshot.assemble(50, b"\x00" * 32, chunk_records(fetched))
+    tip = len(op_return_chain) - 1
+    tracemalloc.start()
+    try:
+        store = parse_store(snap)  # a joiner's store, then its chaintail
+        for height, block in enumerate(op_return_chain):
+            store.add_block(block, height, block.block_id())
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    entries = appdata_entries(store.snapshot_at(tip, b"\x00" * 32))
+    assert len(store) == len(entries) > 3000
+    size = sum(1 + len(payload) + 64 for payload, _, _ in entries)
+    assert (held - size) / len(entries) < 24
 
 
 def test_combined_tag_golden_vector():
@@ -101,7 +149,7 @@ def test_combined_tag_rejects_bad_lengths():
 
 
 def test_parse_store_rejects_an_entry_split_across_chunks():
-    raw = AppDataEntry(b"anchored", b"\x01" * 32, b"\x02" * 32).serialize()
+    raw = appdata_entry(b"anchored", b"\x01" * 32, b"\x02" * 32)
     snap = Snapshot.assemble(1, b"\x00" * 32, [raw[:20], raw[20:]])
     with pytest.raises(SnapshotError):
         parse_store(snap)
@@ -109,9 +157,9 @@ def test_parse_store_rejects_an_entry_split_across_chunks():
 
 # chunk bytes: well-formed entries mixed with arbitrary bytes
 entry_soup = st.lists(st.one_of(
-    st.builds(AppDataEntry, st.binary(max_size=80),
+    st.builds(appdata_entry, st.binary(max_size=80),
               st.binary(min_size=32, max_size=32),
-              st.binary(min_size=32, max_size=32)).map(AppDataEntry.serialize),
+              st.binary(min_size=32, max_size=32)),
     st.binary(max_size=100)), max_size=5).map(b"".join)
 
 

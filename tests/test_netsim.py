@@ -122,6 +122,26 @@ def test_joiner_appdata_matches_canonical(honest_run):
     assert joined == scanned and len(joined) > 0
 
 
+def test_joiner_store_cut_at_its_pulse_is_the_applied_appdata(honest_run):
+    sim, _ = honest_run
+    _, app = sim.nodes["jcp"].held
+    height = app.header.height
+    store = sim.join_stores["jcp"]
+    cut = store.snapshot_at(height, sim.builder.ids[height])
+    assert cut.id == app.id
+    assert 0 < len(appdata_entries(cut)) < len(store)  # chaintail entries
+
+
+def test_joined_sets_hold_no_dict_entries(honest_run):
+    # a kept join folds its set into records, snapshot joins and full
+    # syncs alike
+    sim, _ = honest_run
+    assert len(sim.join_utxo) == 2
+    for name, utxo in sim.join_utxo.items():
+        assert sim.join_results[name].accepted
+        assert len(utxo) > 0 and not utxo._records
+
+
 def test_rerun_is_byte_identical(honest_run):
     sim, report = honest_run
     sim2, report2 = run_simulation(_scenario())

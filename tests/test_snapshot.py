@@ -536,18 +536,35 @@ def _set_of(coins) -> UtxoSet:
     return utxo
 
 
-def test_a_multi_chunk_build_takes_its_chunks_as_the_set():
-    coins = [_entry(i) for i in range(FOLDED)]
-    utxo = _set_of(coins)
+@pytest.mark.parametrize("by", ["build", "fold"])
+def test_a_multi_chunk_build_takes_its_chunks_as_the_set(by):
+    # an applied set that since read and spent base coins and added
+    # others, so it holds coins in both layers, is folded
+    every = [_entry(i) for i in range(FOLDED)]
+    base, read, spent_before = every[::2], every[:2000:4], every[2:2000:4]
+    utxo = apply_snapshot(build_snapshot(_set_of(base), TOP, b"\x07" * 32))
+    for entry in read:
+        assert utxo.get(_outpoint(entry)) == entry
+    for entry in spent_before:
+        utxo.remove(_outpoint(entry))
+    for entry in every[1::2]:
+        utxo.add(entry)
+    assert utxo._records and utxo._live
+    gone = set(spent_before)
+    coins = [e for e in every if e not in gone]
     before = utxo.copy()
-    snap = build_snapshot(utxo, 9, b"\x07" * 32)
-    assert len(snap.chunks) >= 2
-    assert utxo._chunks is snap.chunks and not utxo._records
+    if by == "build":
+        snap = build_snapshot(utxo, 9, b"\x07" * 32)
+        assert utxo._chunks is snap.chunks
+    else:
+        utxo.fold(chunk_records(utxo.records()))
+    folded = utxo._chunks
+    assert len(folded) >= 2 and not utxo._records
 
     oracle = _set_of(coins)  # never built, so dict-backed
     assert serialize_utxo_set(utxo) == serialize_utxo_set(oracle) \
         == _oracle_bytes(coins)
-    assert len(utxo) == len(oracle) == FOLDED
+    assert len(utxo) == len(oracle) == len(coins)
     spent, fresh = coins[::3], [_entry(i) for i in range(FOLDED, FOLDED + 50)]
     for entry in spent:
         utxo.remove(_outpoint(entry))
@@ -570,9 +587,12 @@ def test_a_multi_chunk_build_takes_its_chunks_as_the_set():
     assert len(utxo) == len(oracle)
     assert serialize_utxo_set(utxo) == serialize_utxo_set(oracle)
 
-    assert not before._chunks and len(before) == FOLDED
+    assert len(before) == len(coins)
     assert serialize_utxo_set(before) == _oracle_bytes(coins)
-    assert build_snapshot(before, 9, b"\x07" * 32).chunks == snap.chunks
+    for entry in read + spent_before:
+        assert before.get(_outpoint(entry)) \
+            == (None if entry in gone else entry)
+    assert build_snapshot(before, 9, b"\x07" * 32).chunks == folded
 
 
 def test_an_obfuscated_build_after_a_fold_matches_a_fresh_set():
