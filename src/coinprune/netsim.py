@@ -116,10 +116,12 @@ def _sub_seed(seed: int, label: str) -> int:
 
 @dataclass
 class PulseRecord:
+    """A pulse's snapshots, their tags and its window's outcome. Once
+    the window closes, each snapshot that no node holds is dropped."""
     index: int
     height: int
-    genuine_snap: Snapshot
-    genuine_app: Snapshot
+    genuine_snap: Snapshot | None
+    genuine_app: Snapshot | None
     genuine_tag: bytes
     bogus_snap: Snapshot | None = None
     bogus_tag: bytes | None = None
@@ -214,6 +216,8 @@ class Simulation:
         self.join_results: dict[str, JoinOutcome] = {}
         self.join_utxo: dict[str, UtxoSet] = {}
         self.join_stores: dict[str, appdata_mod.AppDataStore] = {}
+        # (chunks, folded set) of each distinct joined state, unchanged
+        self._kept_states: list[tuple[tuple, UtxoSet]] = []
 
     # --- topology and messaging ------------------------------------------
 
@@ -292,9 +296,18 @@ class Simulation:
             self.trace.add(f"pulse {index} height {height} "
                            f"tag {rec.genuine_tag.hex()}")
         index = coordination.latest_closed_pulse(height, params)
-        if index is not None \
-                and height == coordination.window_range(index, params)[-1]:
-            self._close_window(index, height)
+        if index is None \
+                or height != coordination.window_range(index, params)[-1]:
+            return
+        self._close_window(index, height)
+        # a closed pulse keeps only the snapshots some node holds
+        held = {id(snap) for node in self.nodes.values() if node.held
+                for snap in node.held}
+        for rec in self.pulses.values():
+            if rec.outcome is not None:
+                for field in ("genuine_snap", "genuine_app", "bogus_snap"):
+                    if id(getattr(rec, field)) not in held:
+                        setattr(rec, field, None)
 
     def _make_pulse_record(self, index: int, height: int) -> PulseRecord:
         block_id = self.builder.ids[height]
@@ -602,12 +615,25 @@ class Simulation:
                    held: tuple[Snapshot, Snapshot] | None = None) -> None:
         """Record a join's state, folded into its records, and its app
         data, both extended over the replay; the joiner keeps the
-        replayed blocks and the applied snapshot."""
+        replayed blocks and the applied snapshot. A join that ends in
+        an earlier one's state takes a copy of its folded set, which
+        shares the chunks and index, and one whose entries and heights
+        equal an earlier store's takes that store."""
         node = self.nodes[name]
         node.pruned_below, node.held = heights.start, held
-        utxo.fold(snapshot_mod.chunk_records(utxo.records()))
-        self.join_utxo[name] = utxo
-        self.join_stores[name] = store
+        chunks = tuple(snapshot_mod.chunk_records(utxo.records()))
+        for kept_chunks, kept in self._kept_states:  # compared bytewise
+            if kept_chunks == chunks:
+                utxo = kept.copy()
+                break
+        else:
+            utxo.fold(chunks)
+            self._kept_states.append((chunks, utxo.copy()))
+        for kept in self.join_stores.values():
+            if kept._bytes == store._bytes and kept._heights == store._heights:
+                store = kept
+                break
+        self.join_utxo[name], self.join_stores[name] = utxo, store
 
     # --- reporting --------------------------------------------------------
 

@@ -3,6 +3,8 @@
 import pytest
 
 from coinprune.chaingen import generate_chain, light_profile
+from coinprune.netsim import Simulation
+from coinprune.snapshot import wire_size
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -33,3 +35,22 @@ def pytest_terminal_summary(terminalreporter):
 def light_chain():
     """Genesis plus 600 validated light-workload blocks, shared read-only."""
     return generate_chain(light_profile(), 600, seed=1234)
+
+
+@pytest.fixture
+def pulse_wire_sizes(monkeypatch):
+    """{(pulse index, field): wire size} of each pulse record's snapshots,
+    taken as the simulation makes the record: a closed window drops the
+    snapshots that no node holds."""
+    sizes: dict[tuple[int, str], int] = {}
+    real = Simulation._make_pulse_record
+
+    def make_pulse_record(self, index, height):
+        rec = real(self, index, height)
+        for field in ("genuine_snap", "genuine_app", "bogus_snap"):
+            if getattr(rec, field) is not None:
+                sizes[index, field] = wire_size(getattr(rec, field))
+        return rec
+
+    monkeypatch.setattr(Simulation, "_make_pulse_record", make_pulse_record)
+    return sizes

@@ -25,7 +25,7 @@ from coinprune.coordination import PulseParams
 from coinprune.hashing import hash160, hash256, sha256
 from coinprune.netsim import NodeConfig, SimScenario, run_simulation
 from coinprune.security import SweepConfig, percent_grid, sweep
-from coinprune.snapshot import build_snapshot, serialize_utxo_set, wire_size
+from coinprune.snapshot import build_snapshot, serialize_utxo_set
 
 from oracles import appdata_entries, op_return_entries
 
@@ -269,7 +269,7 @@ def test_criterion_5_obfuscation_equivalence(acceptance):
                f"(+12 p2pkh/p2sh, +10 p2wpkh, -2 p2wsh)")
 
 
-def test_criterion_6_storage_accounting(acceptance):
+def test_criterion_6_storage_accounting(acceptance, pulse_wire_sizes):
     params = PulseParams(delta_p=200, delta_r=50, delta_d=6, k=5)
     profile = WorkloadProfile(txs_per_block=12, spend_probability=0.05)
     scenario = SimScenario(nodes=_nodes(joining=False), params=params,
@@ -289,8 +289,10 @@ def test_criterion_6_storage_accounting(acceptance):
         full = sum(map(sim.builder.blocks.size, range(tip + 1)))
         if best is None:
             return full, full, 0
-        pruned = (140 * (tip + 1) + wire_size(best.genuine_snap)
-                  + wire_size(best.genuine_app)
+        # sized as made: the run drops a superseded pulse's snapshots
+        pruned = (140 * (tip + 1)
+                  + pulse_wire_sizes[best.index, "genuine_snap"]
+                  + pulse_wire_sizes[best.index, "genuine_app"]
                   + sum(map(sim.builder.blocks.size,
                             range(best.height + 1, tip + 1))))
         return pruned, full, best.height

@@ -142,6 +142,66 @@ def test_joined_sets_hold_no_dict_entries(honest_run):
         assert len(utxo) > 0 and not utxo._records
 
 
+def test_joins_that_end_in_one_state_share_its_base(honest_run):
+    # the snapshot join and the full sync fold to the same chunks; their
+    # stores differ, as a full sync's entries carry their blocks' heights
+    sim, _ = honest_run
+    snap_join, full_sync = sim.join_utxo["jcp"], sim.join_utxo["jleg"]
+    assert snap_join is not full_sync
+    assert snap_join._chunks is full_sync._chunks
+    assert snap_join._prefixes is full_sync._prefixes
+    assert sim.join_stores["jcp"] is not sim.join_stores["jleg"]
+
+
+def _two_snapshot_joins():
+    nodes = _scenario().nodes + (NodeConfig("jcp2", "joining"),)
+    sim, _ = run_simulation(_scenario(nodes=nodes))
+    for name in ("jcp", "jcp2"):
+        assert sim.join_results[name].via_snapshot
+    return sim
+
+
+def test_snapshot_joiners_share_one_store():
+    sim = _two_snapshot_joins()
+    assert sim.join_stores["jcp"] is sim.join_stores["jcp2"]
+    assert sim.nodes["jcp"].held == sim.nodes["jcp2"].held
+
+
+def test_a_spend_on_a_shared_joined_set_leaves_the_other_alone():
+    sim = _two_snapshot_joins()
+    mine, other = sim.join_utxo["jcp"], sim.join_utxo["jcp2"]
+    assert mine._chunks is other._chunks
+    before = bytes(other)
+    coin = next(mine.entries())
+    mine.remove((coin.txid, coin.vout))
+    assert (coin.txid, coin.vout) not in mine
+    assert (coin.txid, coin.vout) in other and bytes(other) == before
+    assert len(mine) == len(other) - 1
+
+
+def test_closed_pulses_keep_only_the_snapshots_nodes_hold():
+    # three pulses, the third window still open; with bogus_snapshot the
+    # adversary holds the forged state of the pulse honest nodes hold
+    nodes = _scenario().nodes + (NodeConfig("adv0", "miner", adversarial=True),)
+    sim, report = run_simulation(_scenario(nodes=nodes, chain_length=620,
+                                           faults=("bogus_snapshot",)))
+    assert [row[2] for row in report.pulse_outcomes] \
+        == ["accepted", "accepted", "open"]
+    held = [snap for node in sim.nodes.values() if node.held
+            for snap in node.held]
+    fields = ("genuine_snap", "genuine_app", "bogus_snap")
+    for rec in sim.pulses.values():
+        snaps = [getattr(rec, field) for field in fields]
+        if rec.outcome is None:
+            assert None not in snaps
+        else:
+            assert all(snap is None or any(snap is h for h in held)
+                       for snap in snaps)
+    assert [getattr(sim.pulses[1], field) for field in fields] == [None] * 3
+    assert sim.nodes["adv0"].held == (sim.pulses[2].bogus_snap,
+                                      sim.pulses[2].genuine_app)
+
+
 def test_rerun_is_byte_identical(honest_run):
     sim, report = honest_run
     sim2, report2 = run_simulation(_scenario())
@@ -170,7 +230,7 @@ def test_minority_bogus_tags_accept_genuine():
     assert tag == rec.genuine_tag
 
 
-def test_majority_bogus_tags_reaffirm_forged_state():
+def test_majority_bogus_tags_reaffirm_forged_state(pulse_wire_sizes):
     # adversaries control the tally, so the forged snapshot IS the
     # reaffirmed one; the joiner accepts it consistently while honest
     # nodes refuse to prune against a tag that is not theirs
@@ -200,7 +260,7 @@ def test_majority_bogus_tags_reaffirm_forged_state():
     # tag won, the honest nodes none, as no genuine tag was reaffirmed
     parts = {r[0]: r for r in report.breakdown}
     assert parts["jcp"][3] == wire_size(rec.bogus_snap) \
-        != wire_size(rec.genuine_snap)
+        != pulse_wire_sizes[rec.index, "genuine_snap"]
     for name in ("adv0", "adv1", "adv2"):
         assert parts[name][3] == wire_size(rec.bogus_snap)
     assert parts["m0"][3] == parts["full0"][3] == 0
