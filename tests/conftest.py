@@ -48,8 +48,9 @@ def pulse_wire_sizes(monkeypatch):
     def make_pulse_record(self, index, height):
         rec = real(self, index, height)
         for field in ("genuine_snap", "genuine_app", "bogus_snap"):
-            if getattr(rec, field) is not None:
-                sizes[index, field] = wire_size(getattr(rec, field))
+            snap = getattr(rec, field)
+            if snap is not None:
+                sizes[index, field] = wire_size(snap)
         return rec
 
     monkeypatch.setattr(Simulation, "_make_pulse_record", make_pulse_record)
