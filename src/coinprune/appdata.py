@@ -65,6 +65,12 @@ class AppDataStore:
     def __len__(self) -> int:
         return len(self._ends)
 
+    def __eq__(self, other: object) -> bool:
+        """Equal when both hold the same entries at the same heights."""
+        if not isinstance(other, AppDataStore):
+            return NotImplemented
+        return self._bytes == other._bytes and self._heights == other._heights
+
     def add_block(self, block: Block, height: int, block_id: bytes) -> None:
         for entry in extract_op_return(block, block_id):
             self._bytes += entry

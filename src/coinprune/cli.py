@@ -416,8 +416,11 @@ def _cmd_sim_security(args) -> int:
 
     prefix = args.prefix
     meta = f"seed={args.seed} trials={args.trials} mode={args.mode}"
+    sweep_csv = out_dir / f"{prefix}_sweep.csv"
+    with open(sweep_csv, "w") as fh:
+        result.write_csv(fh)
+    print(f"wrote {sweep_csv}")
     files = {
-        f"{prefix}_sweep.csv": result.to_csv(),
         f"{prefix}_thresholds.csv": result.thresholds_csv(),
         **_sweep_charts(prefix, result, meta),
         f"{prefix}_meta.json": json.dumps({
@@ -451,7 +454,7 @@ def _cmd_report(args) -> int:
     if args.sweep:
         try:
             result = SweepResult.from_csv(Path(args.sweep).read_text())
-            _require_finite(v for row in result.rows for v in row)
+            _require_finite(result.columns)
         except (OSError, KeyError, TypeError, ValueError, csv.Error) as exc:
             return _fail(f"cannot read sweep csv: {exc}")
         charts = _sweep_charts(prefix, result, f"source={args.sweep}")

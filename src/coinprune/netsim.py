@@ -630,7 +630,7 @@ class Simulation:
             utxo.fold(chunks)
             self._kept_states.append((chunks, utxo.copy()))
         for kept in self.join_stores.values():
-            if kept._bytes == store._bytes and kept._heights == store._heights:
+            if kept == store:
                 store = kept
                 break
         self.join_utxo[name], self.join_stores[name] = utxo, store

@@ -21,16 +21,22 @@ nobody reached the threshold k). A cell's trials run in one of two modes:
 Cells of the (f_C, f_A, delta_r, k) grid are independent. Each cell
 gets its own RNG stream spawned from (seed, cell coordinates), so the
 sweep can be evaluated with any number of workers and still produce
-byte-identical CSVs. numpy and the process pool load only when a sweep
-runs, so every CLI command can import this module without paying for them.
+byte-identical CSVs. A sweep keeps 24 bytes per cell, the cell's three
+outcome frequencies in one flat array in grid order; the threshold
+curves are read from it by index, and its rows are made one at a time
+as the CSV is streamed out. numpy and the process pool load only when a
+sweep runs, so every CLI command can import this module without paying
+for them.
 """
 
 import csv
 import enum
 import io
 import os
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from itertools import islice, product
+from typing import IO, TYPE_CHECKING, Iterator, NamedTuple
 
 from .coordination import CoordinationError, PulseParams, tally_window
 from .hashing import hash256
@@ -120,6 +126,12 @@ class SweepConfig:
                 raise ValueError("fraction grids must be nonempty within [0, 1]")
         if not self.delta_r_values or not self.k_values:
             raise ValueError("delta_r and k grids must be nonempty")
+        # a repeated value would sweep its cells twice, into a CSV that
+        # from_csv refuses
+        for grid in (self.f_c_values, self.f_a_values, self.delta_r_values,
+                     self.k_values):
+            if len(set(grid)) != len(grid):
+                raise ValueError(f"grid values repeat: {grid}")
         for delta_r in self.delta_r_values:
             for k in self.k_values:
                 try:
@@ -180,75 +192,123 @@ def evaluate_cell(config: SweepConfig, delta_r: int, k: int,
                       n_cor / trials, n_adv / trials, n_skip / trials)
 
 
-def _cell_batch(config: SweepConfig,
-                cells: list[tuple[int, int, int, int]]) -> list[CellResult]:
-    return [evaluate_cell(config, *cell) for cell in cells]
+def _cell_count(config: SweepConfig) -> int:
+    return (len(config.delta_r_values) * len(config.k_values)
+            * len(config.f_c_values) * len(config.f_a_values))
 
 
-def _cell_order(config: SweepConfig) -> list[tuple[int, int, int, int]]:
-    return [(dr, k, i_fc, i_fa)
-            for dr in config.delta_r_values
-            for k in config.k_values
-            for i_fc in range(len(config.f_c_values))
-            for i_fa in range(len(config.f_a_values))]
+def _cell_index(config: SweepConfig, delta_r: int, k: int,
+                f_c: float, f_a: float) -> int:
+    """A cell's place in grid order; ValueError if it is off the grid."""
+    index = 0
+    for axis, value in ((config.delta_r_values, delta_r),
+                        (config.k_values, k), (config.f_c_values, f_c),
+                        (config.f_a_values, f_a)):
+        index = index * len(axis) + axis.index(value)
+    return index
+
+
+def _cell_batch(config: SweepConfig, start: int, stop: int) -> array:
+    """Columns of the cells start..stop-1 in grid order."""
+    cells = product(config.delta_r_values, config.k_values,
+                    range(len(config.f_c_values)),
+                    range(len(config.f_a_values)))
+    columns = array("d")
+    for cell in islice(cells, start, stop):
+        columns.extend(evaluate_cell(config, *cell)[4:])
+    return columns
 
 
 @dataclass
 class SweepResult:
-    """All cell rows of a sweep plus the derived threshold curves."""
+    """A sweep's outcome frequencies and the threshold curves they give.
+
+    `columns` holds p_correct, p_adversary and p_skipped of each cell,
+    back to back, in grid order: delta_r, then k, then f_C, with f_A
+    varying fastest. So a cell costs 24 bytes, and the run over f_A at
+    one (delta_r, k, f_C) is found by index arithmetic.
+    """
     config: SweepConfig
-    rows: tuple[CellResult, ...]
+    columns: array
 
-    def __post_init__(self) -> None:
-        curves: dict[tuple[int, int, float], list[CellResult]] = {}
-        for row in self.rows:
-            curves.setdefault((row.delta_r, row.k, row.f_c), []).append(row)
-        self._curves = curves
-
-    def _curve(self, f_c: float, delta_r: int, k: int) -> list[CellResult]:
+    def _run(self, f_c: float, delta_r: int, k: int, outcome: int) -> array:
+        """One outcome's frequencies (0 correct, 1 adversary, 2 skipped)
+        over f_A at this support level."""
+        c = self.config
         try:
-            return self._curves[(delta_r, k, f_c)]
-        except KeyError:
+            start = _cell_index(c, delta_r, k, f_c, c.f_a_values[0])
+        except ValueError:
             raise KeyError(f"no sweep rows for f_C={f_c}, "
                            f"delta_r={delta_r}, k={k}") from None
+        first = 3 * start + outcome
+        return self.columns[first:first + 3 * len(c.f_a_values):3]
 
     def curves(self) -> dict[tuple[int, int], list[float]]:
         """The f_C values swept for each (delta_r, k), both ascending."""
-        curves: dict[tuple[int, int], list[float]] = {}
-        for delta_r, k, f_c in sorted(self._curves):
-            curves.setdefault((delta_r, k), []).append(f_c)
-        return curves
+        c = self.config
+        f_cs = sorted(set(c.f_c_values))
+        return {(delta_r, k): list(f_cs) for delta_r in sorted(c.delta_r_values)
+                for k in sorted(c.k_values)}
 
     def min_fa_compromise(self, f_c: float, delta_r: int, k: int) -> float | None:
         """Least f_A with p_adversary >= COMPROMISE_RATE, if any."""
-        return min((row.f_a for row in self._curve(f_c, delta_r, k)
-                    if row.p_adversary >= COMPROMISE_RATE), default=None)
+        return min((f_a for f_a, p in zip(self.config.f_a_values,
+                                          self._run(f_c, delta_r, k, 1))
+                    if p >= COMPROMISE_RATE), default=None)
 
     def worst_skip(self, f_c: float, delta_r: int, k: int) -> float:
         """Worst skip probability over all f_A at this support level."""
-        return max(row.p_skipped for row in self._curve(f_c, delta_r, k))
+        return max(self._run(f_c, delta_r, k, 2))
 
-    def to_csv(self) -> str:
-        lines = ["f_C,f_A,delta_r,k,p_correct,p_adversary,p_skipped"]
-        for r in self.rows:
-            lines.append(f"{r.f_c},{r.f_a},{r.delta_r},{r.k},"
-                         f"{r.p_correct},{r.p_adversary},{r.p_skipped}")
-        return "\n".join(lines) + "\n"
+    def rows(self) -> Iterator[CellResult]:
+        """Each cell's row in grid order, made as it is read."""
+        c = self.config
+        p = iter(self.columns)
+        for delta_r, k, f_c, f_a in product(c.delta_r_values, c.k_values,
+                                            c.f_c_values, c.f_a_values):
+            yield CellResult(f_c, f_a, delta_r, k, next(p), next(p), next(p))
+
+    def write_csv(self, out: IO[str]) -> None:
+        """The rows as CSV, written to `out` one line at a time."""
+        out.write("f_C,f_A,delta_r,k,p_correct,p_adversary,p_skipped\n")
+        for r in self.rows():
+            out.write(f"{r.f_c},{r.f_a},{r.delta_r},{r.k},"
+                      f"{r.p_correct},{r.p_adversary},{r.p_skipped}\n")
 
     @classmethod
     def from_csv(cls, text: str) -> "SweepResult":
-        """Rows as to_csv writes them, under the grid they cover."""
-        rows = tuple(
-            CellResult(float(r["f_C"]), float(r["f_A"]), int(r["delta_r"]),
-                       int(r["k"]), float(r["p_correct"]),
+        """Rows as write_csv writes them, in any order, under the grid
+        they cover; ValueError unless they hold each cell of that grid
+        exactly once."""
+        def rows():
+            for r in csv.DictReader(io.StringIO(text)):
+                yield (int(r["delta_r"]), int(r["k"]), float(r["f_C"]),
+                       float(r["f_A"]), float(r["p_correct"]),
                        float(r["p_adversary"]), float(r["p_skipped"]))
-            for r in csv.DictReader(io.StringIO(text)))
-        config = SweepConfig(
-            f_c_values=tuple(sorted({r.f_c for r in rows})),
-            f_a_values=tuple(sorted({r.f_a for r in rows})),
-            delta_r_values=tuple(sorted({r.delta_r for r in rows})),
-            k_values=tuple(sorted({r.k for r in rows})))
-        return cls(config, rows)
+
+        # one pass finds the grid, so that the next can put each row in
+        # its slot without holding the rows
+        axes: list[set] = [set(), set(), set(), set()]
+        n_rows = 0
+        for row in rows():
+            for axis, value in zip(axes, row):
+                axis.add(value)
+            n_rows += 1
+        delta_rs, ks, f_cs, f_as = (tuple(sorted(axis)) for axis in axes)
+        config = SweepConfig(f_c_values=f_cs, f_a_values=f_as,
+                             delta_r_values=delta_rs, k_values=ks)
+        n_cells = _cell_count(config)
+        if n_rows != n_cells:
+            raise ValueError(f"{n_rows} rows for a grid of {n_cells} cells")
+        columns = array("d", bytes(24 * n_cells))
+        filled = bytearray(n_cells)
+        for row in rows():
+            index = _cell_index(config, *row[:4])
+            if filled[index]:
+                raise ValueError(f"more than one row for the cell {row[:4]}")
+            filled[index] = 1
+            columns[3 * index:3 * index + 3] = array("d", row[4:])
+        return cls(config, columns)
 
     def thresholds_csv(self) -> str:
         lines = ["f_C,delta_r,k,min_fA_compromise,worst_skip"]
@@ -269,21 +329,22 @@ def _pool(workers: int):
 
 def sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
     """Evaluate every grid cell; `jobs` never changes the result bytes."""
-    cells = _cell_order(config)
-    if jobs <= 1 or len(cells) < 2:
-        rows = _cell_batch(config, cells)
-        return SweepResult(config, tuple(rows))
+    n_cells = _cell_count(config)
+    if jobs <= 1 or n_cells < 2:
+        return SweepResult(config, _cell_batch(config, 0, n_cells))
     # contiguous batches keep per-worker numpy calls large enough to
     # amortize process startup; streams are per cell, so the split is
     # free to differ between runs
-    batch = max(64, len(cells) // (jobs * 8))
-    chunks = [cells[i:i + batch] for i in range(0, len(cells), batch)]
-    rows = []
+    batch = max(64, n_cells // (jobs * 8))
+    starts = range(0, n_cells, batch)
+    stops = [min(start + batch, n_cells) for start in starts]
+    columns = array("d")
     # a forked pool starts all its workers at the first submit; they
     # inherit numpy from this process instead of each importing it
     import numpy  # noqa: F401
-    workers = min(jobs, len(chunks), os.cpu_count() or 1)
+    workers = min(jobs, len(starts), os.cpu_count() or 1)
     with _pool(workers) as pool:
-        for part in pool.map(_cell_batch, [config] * len(chunks), chunks):
-            rows.extend(part)
-    return SweepResult(config, tuple(rows))
+        for part in pool.map(_cell_batch, [config] * len(starts), starts,
+                             stops):
+            columns.extend(part)
+    return SweepResult(config, columns)

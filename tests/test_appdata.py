@@ -110,6 +110,18 @@ def test_a_cut_below_the_tip_equals_a_store_built_to_it(op_return_chain):
             e for h, e in op_return_entries(op_return_chain) if h <= height]
 
 
+def test_stores_are_equal_when_entries_and_heights_are(op_return_chain):
+    store = _store(op_return_chain)
+    assert store == _store(op_return_chain)
+    assert store != AppDataStore()
+    # a parsed store carries the same entries, all at the snapshot height
+    tip = len(op_return_chain) - 1
+    parsed = parse_store(store.snapshot_at(tip, op_return_chain[tip].block_id()))
+    assert _entries(parsed, op_return_chain) == _entries(store, op_return_chain)
+    assert parsed != store
+    assert store != object()
+
+
 def test_a_store_holds_under_24_traced_bytes_per_entry_beyond_its_bytes(
         op_return_chain):
     # held as (height, entry) tuples with a bytes object per field, an

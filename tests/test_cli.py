@@ -361,6 +361,29 @@ def test_report_ignores_sweep_row_order(tmp_path, monkeypatch, capsys):
         assert rev == fwd.replace("source=fwd/", "source=rev/")
 
 
+@pytest.mark.parametrize("cut", [
+    lambda rows: rows + rows[:1],
+    lambda rows: rows[:-1] + rows[:1],
+    lambda rows: rows[:-1],
+], ids=["extra-repeat", "repeat-in-place-of-a-cell", "missing-cell"])
+def test_report_rejects_a_sweep_that_does_not_fill_its_grid(tmp_path, capsys,
+                                                            cut):
+    assert main(["sim", "security", "--delta-r", "100", "--k", "5",
+                 "--trials", "20", "--step", "50", "--prefix", "s",
+                 "--out-dir", str(tmp_path)]) == 0
+    header, *rows = (tmp_path / "s_sweep.csv").read_text().splitlines()
+    source = tmp_path / "cut.csv"
+    source.write_text("\n".join([header] + cut(rows)) + "\n")
+    capsys.readouterr()
+    code = main(["report", "--sweep", str(source),
+                 "--out-dir", str(tmp_path / "charts")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: cannot read sweep csv") \
+        and err.count("\n") == 1
+    assert not any((tmp_path / "charts").iterdir())
+
+
 def test_report_without_inputs_is_usage_error(tmp_path, capsys):
     assert main(["report", "--out-dir", str(tmp_path)]) == 2
     capsys.readouterr()

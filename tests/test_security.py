@@ -9,6 +9,9 @@ Monte Carlo error, and the blockwise fidelity path must agree with the
 fast binomial path.
 """
 
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -45,6 +48,12 @@ def _exact_cell(f_c, f_a, delta_r, k, n_miners=1000):
         p_adversary += m_pmf[m] * a_pmf[(a > h) & (a >= k)].sum()
         p_correct += m_pmf[m] * a_pmf[(h > a) & (h >= k)].sum()
     return p_correct, p_adversary, 1.0 - p_correct - p_adversary
+
+
+def _csv_text(result) -> str:
+    out = io.StringIO()
+    result.write_csv(out)
+    return out.getvalue()
 
 
 def _single_cell_config(f_c, f_a, delta_r, k, trials=1000, seed=0,
@@ -125,7 +134,7 @@ def test_adversary_probability_monotone_in_fa():
     config = SweepConfig(f_c_values=(1.0,), f_a_values=percent_grid(5),
                          delta_r_values=(1000,), k_values=(5,), trials=1000)
     result = sweep(config)
-    curve = [row.p_adversary for row in result.rows]
+    curve = [row.p_adversary for row in result.rows()]
     for lo, hi in zip(curve, curve[1:]):
         assert hi >= lo - 0.03  # Monte Carlo slack only
 
@@ -135,7 +144,7 @@ def test_outcome_probabilities_sum_to_one():
                          f_a_values=(0.0, 0.4, 0.6, 1.0),
                          delta_r_values=(100,), k_values=(5,), trials=500)
     result = sweep(config)
-    for row in result.rows:
+    for row in result.rows():
         assert abs(row.p_correct + row.p_adversary + row.p_skipped - 1) < 1e-9
 
 
@@ -156,10 +165,10 @@ def test_sweep_is_deterministic_and_jobs_invariant():
     first = sweep(config)
     again = sweep(config)
     parallel = sweep(config, jobs=3)
-    assert first.to_csv() == again.to_csv() == parallel.to_csv()
+    assert _csv_text(first) == _csv_text(again) == _csv_text(parallel)
     assert first.thresholds_csv() == parallel.thresholds_csv()
     # row order is the documented grid order regardless of worker split
-    assert [(r.delta_r, r.k, r.f_c, r.f_a) for r in parallel.rows] \
+    assert [(r.delta_r, r.k, r.f_c, r.f_a) for r in parallel.rows()] \
         == [(dr, k, config.f_c_values[i], config.f_a_values[j])
             for dr, k, i, j in
             [(dr, k, i, j) for dr in (100,) for k in (5, 10)
@@ -196,7 +205,7 @@ def test_sweep_caps_its_pool(monkeypatch, f_a_step, jobs, cpus, workers):
     config = SweepConfig(f_c_values=(0.0, 0.5, 1.0),
                          f_a_values=percent_grid(f_a_step),
                          delta_r_values=(100,), k_values=(5, 10), trials=50)
-    assert sweep(config, jobs=jobs).to_csv() == sweep(config).to_csv()
+    assert _csv_text(sweep(config, jobs=jobs)) == _csv_text(sweep(config))
     assert sizes == [workers]
 
 
@@ -219,11 +228,11 @@ def test_sweep_csv_shape():
     config = SweepConfig(f_c_values=(0.5,), f_a_values=(0.25,),
                          delta_r_values=(100,), k_values=(5,), trials=100)
     result = sweep(config)
-    lines = result.to_csv().splitlines()
+    lines = _csv_text(result).splitlines()
     assert lines[0] == "f_C,f_A,delta_r,k,p_correct,p_adversary,p_skipped"
     fields = lines[1].split(",")
     assert fields[:4] == ["0.5", "0.25", "100", "5"]
-    assert isinstance(result.rows[0], CellResult)
+    assert isinstance(next(result.rows()), CellResult)
 
 
 def test_config_validation():
@@ -237,9 +246,32 @@ def test_config_validation():
         SweepConfig(f_a_values=(0.5, 1.5))
     with pytest.raises(ValueError):
         SweepConfig(delta_r_values=())
+    with pytest.raises(ValueError):
+        SweepConfig(k_values=(5, 5))
+    with pytest.raises(ValueError):
+        SweepConfig(f_a_values=(0.5, 0.25, 0.5))
 
 
 def test_outcome_labels_are_stable():
     assert TrialOutcome.CORRECT_ACCEPTED.value == "correct"
     assert TrialOutcome.ADVERSARY_ACCEPTED.value == "adversary"
     assert TrialOutcome.SKIPPED_PULSE.value == "skipped"
+
+
+def test_sweep_memory_is_its_columns():
+    # numpy allocates its caches on the first evaluated cell; after that
+    # a sweep should hold its 24 bytes of columns per cell and the tens
+    # of bytes of numpy objects the cyclic collector has not yet freed,
+    # where one Python object per cell costs hundreds
+    config = SweepConfig(f_c_values=percent_grid(4), f_a_values=percent_grid(4),
+                         delta_r_values=(100,), k_values=(5, 10), trials=10)
+    evaluate_cell(config, 100, 5, 1, 1)
+    tracemalloc.start()
+    try:
+        result = sweep(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cells = 2 * len(config.f_c_values) * len(config.f_a_values)
+    assert len(result.columns) == 3 * cells
+    assert peak / cells < 128
