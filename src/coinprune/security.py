@@ -246,8 +246,8 @@ class SweepResult:
     def curves(self) -> dict[tuple[int, int], list[float]]:
         """The f_C values swept for each (delta_r, k), both ascending."""
         c = self.config
-        f_cs = sorted(set(c.f_c_values))
-        return {(delta_r, k): list(f_cs) for delta_r in sorted(c.delta_r_values)
+        return {(delta_r, k): sorted(c.f_c_values)
+                for delta_r in sorted(c.delta_r_values)
                 for k in sorted(c.k_values)}
 
     def min_fa_compromise(self, f_c: float, delta_r: int, k: int) -> float | None:
