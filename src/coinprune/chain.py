@@ -303,15 +303,13 @@ def genesis_block(params: ChainParams) -> Block:
 # all little-endian. This is the one home of the record format: the set,
 # block validation and the snapshot module all go through it.
 #
-# The set keys each coin by its outpoint packed into 36 bytes, txid then
-# vout as a big-endian u32, so sorting the keys as bytes gives the
-# canonical (txid, vout) order.
+# The set and block validation name an outpoint by one form, the 36-byte
+# key that `outpoint_key` builds: txid, then vout as a big-endian u32, so
+# sorting the keys as bytes gives the canonical (txid, vout) order.
 
 _RECORD_HEAD = struct.Struct("<32sIQIBB")
 RECORD_HEAD_SIZE = _RECORD_HEAD.size  # 50
-_OUTPOINT = struct.Struct("<32sI")  # a record's head reads 32 bytes exactly
 _ORDER_HEAD = struct.Struct("<32sI8xI")  # txid, vout and height of a record
-_VOUT = struct.Struct("<I")
 # a txid's first 8 bytes as a number; numeric order is their byte order
 _PREFIX = struct.Struct(">Q")
 _CASE_AT = RECORD_HEAD_SIZE - 1  # obfuscation rewrites it and the payload
@@ -348,10 +346,10 @@ def _pack_record(txid: bytes, vout: int, amount: int, height: int,
     return record
 
 
-def _key(txid: bytes, vout: int) -> bytes:
-    """The set's key for an outpoint. Concatenation, not struct's "32s",
-    which pads a short txid and cuts a long one: a txid that is not 32
-    bytes, or a vout outside u32, gives a key no coin has."""
+def outpoint_key(txid: bytes, vout: int) -> bytes:
+    """The key of an outpoint. Concatenation, not struct's "32s", which
+    pads a short txid and cuts a long one: a txid that is not 32 bytes,
+    or a vout outside u32, gives a key no coin has."""
     try:
         return txid + vout.to_bytes(4, "big")
     except OverflowError:
@@ -402,16 +400,19 @@ def _entry(record: bytes) -> UtxoEntry:
 
 
 class UtxoSet:
-    """Mutable map of unspent outputs keyed by outpoint, each coin held
-    as its record; `get` and `entries` decode on demand.
+    """Mutable map of unspent outputs, each coin held as its record;
+    `get` and `entries` decode on demand. The packed 36-byte key that
+    `outpoint_key` builds is the set's interface: `in`, `get`, `remove`
+    and `add_records` take it, and a key of any other length matches
+    no coin.
 
     A set made by `from_chunks` reads its base coins from the snapshot
     chunks in place. It finds them through a sorted index with one slot
     per record: the txid's first 8 bytes, and the chunk number and
-    offset. A base coin spent, or read by `get` (which moves it to the
-    dict), is marked at its slot. Coins added since, and every coin of
-    a set that never had a snapshot, sit in a dict from 36-byte
-    outpoint key to record.
+    offset; slots that share those 8 bytes are bisected by key. A base
+    coin spent, or read by `get` (which moves it to the dict), is
+    marked at its slot. Coins added since, and every coin of a set that
+    never had a snapshot, sit in a dict from key to record.
 
     `fold` makes a set's own records its base the same way, as an LSM
     tree folds its memtable into a sorted run, and empties the dict:
@@ -486,40 +487,36 @@ class UtxoSet:
         self._live = len(prefixes)
         self._gone = bytearray(self._live)
 
-    def _base_outpoint(self, slot: int) -> tuple[bytes, int]:
+    def _base_key(self, slot: int) -> bytes:
         place = self._places[slot]
-        return _OUTPOINT.unpack_from(self._chunks[place >> 32],
-                                     place & 0xFFFFFFFF)
+        offset = place & 0xFFFFFFFF
+        return _record_key(self._chunks[place >> 32][offset:offset + 36])
 
     def _base_record(self, slot: int) -> bytes:
         place = self._places[slot]
         chunk, offset = self._chunks[place >> 32], place & 0xFFFFFFFF
         return chunk[offset:offset + _RECORD_SIZE[chunk[offset + _CASE_AT]]]
 
-    def _base_slot(self, outpoint: tuple[bytes, int]) -> int:
-        """The slot of the coin at `outpoint` if the base still holds
+    def _base_slot(self, key: bytes) -> int:
+        """The slot of the coin at outpoint `key` if the base still holds
         it, else -1."""
-        txid, vout = outpoint
-        if len(txid) != 32:  # a longer one could match by its start
+        if len(key) != 36:  # no coin has it; under 8 bytes it would not unpack
             return -1
         prefixes = self._prefixes
-        prefix = _PREFIX.unpack_from(txid)[0]
+        prefix = _PREFIX.unpack_from(key)[0]
         lo = bisect_left(prefixes, prefix)
         if lo == len(prefixes) or prefixes[lo] != prefix:
             return -1
-        place = self._places[lo]
-        chunk, offset = self._chunks[place >> 32], place & 0xFFFFFFFF
-        if not chunk.startswith(txid, offset) \
-                or _VOUT.unpack_from(chunk, offset + 32)[0] != vout:
-            # the outputs of one txid share a prefix: bisect by outpoint
+        if self._base_key(lo) != key:
+            # the outputs of one txid share a prefix: bisect by key
             hi = bisect_right(prefixes, prefix, lo)
             while hi - lo > 1:
                 mid = (lo + hi) // 2
-                if self._base_outpoint(mid) <= outpoint:
+                if self._base_key(mid) <= key:
                     lo = mid
                 else:
                     hi = mid
-            if self._base_outpoint(lo) != outpoint:
+            if self._base_key(lo) != key:
                 return -1
         return -1 if self._gone[lo] else lo
 
@@ -532,15 +529,14 @@ class UtxoSet:
     def __len__(self) -> int:
         return len(self._records) + self._live
 
-    def __contains__(self, outpoint: tuple[bytes, int]) -> bool:
-        return _key(*outpoint) in self._records \
-            or (self._live and self._base_slot(outpoint) >= 0)
+    def __contains__(self, key: bytes) -> bool:
+        return key in self._records \
+            or (self._live and self._base_slot(key) >= 0)
 
-    def get(self, outpoint: tuple[bytes, int]) -> UtxoEntry | None:
-        key = _key(*outpoint)
+    def get(self, key: bytes) -> UtxoEntry | None:
         record = self._records.get(key)
         if record is None:
-            slot = self._base_slot(outpoint)
+            slot = self._base_slot(key)
             if slot < 0:
                 return None
             # a base coin read moves to the dict, as in a coins cache, so
@@ -552,32 +548,26 @@ class UtxoSet:
 
     def add(self, entry: UtxoEntry) -> None:
         record = encode_record(entry)
-        key = _key(entry.txid, entry.vout)
-        if key in self._records \
-                or (self._live
-                    and self._base_slot((entry.txid, entry.vout)) >= 0):
+        key = outpoint_key(entry.txid, entry.vout)
+        if key in self:
             raise ChainError("duplicate outpoint created")
         self._records[key] = record
 
-    def add_records(self, records: dict[tuple[bytes, int], bytes]) -> None:
-        """Insert packed records under their outpoints; ChainError,
+    def add_records(self, records: dict[bytes, bytes]) -> None:
+        """Insert packed records under their outpoint keys; ChainError,
         inserting none, when the set holds a coin at any of them."""
-        keyed = {}
-        for outpoint, record in records.items():
-            key = _key(*outpoint)
-            if key in self._records \
-                    or (self._live and self._base_slot(outpoint) >= 0):
-                raise ChainError("duplicate outpoint "
-                                 f"{outpoint[0].hex()}:{outpoint[1]}")
-            keyed[key] = record
-        self._records.update(keyed)
+        for key in records:
+            if key in self:
+                raise ChainError(f"duplicate outpoint {key[:32].hex()}:"
+                                 f"{int.from_bytes(key[32:], 'big')}")
+        self._records.update(records)
 
-    def remove(self, outpoint: tuple[bytes, int]) -> None:
-        """KeyError when the set holds no coin at `outpoint`."""
-        if self._records.pop(_key(*outpoint), None) is None:
-            slot = self._base_slot(outpoint)
+    def remove(self, key: bytes) -> None:
+        """KeyError when the set holds no coin at outpoint `key`."""
+        if self._records.pop(key, None) is None:
+            slot = self._base_slot(key)
             if slot < 0:
-                raise KeyError(outpoint)
+                raise KeyError(key)
             self._gone[slot] = 1
             self._live -= 1
 
@@ -649,8 +639,8 @@ def validate_and_apply_block(utxo: UtxoSet, block: Block, height: int,
     if unlock[:4] != struct.pack("<I", height):  # BIP34: one coinbase per height
         raise BlockValidationError(f"height {height}: coinbase lacks its height")
 
-    spent: dict[tuple[bytes, int], None] = {}
-    created: dict[tuple[bytes, int], bytes] = {}  # outpoint -> record
+    spent: dict[bytes, None] = {}  # by outpoint key
+    created: dict[bytes, bytes] = {}  # outpoint key -> record
     fees = 0
     for tx, txid in zip(block.transactions[1:], txids[1:]):
         if tx.is_coinbase():
@@ -659,12 +649,12 @@ def validate_and_apply_block(utxo: UtxoSet, block: Block, height: int,
             raise BlockValidationError(f"height {height}: empty tx {txid.hex()}")
         in_value = 0
         for txin in tx.inputs:
-            outpoint = (txin.prev_txid, txin.prev_vout)
-            if outpoint in spent:
+            key = outpoint_key(txin.prev_txid, txin.prev_vout)
+            if key in spent:
                 raise BlockValidationError(
                     f"height {height}: double spend of {txin.prev_txid.hex()}:{txin.prev_vout}")
-            record = created.get(outpoint)
-            entry = utxo.get(outpoint) if record is None else _entry(record)
+            record = created.get(key)
+            entry = utxo.get(key) if record is None else _entry(record)
             if entry is None:
                 raise BlockValidationError(
                     f"height {height}: missing outpoint {txin.prev_txid.hex()}:{txin.prev_vout}")
@@ -672,7 +662,7 @@ def validate_and_apply_block(utxo: UtxoSet, block: Block, height: int,
             if not scripts.validate_spend(entry.compressed, txin.unlock, ctx):
                 raise BlockValidationError(
                     f"height {height}: invalid unlock for {txin.prev_txid.hex()}:{txin.prev_vout}")
-            spent[outpoint] = None
+            spent[key] = None
             in_value += entry.amount
         out_value = _check_outputs(tx, txid, height, created)
         if out_value > in_value:
@@ -691,8 +681,8 @@ def validate_and_apply_block(utxo: UtxoSet, block: Block, height: int,
     except ChainError as exc:
         raise BlockValidationError(f"height {height}: {exc}") from None
     # a coin created and spent in this block is added, then removed here
-    for outpoint in spent:
-        utxo.remove(outpoint)
+    for key in spent:
+        utxo.remove(key)
     return block_id
 
 
@@ -725,7 +715,7 @@ def _check_outputs(tx: Transaction, txid: bytes, height: int,
         total += txout.amount
         if scripts.is_op_return(txout.script):
             continue  # provably unspendable, never enters the set
-        created[txid, vout] = _pack_record(
+        created[outpoint_key(txid, vout)] = _pack_record(
             txid, vout, txout.amount, height, coinbase,
             scripts.compress(txout.script))
     return total

@@ -21,6 +21,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -216,7 +217,10 @@ def svg_bar_chart(title: str, y_label: str, bars: list[tuple[str, float]],
 def _sweep_charts(prefix: str, result: SweepResult, meta: str) -> dict:
     """The threshold and worst-skip charts, one line per (delta_r, k)."""
     thresholds, skips = [], []
-    for (delta_r, k), f_cs in result.curves().items():
+    config = result.config
+    f_cs = sorted(config.f_c_values)
+    for delta_r, k in itertools.product(sorted(config.delta_r_values),
+                                        sorted(config.k_values)):
         label = f"dR={delta_r} k={k}"
         least = [(f_c, result.min_fa_compromise(f_c, delta_r, k))
                  for f_c in f_cs]

@@ -100,14 +100,6 @@ class PulseOutcome(NamedTuple):
     tag: bytes | None
     count: int
 
-    @classmethod
-    def accept(cls, tag: bytes, count: int) -> "PulseOutcome":
-        return cls(True, tag, count)
-
-    @classmethod
-    def skip(cls) -> "PulseOutcome":
-        return cls(False, None, 0)
-
 
 def tally_window(tags: list[bytes | None], params: PulseParams) -> PulseOutcome:
     """Tally one full window of per-block tags (None = no reaffirmation).
@@ -122,11 +114,11 @@ def tally_window(tags: list[bytes | None], params: PulseParams) -> PulseOutcome:
         if tag is not None:
             counts[tag] = counts.get(tag, 0) + 1
     if not counts:
-        return PulseOutcome.skip()
+        return PulseOutcome(False, None, 0)
     best = max(counts.values())
     if best < params.k:
-        return PulseOutcome.skip()
+        return PulseOutcome(False, None, 0)
     leaders = [t for t, c in counts.items() if c == best]
     if len(leaders) != 1:
-        return PulseOutcome.skip()
-    return PulseOutcome.accept(leaders[0], best)
+        return PulseOutcome(False, None, 0)
+    return PulseOutcome(True, leaders[0], best)

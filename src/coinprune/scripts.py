@@ -177,12 +177,8 @@ def uncompressed_pubkey(x: bytes) -> bytes:
 
 def op_return_payload(script: bytes) -> bytes:
     """Extract the payload from a well-formed OP_RETURN script."""
-    if not is_op_return(script):
-        raise ScriptError("not an OP_RETURN script")
-    if len(script) < 2 or script[1] != len(script) - 2:
-        raise ScriptError("malformed OP_RETURN framing")
-    if script[1] > MAX_OP_RETURN_PAYLOAD:
-        raise ScriptError("app-data payload above 80 bytes")
+    if not (is_op_return(script) and script_well_formed(script)):
+        raise ScriptError("not a well-formed OP_RETURN script")
     return script[2:]
 
 

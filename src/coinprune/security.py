@@ -243,13 +243,6 @@ class SweepResult:
         first = 3 * start + outcome
         return self.columns[first:first + 3 * len(c.f_a_values):3]
 
-    def curves(self) -> dict[tuple[int, int], list[float]]:
-        """The f_C values swept for each (delta_r, k), both ascending."""
-        c = self.config
-        return {(delta_r, k): sorted(c.f_c_values)
-                for delta_r in sorted(c.delta_r_values)
-                for k in sorted(c.k_values)}
-
     def min_fa_compromise(self, f_c: float, delta_r: int, k: int) -> float | None:
         """Least f_A with p_adversary >= COMPROMISE_RATE, if any."""
         return min((f_a for f_a, p in zip(self.config.f_a_values,

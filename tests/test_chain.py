@@ -12,7 +12,8 @@ from coinprune.chain import (BLOCK_FILE_MAGIC, COINBASE_TXID, COINBASE_VOUT,
                              HeaderIndex, Transaction,
                              TxInput, TxOutput, UtxoSet, best_tip, check_pow,
                              coinbase_tx, genesis_block, header_record,
-                             make_block, merkle_root, read_block_file,
+                             make_block, merkle_root, outpoint_key,
+                             read_block_file,
                              replay_blocks, target_from_bits,
                              validate_and_apply_block,
                              verify_headerchain, work_from_bits,
@@ -141,8 +142,8 @@ def test_valid_spend_with_fee():
     cb2 = coinbase_tx(2, [TxOutput(PARAMS.subsidy + fee, PAY_SCRIPT)], b"")
     b2 = _mine_on(b1, [cb2, tx], 2)
     validate_and_apply_block(utxo, b2, 2, b1.block_id(), PARAMS)
-    assert (cb.txid(), 0) not in utxo
-    assert (tx.txid(), 0) in utxo
+    assert outpoint_key(cb.txid(), 0) not in utxo
+    assert outpoint_key(tx.txid(), 0) in utxo
 
 
 def test_coinbase_must_match_subsidy_plus_fees_exactly():
@@ -198,8 +199,8 @@ def test_intra_block_chaining_allowed():
     cb2 = coinbase_tx(2, [TxOutput(PARAMS.subsidy, PAY_SCRIPT)], b"")
     b2 = _mine_on(b1, [cb2, t1, t2], 2)
     validate_and_apply_block(utxo, b2, 2, b1.block_id(), PARAMS)
-    assert (t2.txid(), 0) in utxo
-    assert (t1.txid(), 0) not in utxo
+    assert outpoint_key(t2.txid(), 0) in utxo
+    assert outpoint_key(t1.txid(), 0) not in utxo
 
 
 def test_first_transaction_must_be_coinbase():
@@ -275,16 +276,17 @@ def test_base_coin_spent_at_h_is_missing_at_h_plus_1():
     b3 = _mine_on(b2, [coinbase_tx(3, [TxOutput(PARAMS.subsidy + 1,
                                                 PAY_SCRIPT)], b""), t2], 3)
     b3_again = _mine_on(b2, [cb], 3)  # height 1's coinbase may not come back
+    key = outpoint_key(cb.txid(), 0)
     for utxo in (applied, replayed):
         validate_and_apply_block(utxo, b2, 2, b1.block_id(), PARAMS)
-        assert (cb.txid(), 0) not in utxo and utxo.get((cb.txid(), 0)) is None
+        assert key not in utxo and utxo.get(key) is None
         with pytest.raises(BlockValidationError,
                            match=f"height 3: missing outpoint {cb.txid().hex()}:0$"):
             validate_and_apply_block(utxo, b3, 3, b2.block_id(), PARAMS)
         with pytest.raises(BlockValidationError,
                            match="height 3: coinbase lacks its height$"):
             validate_and_apply_block(utxo, b3_again, 3, b2.block_id(), PARAMS)
-        assert (cb.txid(), 0) not in utxo
+        assert key not in utxo
     assert len(applied) == len(replayed) == 3
     assert serialize_utxo_set(applied) == serialize_utxo_set(replayed)
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from coinprune import netsim, scripts
 from coinprune import snapshot as snapshot_mod
 from coinprune.chain import (BlockFile, BlockHeader, ChainParams, TxOutput,
-                             coinbase_tx, make_block)
+                             coinbase_tx, make_block, outpoint_key)
 from coinprune.coordination import PulseParams
 from coinprune.hashing import hash256
 from coinprune.appdata import combined_tag
@@ -173,9 +173,10 @@ def test_a_spend_on_a_shared_joined_set_leaves_the_other_alone():
     assert mine._chunks is other._chunks
     before = bytes(other)
     coin = next(mine.entries())
-    mine.remove((coin.txid, coin.vout))
-    assert (coin.txid, coin.vout) not in mine
-    assert (coin.txid, coin.vout) in other and bytes(other) == before
+    key = outpoint_key(coin.txid, coin.vout)
+    mine.remove(key)
+    assert key not in mine
+    assert key in other and bytes(other) == before
     assert len(mine) == len(other) - 1
 
 
@@ -254,7 +255,7 @@ def test_majority_bogus_tags_reaffirm_forged_state(pulse_wire_sizes):
     assert tag == rec.bogus_tag
     assert sim.nodes["jcp"].held == (rec.bogus_snap, rec.genuine_app)
     forged_txid = hash256(b"forged-riches" + struct.pack("<I", rec.height))
-    assert (forged_txid, 0) in sim.join_utxo["jcp"]
+    assert outpoint_key(forged_txid, 0) in sim.join_utxo["jcp"]
     # the storage report sizes the snapshot each node holds: the joiner
     # and the adversaries (no bogus_snapshot fault) the forged one whose
     # tag won, the honest nodes none, as no genuine tag was reaffirmed

@@ -110,6 +110,10 @@ def test_op_return_framing():
     # truncated and overlong framings are malformed
     assert not script_well_formed(b"\x6a\x05ab")
     assert not script_well_formed(b"\x6a\x02abc")
+    for bad in (p2pkh_script(b"\x01" * 20), b"\x6a\x05ab", b"\x6a\x02abc",
+                b"\x6a\x51" + b"x" * 81):
+        with pytest.raises(ScriptError, match="well-formed OP_RETURN"):
+            op_return_payload(bad)
 
 
 # --- compression round trips -------------------------------------------------

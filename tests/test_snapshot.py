@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from coinprune import snapshot as snapshot_mod
 from coinprune.chain import (ChainError, UtxoEntry, UtxoSet, encode_record,
-                             obfuscate_record)
+                             obfuscate_record, outpoint_key)
 from coinprune.hashing import hash256
 from coinprune.scripts import (CompressedTxOut, compress, obfuscate,
                                p2pk_script, p2pkh_script, p2sh_script,
@@ -32,6 +32,10 @@ def _entry(i: int, vout: int = 0, script: bytes | None = None) -> UtxoEntry:
     txid = hash256(i.to_bytes(8, "little"))
     compressed = compress(script or p2pkh_script(txid[:20]))
     return UtxoEntry(txid, vout, 1000 + i, i, i % 7 == 0, compressed)
+
+
+def _key(entry: UtxoEntry) -> bytes:
+    return outpoint_key(entry.txid, entry.vout)
 
 
 def _filled_set(n: int) -> UtxoSet:
@@ -85,13 +89,13 @@ def test_record_roundtrip(entry):
     raw = encode_record(entry)
     utxo = UtxoSet.from_chunks([raw], TOP)
     assert len(utxo) == 1 and bytes(utxo) == raw
-    assert utxo.get((entry.txid, entry.vout)) == entry
+    assert utxo.get(_key(entry)) == entry
 
 
 @given(entries)
 def test_obfuscated_record_roundtrip_keeps_flag(entry):
     raw = obfuscate_record(encode_record(entry))
-    decoded = UtxoSet.from_chunks([raw], TOP).get((entry.txid, entry.vout))
+    decoded = UtxoSet.from_chunks([raw], TOP).get(_key(entry))
     assert (decoded.txid, decoded.vout, decoded.amount, decoded.height,
             decoded.coinbase) == (entry.txid, entry.vout, entry.amount,
                                   entry.height, entry.coinbase)
@@ -403,20 +407,20 @@ def test_record_backed_set_matches_oracle(added):
     for entry in added:
         utxo.add(entry)
     assert len(utxo) == len(added)
-    assert all(utxo.get((e.txid, e.vout)) == e for e in added)
+    assert all(utxo.get(_key(e)) == e for e in added)
     assert serialize_utxo_set(utxo) == _oracle_bytes(added)
 
     hidden = [e._replace(compressed=obfuscate(e.compressed)) for e in added]
     applied = apply_snapshot(build_snapshot(utxo, TOP, b"\x06" * 32,
                                             obfuscate=True))
-    assert all(applied.get((e.txid, e.vout)) == e for e in hidden)
+    assert all(applied.get(_key(e)) == e for e in hidden)
     assert serialize_utxo_set(applied) == _oracle_bytes(hidden)
     assert _obfuscated_bytes(utxo) == _oracle_bytes(hidden)
 
     spent, kept = added[::2], added[1::2]
     for entry in spent:
-        utxo.remove((entry.txid, entry.vout))
-        assert utxo.get((entry.txid, entry.vout)) is None
+        utxo.remove(_key(entry))
+        assert utxo.get(_key(entry)) is None
     assert sorted(utxo.entries()) == sorted(kept)
     assert serialize_utxo_set(utxo) == _oracle_bytes(kept)
 
@@ -459,7 +463,7 @@ def test_applied_set_layers_match_oracle(coins_):
 
     spent, kept = base[::2], base[1::2]
     for entry in spent:
-        applied.remove((entry.txid, entry.vout))
+        applied.remove(_key(entry))
     assert serialize_utxo_set(applied) == _oracle_bytes(kept)
     for entry in extra + spent[:1]:  # a spent base coin may come back
         applied.add(entry)
@@ -468,12 +472,12 @@ def test_applied_set_layers_match_oracle(coins_):
         with pytest.raises(ChainError):
             applied.add(entry)
     for entry in spent[1:]:
-        assert applied.get((entry.txid, entry.vout)) is None
-        assert (entry.txid, entry.vout) not in applied
+        assert applied.get(_key(entry)) is None
+        assert _key(entry) not in applied
         with pytest.raises(KeyError):
-            applied.remove((entry.txid, entry.vout))
+            applied.remove(_key(entry))
     assert len(applied) == len(held)
-    assert all(applied.get((e.txid, e.vout)) == e for e in held)
+    assert all(applied.get(_key(e)) == e for e in held)
     assert sorted(applied.entries()) == sorted(held)
     assert serialize_utxo_set(applied) == _oracle_bytes(held)
     hidden = [e._replace(compressed=obfuscate(e.compressed)) for e in held]
@@ -497,36 +501,35 @@ def test_canonical_order_holds_past_one_byte_of_vout():
     applied = apply_snapshot(build_snapshot(utxo, 5, b"\x06" * 32))
     assert serialize_utxo_set(applied) == _oracle_bytes(added)
     for entry in added:
-        assert utxo.get((txid, entry.vout)) == entry
-        assert applied.get((txid, entry.vout)) == entry
+        assert utxo.get(_key(entry)) == entry
+        assert applied.get(_key(entry)) == entry
 
 
 def test_malformed_outpoints_match_nothing():
     # struct's "32s" would pad the short txid and cut the long one to a
-    # held coin's txid
+    # held coin's txid; the padded coin shares the held one's index
+    # prefix, and a key under 8 bytes has no prefix to bisect by
     entry = _entry(3)
     padded = entry._replace(txid=entry.txid[:31] + b"\x00")
-    utxo = UtxoSet()
-    for coin in (entry, padded):
-        utxo.add(coin)
-    for txid in (entry.txid[:31], entry.txid + b"\x00"):
-        assert utxo.get((txid, entry.vout)) is None
-        assert (txid, entry.vout) not in utxo
-        with pytest.raises(KeyError):
-            utxo.remove((txid, entry.vout))
-    for vout in (-1, 2 ** 32):
-        assert utxo.get((entry.txid, vout)) is None
-        assert (entry.txid, vout) not in utxo
-    assert len(utxo) == 2 and utxo.get((entry.txid, entry.vout)) == entry
+    key = _key(entry)
+    malformed = [outpoint_key(entry.txid[:31], entry.vout),
+                 outpoint_key(entry.txid + b"\x00", entry.vout),
+                 outpoint_key(entry.txid, -1), outpoint_key(entry.txid, 2 ** 32),
+                 key[:35], key + b"\x00", key[:7]]
+    applied = apply_snapshot(build_snapshot(_set_of([entry, padded]), TOP,
+                                            b"\x06" * 32))
+    for utxo in (_set_of([entry, padded]), applied):
+        for bad in malformed:
+            assert utxo.get(bad) is None
+            assert bad not in utxo
+            with pytest.raises(KeyError):
+                utxo.remove(bad)
+        assert len(utxo) == 2 and utxo.get(key) == entry
 
 
 # --- a multi-chunk plain build folds the set's dict into its chunks ----------
 
 FOLDED = 20_000  # p2pkh records of 70 bytes: two 1 MiB chunks
-
-
-def _outpoint(entry: UtxoEntry) -> tuple[bytes, int]:
-    return entry.txid, entry.vout
 
 
 def _set_of(coins) -> UtxoSet:
@@ -544,9 +547,9 @@ def test_a_multi_chunk_build_takes_its_chunks_as_the_set(by):
     base, read, spent_before = every[::2], every[:2000:4], every[2:2000:4]
     utxo = apply_snapshot(build_snapshot(_set_of(base), TOP, b"\x07" * 32))
     for entry in read:
-        assert utxo.get(_outpoint(entry)) == entry
+        assert utxo.get(_key(entry)) == entry
     for entry in spent_before:
-        utxo.remove(_outpoint(entry))
+        utxo.remove(_key(entry))
     for entry in every[1::2]:
         utxo.add(entry)
     assert utxo._records and utxo._live
@@ -567,8 +570,8 @@ def test_a_multi_chunk_build_takes_its_chunks_as_the_set(by):
     assert len(utxo) == len(oracle) == len(coins)
     spent, fresh = coins[::3], [_entry(i) for i in range(FOLDED, FOLDED + 50)]
     for entry in spent:
-        utxo.remove(_outpoint(entry))
-        oracle.remove(_outpoint(entry))
+        utxo.remove(_key(entry))
+        oracle.remove(_key(entry))
     for entry in fresh + spent[:1]:  # a spent coin may come back
         utxo.add(entry)
         oracle.add(entry)
@@ -576,21 +579,21 @@ def test_a_multi_chunk_build_takes_its_chunks_as_the_set(by):
         for held in (utxo, oracle):
             with pytest.raises(ChainError):
                 held.add(entry)
-    for outpoint in map(_outpoint, spent[1:20]):
+    for key in map(_key, spent[1:20]):
         for held in (utxo, oracle):
-            assert outpoint not in held and held.get(outpoint) is None
+            assert key not in held and held.get(key) is None
             with pytest.raises(KeyError):
-                held.remove(outpoint)
+                held.remove(key)
     for entry in coins + fresh:
-        assert (_outpoint(entry) in utxo) == (_outpoint(entry) in oracle)
-        assert utxo.get(_outpoint(entry)) == oracle.get(_outpoint(entry))
+        assert (_key(entry) in utxo) == (_key(entry) in oracle)
+        assert utxo.get(_key(entry)) == oracle.get(_key(entry))
     assert len(utxo) == len(oracle)
     assert serialize_utxo_set(utxo) == serialize_utxo_set(oracle)
 
     assert len(before) == len(coins)
     assert serialize_utxo_set(before) == _oracle_bytes(coins)
     for entry in read + spent_before:
-        assert before.get(_outpoint(entry)) \
+        assert before.get(_key(entry)) \
             == (None if entry in gone else entry)
     assert build_snapshot(before, 9, b"\x07" * 32).chunks == folded
 
@@ -616,7 +619,7 @@ def test_a_one_chunk_set_stays_dict_backed():
 def test_an_applied_layout_does_not_change_the_built_id():
     # a peer may chunk a snapshot in any layout; a build re-packs the
     # records greedily, as a fresh set of the same coins would
-    coins = sorted((_entry(i) for i in range(FOLDED)), key=_outpoint)
+    coins = sorted((_entry(i) for i in range(FOLDED)), key=_key)
     one_per_chunk = Snapshot.assemble(FOLDED, b"\x07" * 32,
                                       [encode_record(e) for e in coins])
     applied = apply_snapshot(one_per_chunk)
