@@ -399,36 +399,92 @@ def _entry(record: bytes) -> UtxoEntry:
         tuple.__new__(CompressedTxOut, (case, record[RECORD_HEAD_SIZE:]))))
 
 
+class _Base:
+    """The chunks a set reads its base coins from, and their index.
+    Copies of the set share it; neither is ever written."""
+
+    __slots__ = ("chunks", "prefixes", "places")
+
+    def __init__(self, chunks: tuple) -> None:
+        self.chunks = chunks
+        self.prefixes = self.places = None
+
+    def index(self) -> tuple:
+        """The index, built in one walk when first asked for: per record
+        in slot order, the txid's first 8 bytes (`prefixes`) and the
+        chunk number << 32 | offset (`places`)."""
+        if self.places is None:
+            prefixes, places = array("Q"), array("Q")
+            add_prefix, add_place = prefixes.append, places.append
+            for number, chunk in enumerate(self.chunks):
+                offset = 0
+                while offset < len(chunk):
+                    add_prefix(_PREFIX.unpack_from(chunk, offset)[0])
+                    add_place(number << 32 | offset)
+                    offset += _RECORD_SIZE[chunk[offset + _CASE_AT]]
+            self.prefixes, self.places = prefixes, places
+        return self.prefixes, self.places
+
+    def key(self, slot: int) -> bytes:
+        place = self.places[slot]
+        offset = place & 0xFFFFFFFF
+        return _record_key(self.chunks[place >> 32][offset:offset + 36])
+
+    def record(self, slot: int) -> bytes:
+        place = self.places[slot]
+        chunk, offset = self.chunks[place >> 32], place & 0xFFFFFFFF
+        return chunk[offset:offset + _RECORD_SIZE[chunk[offset + _CASE_AT]]]
+
+    def records(self, gone: bytearray) -> Iterator[bytes]:
+        """The records of the slots `gone` does not mark, walked in
+        chunk order, without the index."""
+        slot = 0
+        for chunk in self.chunks:
+            offset = 0
+            while offset < len(chunk):
+                end = offset + _RECORD_SIZE[chunk[offset + _CASE_AT]]
+                if not gone[slot]:
+                    yield chunk[offset:end]
+                slot += 1
+                offset = end
+
+
+_NO_BASE = _Base(())  # the base of a set that never had one
+
+
 class UtxoSet:
     """Mutable map of unspent outputs, each coin held as its record;
     `get` and `entries` decode on demand. The packed 36-byte key that
     `outpoint_key` builds is the set's interface: `in`, `get`, `remove`
-    and `add_records` take it, and a key of any other length matches
-    no coin.
+    and `add_records` take it, a bytes key of any other length matches
+    no coin, and a key that is not bytes is a TypeError.
 
     A set made by `from_chunks` reads its base coins from the snapshot
-    chunks in place. It finds them through a sorted index with one slot
-    per record: the txid's first 8 bytes, and the chunk number and
-    offset; slots that share those 8 bytes are bisected by key. A base
+    chunks in place, with a spent mark of one byte per coin: a base
     coin spent, or read by `get` (which moves it to the dict), is
-    marked at its slot. Coins added since, and every coin of a set that
-    never had a snapshot, sit in a dict from key to record.
+    marked. Coins added since, and every coin of a set that never had a
+    snapshot, sit in a dict from key to record. `records`, `bytes` and
+    `entries` walk the chunks in order; the first `in`, `get` or
+    `remove` that reaches the base builds its index of 16 bytes per
+    coin, the txid's first 8 bytes and the chunk number and offset,
+    sorted as the records are, and slots that share those 8 bytes are
+    bisected by key. Copies share the chunks and the index, so it is
+    built once.
 
     `fold` makes a set's own records its base the same way, as an LSM
-    tree folds its memtable into a sorted run, and empties the dict:
-    about 90 bytes per coin in all, against about 207 in the dict. A
-    plain `build_snapshot` of more than one chunk folds the set into
-    the built chunks, which the set and the snapshot then share; a
-    one-chunk set keeps its dict, whose hash probes are cheaper than
-    the base's bisection. A kept join folds too, at any size: the
-    joined node applies no more blocks.
+    tree folds its memtable into a sorted run, and empties the dict: a
+    coin then costs its record in the chunks and its spent mark, and 16
+    bytes more once a lookup builds the index, against about 207 bytes
+    in the dict. A plain `build_snapshot` of more than one chunk folds
+    the set into the built chunks, which the set and the snapshot then
+    share; a one-chunk set keeps its dict, whose hash probes are
+    cheaper than the base's bisection. A kept join folds too, at any
+    size: the joined node applies no more blocks.
     """
 
     def __init__(self) -> None:
         self._records: dict[bytes, bytes] = {}
-        self._chunks: tuple = ()
-        self._prefixes = array("Q")  # sorted, as the records are
-        self._places = array("Q")  # chunk number << 32 | offset
+        self._base = _NO_BASE
         self._gone = bytearray()  # 1 where the base no longer holds the coin
         self._live = 0  # base coins the base still holds
 
@@ -440,98 +496,81 @@ class UtxoSet:
         its chunk, records not in strictly ascending (txid, vout) order,
         which the index's bisection needs, or a coin mined above
         `height`."""
+        chunks = tuple(chunks)
+        count = 0
+        last_txid, last_vout = b"", -1
+        for number, chunk in enumerate(chunks):
+            offset = 0
+            while offset < len(chunk):
+                end = _record_end(chunk, offset)
+                txid, vout, mined = _ORDER_HEAD.unpack_from(chunk, offset)
+                # (txid, vout) <= the last outpoint, field by field:
+                # building and comparing tuples cost apply about 7 %
+                if txid <= last_txid \
+                        and (txid != last_txid or vout <= last_vout):
+                    if txid == last_txid and vout == last_vout:
+                        raise SnapshotError(
+                            f"duplicate outpoint {txid.hex()}:{vout}")
+                    raise SnapshotError(f"record out of order at byte "
+                                        f"{offset} of chunk {number}")
+                if mined > height:
+                    raise SnapshotError(
+                        f"record above the snapshot's height {height} "
+                        f"at byte {offset} of chunk {number}")
+                last_txid, last_vout = txid, vout
+                count += 1
+                offset = end
         utxo = cls()
-        utxo._lay_base(tuple(chunks), height)
+        utxo._lay_base(chunks, count)
         return utxo
 
     def fold(self, chunks: Iterable[bytes]) -> None:
         """Take `chunks`, which hold exactly this set's records in
         canonical order, unchecked, as the base and empty the dict."""
-        self._lay_base(tuple(chunks), None)
+        self._lay_base(tuple(chunks), len(self))
 
-    def _lay_base(self, chunks: tuple, height: int | None) -> None:
-        """Index `chunks`, the state at `height`, as the base and empty
+    def _lay_base(self, chunks: tuple, count: int) -> None:
+        """Make `chunks`, which hold `count` records, the base and empty
         the dict. Each field gets a new object, since copies share the
-        old base's. With `height` None the heads, the order and the
-        heights are taken as given, as `fold` takes them."""
-        prefixes, places = array("Q"), array("Q")
-        add_prefix, add_place = prefixes.append, places.append
-        last_txid, last_vout = b"", -1
-        for number, chunk in enumerate(chunks):
-            offset = 0
-            while offset < len(chunk):
-                if height is not None:
-                    end = _record_end(chunk, offset)
-                    txid, vout, mined = _ORDER_HEAD.unpack_from(chunk, offset)
-                    # (txid, vout) <= the last outpoint, field by field:
-                    # building and comparing tuples cost apply about 7 %
-                    if txid <= last_txid \
-                            and (txid != last_txid or vout <= last_vout):
-                        if txid == last_txid and vout == last_vout:
-                            raise SnapshotError(
-                                f"duplicate outpoint {txid.hex()}:{vout}")
-                        raise SnapshotError(f"record out of order at byte "
-                                            f"{offset} of chunk {number}")
-                    if mined > height:
-                        raise SnapshotError(
-                            f"record above the snapshot's height {height} "
-                            f"at byte {offset} of chunk {number}")
-                    last_txid, last_vout = txid, vout
-                else:
-                    end = offset + _RECORD_SIZE[chunk[offset + _CASE_AT]]
-                add_prefix(_PREFIX.unpack_from(chunk, offset)[0])
-                add_place(number << 32 | offset)
-                offset = end
+        old base."""
         self._records = {}
-        self._chunks, self._prefixes, self._places = chunks, prefixes, places
-        self._live = len(prefixes)
-        self._gone = bytearray(self._live)
-
-    def _base_key(self, slot: int) -> bytes:
-        place = self._places[slot]
-        offset = place & 0xFFFFFFFF
-        return _record_key(self._chunks[place >> 32][offset:offset + 36])
-
-    def _base_record(self, slot: int) -> bytes:
-        place = self._places[slot]
-        chunk, offset = self._chunks[place >> 32], place & 0xFFFFFFFF
-        return chunk[offset:offset + _RECORD_SIZE[chunk[offset + _CASE_AT]]]
+        self._base = _Base(chunks)
+        self._live = count
+        self._gone = bytearray(count)
 
     def _base_slot(self, key: bytes) -> int:
         """The slot of the coin at outpoint `key` if the base still holds
-        it, else -1."""
-        if len(key) != 36:  # no coin has it; under 8 bytes it would not unpack
+        it, else -1. TypeError if `key` is not bytes: a dict miss is
+        where a wrong-type key shows, so this is where it is refused."""
+        if not isinstance(key, bytes):
+            raise TypeError(f"an outpoint key is bytes, not "
+                            f"{type(key).__name__}")
+        if not self._live or len(key) != 36:  # no coin has such a key
             return -1
-        prefixes = self._prefixes
+        base = self._base
+        prefixes, _ = base.index()
         prefix = _PREFIX.unpack_from(key)[0]
         lo = bisect_left(prefixes, prefix)
         if lo == len(prefixes) or prefixes[lo] != prefix:
             return -1
-        if self._base_key(lo) != key:
+        if base.key(lo) != key:
             # the outputs of one txid share a prefix: bisect by key
             hi = bisect_right(prefixes, prefix, lo)
             while hi - lo > 1:
                 mid = (lo + hi) // 2
-                if self._base_key(mid) <= key:
+                if base.key(mid) <= key:
                     lo = mid
                 else:
                     hi = mid
-            if self._base_key(lo) != key:
+            if base.key(lo) != key:
                 return -1
         return -1 if self._gone[lo] else lo
-
-    def _base_records(self) -> Iterator[bytes]:
-        """The records of the coins the base still holds, in slot order."""
-        gone = self._gone
-        return (self._base_record(slot) for slot in range(len(gone))
-                if not gone[slot])
 
     def __len__(self) -> int:
         return len(self._records) + self._live
 
     def __contains__(self, key: bytes) -> bool:
-        return key in self._records \
-            or (self._live and self._base_slot(key) >= 0)
+        return key in self._records or self._base_slot(key) >= 0
 
     def get(self, key: bytes) -> UtxoEntry | None:
         record = self._records.get(key)
@@ -541,7 +580,7 @@ class UtxoSet:
                 return None
             # a base coin read moves to the dict, as in a coins cache, so
             # the spend that usually follows finds it there
-            record = self._records[key] = self._base_record(slot)
+            record = self._records[key] = self._base.record(slot)
             self._gone[slot] = 1
             self._live -= 1
         return _entry(record)
@@ -574,32 +613,32 @@ class UtxoSet:
     def entries(self) -> Iterator[UtxoEntry]:
         """Every coin: the dict's in insertion order, then the base's."""
         return map(_entry, itertools.chain(self._records.values(),
-                                           self._base_records()))
+                                           self._base.records(self._gone)))
 
     def records(self) -> Iterable[bytes]:
         """Every record, sorted by (txid, vout): the canonical order,
         which is the keys' byte order and the base's slot order. The
         base's records are read lazily, so use them before changing the
         set."""
-        records = self._records
+        records, base = self._records, self._base.records(self._gone)
         if not records:
-            return self._base_records()
+            return base
         added = [records[key] for key in sorted(records)]
         if not self._live:
             return added
-        return heapq.merge(self._base_records(), added, key=_record_key)
+        return heapq.merge(base, added, key=_record_key)
 
     def __bytes__(self) -> bytes:
         """Every record in canonical order, joined: the base's chunks
         themselves while no coin was added, read or spent since the
         apply."""
         if not self._records and self._live == len(self._gone):
-            return b"".join(self._chunks)
+            return b"".join(self._base.chunks)
         return b"".join(self.records())
 
     def copy(self) -> "UtxoSet":
-        """An independent set; the base's chunks and index, which are
-        never written, are shared."""
+        """An independent set with its own dict and spent marks; the
+        base, its chunks and its index, are shared."""
         other = copy.copy(self)
         other._records = dict(self._records)
         other._gone = bytearray(self._gone)

@@ -617,8 +617,9 @@ class Simulation:
         data, both extended over the replay; the joiner keeps the
         replayed blocks and the applied snapshot. A join that ends in
         an earlier one's state takes a copy of its folded set, which
-        shares the chunks and index, and one whose entries and heights
-        equal an earlier store's takes that store."""
+        shares its chunks and the index a first lookup builds, and one
+        whose entries and heights equal an earlier store's takes that
+        store."""
         node = self.nodes[name]
         node.pruned_below, node.held = heights.start, held
         chunks = tuple(snapshot_mod.chunk_records(utxo.records()))

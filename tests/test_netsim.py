@@ -148,8 +148,12 @@ def test_joins_that_end_in_one_state_share_its_base(honest_run):
     sim, _ = honest_run
     snap_join, full_sync = sim.join_utxo["jcp"], sim.join_utxo["jleg"]
     assert snap_join is not full_sync
-    assert snap_join._chunks is full_sync._chunks
-    assert snap_join._prefixes is full_sync._prefixes
+    assert snap_join._base is full_sync._base
+    # the index a lookup on one builds is the other's: `in` reads the
+    # base without moving the coin to the dict
+    coin = next(snap_join.entries())
+    assert outpoint_key(coin.txid, coin.vout) in snap_join
+    assert full_sync._base.places is snap_join._base.places is not None
     assert sim.join_stores["jcp"] is not sim.join_stores["jleg"]
 
 
@@ -170,7 +174,7 @@ def test_snapshot_joiners_share_one_store():
 def test_a_spend_on_a_shared_joined_set_leaves_the_other_alone():
     sim = _two_snapshot_joins()
     mine, other = sim.join_utxo["jcp"], sim.join_utxo["jcp2"]
-    assert mine._chunks is other._chunks
+    assert mine._base is other._base
     before = bytes(other)
     coin = next(mine.entries())
     key = outpoint_key(coin.txid, coin.vout)

@@ -250,11 +250,11 @@ def test_apply_rejects_a_record_split_across_chunks():
         apply_snapshot(snap)
 
 
-def test_applied_index_holds_under_24_traced_bytes_per_coin():
+def test_an_applied_set_holds_under_2_traced_bytes_per_coin():
     # the applied set reads its coins from the snapshot's chunks, which
-    # the snapshot already holds; what apply adds is the index (two
-    # 8-byte columns and a spent mark per coin). A coin held as its own
-    # record under a 36-byte key traced about 200 bytes.
+    # the snapshot already holds; what apply adds is a spent mark per
+    # coin, as the index waits for the first lookup. A coin held as its
+    # own record under a 36-byte key traced about 200 bytes.
     rng = random.Random(20)
     utxo = UtxoSet()
     for _ in range(20_000):
@@ -269,8 +269,8 @@ def test_applied_index_holds_under_24_traced_bytes_per_coin():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(applied) == 20_000
-    assert held / 20_000 < 24
+    assert len(applied) == 20_000 and applied._base.places is None
+    assert held / 20_000 < 2
 
 
 def test_apply_rejects_duplicate_outpoints():
@@ -527,6 +527,26 @@ def test_malformed_outpoints_match_nothing():
         assert len(utxo) == 2 and utxo.get(key) == entry
 
 
+def test_keys_that_are_not_bytes_are_refused():
+    # a (txid, vout) tuple misses the dict, and the base would read it as
+    # an absent coin, so a leftover tuple would pass any `not in` check
+    entry = _entry(3)
+    applied = apply_snapshot(build_snapshot(_set_of([entry]), TOP,
+                                            b"\x06" * 32))
+    for utxo in (_set_of([entry]), applied):
+        for bad in ((entry.txid, entry.vout), _key(entry).hex(), None,
+                    bytearray(_key(entry))):
+            with pytest.raises(TypeError):
+                bad in utxo
+            with pytest.raises(TypeError):
+                utxo.get(bad)
+            with pytest.raises(TypeError):
+                utxo.remove(bad)
+        with pytest.raises(TypeError):
+            utxo.add_records({(entry.txid, 1): encode_record(entry)})
+        assert len(utxo) == 1 and utxo.get(_key(entry)) == entry
+
+
 # --- a multi-chunk plain build folds the set's dict into its chunks ----------
 
 FOLDED = 20_000  # p2pkh records of 70 bytes: two 1 MiB chunks
@@ -558,10 +578,10 @@ def test_a_multi_chunk_build_takes_its_chunks_as_the_set(by):
     before = utxo.copy()
     if by == "build":
         snap = build_snapshot(utxo, 9, b"\x07" * 32)
-        assert utxo._chunks is snap.chunks
+        assert utxo._base.chunks is snap.chunks
     else:
         utxo.fold(chunk_records(utxo.records()))
-    folded = utxo._chunks
+    folded = utxo._base.chunks
     assert len(folded) >= 2 and not utxo._records
 
     oracle = _set_of(coins)  # never built, so dict-backed
@@ -602,18 +622,18 @@ def test_an_obfuscated_build_after_a_fold_matches_a_fresh_set():
     coins = [_entry(i) for i in range(FOLDED)]
     utxo = _set_of(coins)
     build_snapshot(utxo, 9, b"\x07" * 32)
-    assert utxo._chunks  # folded
+    assert utxo._base.chunks  # folded
     hidden = build_snapshot(utxo, 9, b"\x07" * 32, obfuscate=True)
     assert hidden == build_snapshot(_set_of(coins), 9, b"\x07" * 32,
                                     obfuscate=True)
-    assert hidden.chunks is not utxo._chunks  # an obfuscated build never folds
+    assert hidden.chunks is not utxo._base.chunks  # an obfuscated build never folds
 
 
 def test_a_one_chunk_set_stays_dict_backed():
     utxo = _filled_set(300)
     snap = build_snapshot(utxo, 9, b"\x07" * 32)
     assert len(snap.chunks) == 1
-    assert utxo._chunks == () and len(utxo._records) == 300
+    assert utxo._base.chunks == () and len(utxo._records) == 300
 
 
 def test_an_applied_layout_does_not_change_the_built_id():
@@ -630,13 +650,13 @@ def test_an_applied_layout_does_not_change_the_built_id():
         assert built == build_snapshot(fresh, FOLDED, b"\x07" * 32,
                                        obfuscate=obfuscate)
         assert built.id != one_per_chunk.id
-    assert applied._chunks is built.chunks and len(built.chunks) == 2
+    assert applied._base.chunks is built.chunks and len(built.chunks) == 2
 
 
-def test_a_folded_set_holds_under_24_traced_bytes_per_coin():
+def test_a_folded_set_holds_under_2_traced_bytes_per_coin():
     # held as a dict, a coin traced about 200 bytes; folded, the set
-    # keeps the index (two 8-byte columns and a spent mark per coin)
-    # beside the chunks, which the snapshot holds anyway
+    # keeps a spent mark per coin beside the chunks, which the snapshot
+    # holds anyway, and no index until the first lookup
     rng = random.Random(21)
     tracemalloc.start()
     try:
@@ -651,4 +671,93 @@ def test_a_folded_set_holds_under_24_traced_bytes_per_coin():
     finally:
         tracemalloc.stop()
     assert len(snap.chunks) >= 2 and len(utxo) == FOLDED
-    assert (held - sum(map(len, snap.chunks))) / FOLDED < 24
+    assert utxo._base.places is None
+    assert (held - sum(map(len, snap.chunks))) / FOLDED < 2
+
+
+# --- an applied base builds its index at the first point lookup -------------
+
+def test_the_first_lookup_builds_the_index_once_for_every_copy():
+    coins = [_entry(i) for i in range(50)]
+    applied = apply_snapshot(build_snapshot(_set_of(coins), TOP,
+                                            b"\x06" * 32))
+    copied = applied.copy()
+    base = applied._base
+    assert copied._base is base and base.places is None
+    assert b"".join(applied.records()) == bytes(copied) \
+        == _oracle_bytes(coins)
+    assert sorted(copied.entries()) == sorted(coins)
+    assert base.places is None  # the walks read the chunks alone
+    assert _key(coins[0]) in copied
+    prefixes, places = base.prefixes, base.places
+    assert len(prefixes) == len(places) == len(coins)
+    for entry in coins[1:]:
+        assert applied.get(_key(entry)) == entry
+    copied.remove(_key(coins[0]))
+    later = copied.copy()
+    assert later.get(_key(coins[1])) == coins[1]
+    assert later._base is base
+    assert base.prefixes is prefixes and base.places is places
+    assert len(applied) == len(coins) and len(copied) == len(coins) - 1
+
+
+POOL = 60  # operations name a coin by its position in the pool, modulo
+lazy_ops = st.lists(st.one_of(
+    st.just(("records",)), st.just(("bytes",)),
+    st.tuples(st.sampled_from(["in", "get", "remove"]),
+              st.integers(0, POOL - 1)),
+    st.tuples(st.just("add_records"),
+              st.lists(st.integers(0, POOL - 1), max_size=3))),
+    max_size=25)
+
+
+@given(st.lists(layered_coins, min_size=2, max_size=30,
+                unique_by=lambda e: (e.txid, e.vout)),
+       st.integers(1, 4), lazy_ops)
+@example([_entry(i) for i in range(8)], 2,
+         [("records",), ("bytes",), ("in", 0), ("records",), ("get", 2),
+          ("bytes",), ("remove", 4), ("add_records", [1, 0]),
+          ("add_records", [1]), ("records",), ("remove", 4)])
+def test_a_lazily_indexed_set_matches_a_dict_oracle(coins_, per_chunk, ops):
+    # half the coins are the applied base, laid `per_chunk` records to a
+    # chunk; the walks read it before and after the index exists
+    held = sorted(coins_[::2], key=_key)
+    records = [encode_record(e) for e in held]
+    chunks = [b"".join(records[i:i + per_chunk])
+              for i in range(0, len(records), per_chunk)]
+    utxo = apply_snapshot(Snapshot.assemble(TOP, b"\x06" * 32, chunks))
+    assert utxo._base.places is None
+    oracle = {_key(e): e for e in held}
+    for op, *args in ops:
+        indexed = utxo._base.places is not None
+        if op == "records":
+            assert b"".join(utxo.records()) == _oracle_bytes(oracle.values())
+        elif op == "bytes":
+            assert bytes(utxo) == _oracle_bytes(oracle.values())
+        elif op == "add_records":
+            added = {_key(e): e
+                     for e in (coins_[i % len(coins_)] for i in args[0])}
+            batch = {key: encode_record(e) for key, e in added.items()}
+            if any(key in oracle for key in added):
+                with pytest.raises(ChainError):
+                    utxo.add_records(batch)
+            else:
+                utxo.add_records(batch)
+                oracle.update(added)
+        else:
+            key = _key(coins_[args[0] % len(coins_)])
+            if op == "in":
+                assert (key in utxo) == (key in oracle)
+            elif op == "get":
+                assert utxo.get(key) == oracle.get(key)
+            elif key in oracle:
+                utxo.remove(key)
+                del oracle[key]
+            else:
+                with pytest.raises(KeyError):
+                    utxo.remove(key)
+        if op in ("records", "bytes"):
+            assert (utxo._base.places is not None) == indexed
+        assert len(utxo) == len(oracle)
+    assert sorted(utxo.entries()) == sorted(oracle.values())
+    assert bytes(utxo) == _oracle_bytes(oracle.values())

@@ -13,11 +13,16 @@ as it is. The order alternates seed by seed: parent then change on the
 first seed, change then parent on the next, so machine drift falls on
 both sides alike. The `--out` file holds every pair with its order and
 both sides' metrics, each side's median, quartile spread (`spread.py`'s
-`spread`) and the number of pairs in which the change read lower, and
-per side its git revision, the `wc -l src/coinprune/*.py` total and the
-wall time of its Tier-1 suite (`python -m pytest -q
---continue-on-collection-errors` with the clone's `src` on PYTHONPATH),
-run after the pairs with its exit code and summary line. It also holds
+`spread`) and the number of pairs in which the change read lower. Each
+side of a pair also holds `passes`, the number of timed passes the run
+made, read from the clone's `perfbench/out/<workload>/result.json` and
+summarized as the metrics are: a workload's peak can creep with its
+passes, so a peak that moved can be told apart from a run that made
+more passes. Per side the file also holds its git revision, the
+`wc -l src/coinprune/*.py` total and the wall time of its Tier-1 suite
+(`python -m pytest -q --continue-on-collection-errors` with the clone's
+`src` on PYTHONPATH), run after the pairs with its exit code and
+summary line. It also holds
 `nproc`, the CPU model from /proc/cpuinfo, and the Python and numpy
 versions. Give the same revision twice for an A/A record of the noise
 floor. The clones are removed afterwards.
@@ -111,6 +116,12 @@ def load_spread(tree: Path, side: str):
     return module
 
 
+def passes(tree: Path, workload: str) -> int:
+    """The number of timed passes of the tree's last run of `workload`."""
+    result = tree / "perfbench" / "out" / workload / "result.json"
+    return len(json.loads(result.read_text())["passes"])
+
+
 def summarize(pairs: list[dict], spread) -> dict:
     """Per metric: each side's median and quartile spread over the pairs,
     and in how many pairs the change read lower."""
@@ -167,6 +178,7 @@ def measure(args, trees: dict, seconds: int) -> dict:
             pair = {"seed": seed, "first": order[0]}
             for side in order:
                 pair[side] = spreads[side].run_once(workload, seed, seconds)
+                pair[side]["passes"] = passes(trees[side], workload)
             pairs[workload].append(pair)
             print(f"{workload} seed {seed} {order[0]} first: correct "
                   f"{pair['parent']['correct']}/{pair['change']['correct']}",
