@@ -22,10 +22,9 @@ more passes. Per side the file also holds its git revision, the
 `wc -l src/coinprune/*.py` total and the wall time of its Tier-1 suite
 (`python -m pytest -q --continue-on-collection-errors` with the clone's
 `src` on PYTHONPATH), run after the pairs with its exit code and
-summary line. It also holds
-`nproc`, the CPU model from /proc/cpuinfo, and the Python and numpy
-versions. Give the same revision twice for an A/A record of the noise
-floor. The clones are removed afterwards.
+summary line. It also holds `nproc`, the CPU model from /proc/cpuinfo,
+and the Python and numpy versions. Give the same revision twice for an
+A/A record of the noise floor. The clones are removed afterwards.
 """
 
 import argparse
