@@ -456,8 +456,11 @@ class UtxoSet:
     """Mutable map of unspent outputs, each coin held as its record;
     `get` and `entries` decode on demand. The packed 36-byte key that
     `outpoint_key` builds is the set's interface: `in`, `get`, `remove`
-    and `add_records` take it, a bytes key of any other length matches
-    no coin, and a key that is not bytes is a TypeError.
+    and `add_records` take it, and a bytes key of any other length
+    matches no coin. Only `bytes` keys are supported: a key of another
+    type is a TypeError where it misses the dict, but the hit path is
+    left unchecked, so one equal to a key the dict holds (a `memoryview`
+    of it) still finds that coin.
 
     A set made by `from_chunks` reads its base coins from the snapshot
     chunks in place, with a spent mark of one byte per coin: a base

@@ -52,6 +52,7 @@ KNOWN_FAULTS = ("bogus_tags", "bogus_chunks", "bogus_snapshot", "eclipse")
 MAX_BOOTSTRAP_ATTEMPTS = 3  # neighbor samples a joiner tries before giving up
 CHUNK_RETRY = 2  # deliveries of one chunk before an attempt aborts
 BLOCK_BATCH = 16  # blocks requested from one peer per round
+TRACE_PAGE_LINES = 1024  # trace lines joined into one held str
 
 SCENARIO_KEYS = {"seed", "blocks", "nodes", "roles", "params", "faults",
                  "obfuscate", "appdata", "txs_per_block", "neighbors"}
@@ -155,16 +156,29 @@ class JoinOutcome:
 
 
 class Trace:
-    """Line-delimited event log; bytes are compared across runs."""
+    """Line-delimited event log; bytes are compared across runs. Every
+    TRACE_PAGE_LINES lines are joined into one page str, since a str per
+    line costs about 75 bytes besides its text; a line holds no newline."""
 
     def __init__(self) -> None:
-        self.lines: list[str] = []
+        self._pages: list[str] = []  # each TRACE_PAGE_LINES lines, "\n"-joined
+        self._open: list[str] = []  # the lines since the last page
 
     def add(self, line: str) -> None:
-        self.lines.append(line)
+        self._open.append(line)
+        if len(self._open) == TRACE_PAGE_LINES:
+            self._pages.append("\n".join(self._open))
+            self._open.clear()
 
     def to_text(self) -> str:
-        return "\n".join(self.lines) + "\n"
+        return "\n".join([*self._pages, *self._open]) + "\n"
+
+    @property
+    def lines(self) -> list[str]:
+        """The added lines, split back out of the text."""
+        if not self._pages and not self._open:
+            return []  # the text of no lines is that of one empty line
+        return self.to_text().split("\n")[:-1]
 
 
 def _csv(columns: str, rows: list) -> str:

@@ -8,6 +8,7 @@ snapshot, and legacy nodes stay untouched by the protocol overlay.
 """
 
 import struct
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -214,6 +215,32 @@ def test_rerun_is_byte_identical(honest_run):
     assert report2.to_csv() == report.to_csv()
     assert report2.breakdown_csv() == report.breakdown_csv()
     assert report2.pulse_outcomes == report.pulse_outcomes
+
+
+@pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 2048])
+def test_trace_pages_give_the_text_of_the_added_lines(count):
+    # pages hold 1,024 lines; a page that kept its own last newline would
+    # double it at the end of a trace of whole pages
+    lines = [f"msg m{i % 3}>full0 inv {60 + i}" for i in range(count)]
+    trace = netsim.Trace()
+    for line in lines:
+        trace.add(line)
+    assert trace.to_text() == "\n".join(lines) + "\n"
+    assert trace.lines == lines
+
+
+def test_a_trace_holds_little_more_than_its_text():
+    # seed 1's sim-bootstrap run adds about 27,000 lines of about 27
+    # characters; held one str per line they cost 3.07 bytes per character
+    trace = netsim.Trace()
+    tracemalloc.start()
+    try:
+        for i in range(27_000):
+            trace.add(f"msg miner{i % 7}>full{i % 5} block {100 + i % 900}")
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held / len(trace.to_text()) < 1.1
 
 
 def test_minority_bogus_tags_accept_genuine():

@@ -529,13 +529,14 @@ def test_malformed_outpoints_match_nothing():
 
 def test_keys_that_are_not_bytes_are_refused():
     # a (txid, vout) tuple misses the dict, and the base would read it as
-    # an absent coin, so a leftover tuple would pass any `not in` check
+    # an absent coin, so a leftover tuple would pass any `not in` check;
+    # a memoryview hashes as bytes do, so only its miss is refused
     entry = _entry(3)
     applied = apply_snapshot(build_snapshot(_set_of([entry]), TOP,
                                             b"\x06" * 32))
     for utxo in (_set_of([entry]), applied):
         for bad in ((entry.txid, entry.vout), _key(entry).hex(), None,
-                    bytearray(_key(entry))):
+                    bytearray(_key(entry)), memoryview(_key(_entry(4)))):
             with pytest.raises(TypeError):
                 bad in utxo
             with pytest.raises(TypeError):
