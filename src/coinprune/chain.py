@@ -14,10 +14,12 @@ import heapq
 import itertools
 import os
 import struct
+import tempfile
+import weakref
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 from .hashing import hash256
 from . import scripts
@@ -852,47 +854,63 @@ def best_tip(chains: list[list[BlockHeader]], params: ChainParams) -> int:
 # per block: its size as a u32 and its bytes.
 
 BLOCK_FILE_MAGIC = b"CPB1"
+COPY_PIECE = 1 << 20  # bytes that write_block_file copies at a time
 
 
 class BlockFile:
-    """Blocks in height order, held as a block file's bytes: an
-    append-only buffer of block records, and the span of each block's
-    bytes in it. This is how chains are kept at rest, by the simulator
-    and `chain gen` as well as by `read_block_file`. A block is parsed
-    when it is looked up and not kept; `raw`, `size`, `header` and
-    `coinbase` read one block without a full parse."""
+    """Blocks in height order, kept in a block file on disk: memory holds
+    only the span of each block's bytes in the file, 16 bytes a block.
+    The simulator and `chain gen` keep their chains in an unnamed
+    temporary file, and `read_block_file` in the file it opened. A block
+    is read and parsed when it is looked up and not kept; `raw`, `size`,
+    `header` and `coinbase` read one block without a full parse. The
+    file is closed by `close`, or else when the store is dropped."""
 
-    def __init__(self, data: bytearray | None = None) -> None:
-        """The blocks of the block file image `data`, which the store
-        keeps; an empty file when None. Only the framing is checked:
-        the magic, the count, each record's size, no trailing bytes."""
-        if data is None:
-            data = bytearray(BLOCK_FILE_MAGIC + bytes(4))
-        if data[:4] != BLOCK_FILE_MAGIC:
+    def __init__(self, fh: BinaryIO | None = None) -> None:
+        """The blocks of the open block file `fh`, which the store now
+        owns; a new, empty, read-write temporary file when None. Only
+        the framing is checked: the magic, the count, each record's
+        size, no trailing bytes."""
+        if fh is None:
+            fh = tempfile.TemporaryFile(buffering=0)
+            fh.write(BLOCK_FILE_MAGIC + bytes(4))
+        # also closes the file of a store whose framing check fails
+        self._finalizer = weakref.finalize(self, fh.close)
+        self._fd = fd = fh.fileno()
+        file_size = os.fstat(fd).st_size
+        head = os.pread(fd, 8, 0)
+        if head[:4] != BLOCK_FILE_MAGIC:
             raise ChainError("not a block file")
-        self._data = data
         self._starts, self._ends = array("Q"), array("Q")
         offset = 8
-        for _ in range(_u32(data, 4, "block count")):
-            size = _u32(data, offset, "block record size")
+        for _ in range(_u32(head, 4, "block count")):
+            prefix = os.pread(fd, 4, offset)
+            if len(prefix) < 4:
+                raise ChainError(
+                    f"truncated block record size at offset {offset}")
             offset += 4
-            if offset + size > len(data):
+            size = int.from_bytes(prefix, "little")
+            if offset + size > file_size:
                 raise ChainError(f"truncated block record at offset {offset}")
             self._starts.append(offset)
             offset += size
             self._ends.append(offset)
-        if offset != len(data):
+        if offset != file_size:
             raise ChainError("trailing bytes after final block")
+        self._end = offset
+
+    def close(self) -> None:
+        """Close the file now rather than when the store is dropped."""
+        self._finalizer()
 
     def append(self, block: Block) -> None:
         """Add the next block's record; serializes the block once."""
         raw = block.serialize()
-        data = self._data
-        data += struct.pack("<I", len(raw))
-        self._starts.append(len(data))
-        data += raw
-        self._ends.append(len(data))
-        struct.pack_into("<I", data, 4, len(self._ends))
+        os.pwrite(self._fd, struct.pack("<I", len(raw)) + raw, self._end)
+        self._starts.append(self._end + 4)
+        self._end += 4 + len(raw)
+        self._ends.append(self._end)
+        os.pwrite(self._fd, struct.pack("<I", len(self._ends)), 4)
 
     def __len__(self) -> int:
         return len(self._ends)
@@ -908,15 +926,16 @@ class BlockFile:
         return map(self.__getitem__, range(len(self)))
 
     def raw(self, height: int) -> bytes:
-        return bytes(self._data[self._starts[height]:self._ends[height]])
+        start = self._starts[height]
+        return os.pread(self._fd, self._ends[height] - start, start)
 
     def size(self, height: int) -> int:
         return self._ends[height] - self._starts[height]
 
     def header(self, height: int) -> BlockHeader:
         start = self._starts[height]
-        return BlockHeader.parse(
-            self._data[start:min(start + HEADER_SIZE, self._ends[height])])
+        size = min(HEADER_SIZE, self._ends[height] - start)
+        return BlockHeader.parse(os.pread(self._fd, size, start))
 
     def coinbase(self, height: int) -> Transaction:
         """The block's first transaction, parsed without the others."""
@@ -924,13 +943,18 @@ class BlockFile:
 
 
 def write_block_file(path, blocks: BlockFile) -> None:
-    with open(path, "wb") as fh:
-        fh.write(blocks._data)
+    """Copy the store's block file to `path`, a piece at a time;
+    ChainError if `path` names that same file."""
+    # opened without truncating, so that the store's own file is refused
+    # before anything in it is lost
+    with open(path, "ab") as fh:
+        if os.path.samestat(os.fstat(fh.fileno()), os.fstat(blocks._fd)):
+            raise ChainError(f"{path} is the file the blocks are read from")
+        fh.truncate(0)
+        for offset in range(0, blocks._end, COPY_PIECE):
+            fh.write(os.pread(blocks._fd,
+                              min(COPY_PIECE, blocks._end - offset), offset))
 
 
 def read_block_file(path) -> BlockFile:
-    with open(path, "rb") as fh:
-        # read into the store's own buffer, so no second copy is held
-        data = bytearray(os.fstat(fh.fileno()).st_size)
-        fh.readinto(data)
-    return BlockFile(data)
+    return BlockFile(open(path, "rb", buffering=0))

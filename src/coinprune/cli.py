@@ -27,6 +27,7 @@ import math
 import os
 import re
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from .chain import (BlockValidationError, ChainError, ChainParams,
@@ -279,23 +280,25 @@ def _cmd_snapshot_create(args) -> int:
         blocks = read_block_file(args.chain)
     except (OSError, ChainError) as exc:
         return _fail(f"cannot read chain: {exc}")
-    if not 0 <= args.height < len(blocks):
-        return _fail(f"height {args.height} outside chain of {len(blocks)} blocks")
-    # each block is parsed as it is reached and then dropped; a malformed
-    # block anywhere in the file is a read error, ahead of a block that
-    # fails validation, so the rest of the file is parsed too
-    utxo = UtxoSet()
-    invalid = None
-    try:
+    with closing(blocks):
+        if not 0 <= args.height < len(blocks):
+            return _fail(f"height {args.height} outside chain of "
+                         f"{len(blocks)} blocks")
+        # each block is parsed as it is reached and then dropped; a malformed
+        # block anywhere in the file is a read error, ahead of a block that
+        # fails validation, so the rest of the file is parsed too
+        utxo = UtxoSet()
+        invalid = None
         try:
-            tip_id = replay_blocks(utxo, blocks, range(args.height + 1),
-                                   b"\x00" * 32, ChainParams())
-        except BlockValidationError as exc:
-            invalid = exc
-        for height in range(0 if invalid else args.height + 1, len(blocks)):
-            blocks[height]
-    except ChainError as exc:
-        return _fail(f"cannot read chain: {exc}")
+            try:
+                tip_id = replay_blocks(utxo, blocks, range(args.height + 1),
+                                       b"\x00" * 32, ChainParams())
+            except BlockValidationError as exc:
+                invalid = exc
+            for height in range(0 if invalid else args.height + 1, len(blocks)):
+                blocks[height]
+        except ChainError as exc:
+            return _fail(f"cannot read chain: {exc}")
     if invalid is not None:
         return _fail(f"chain invalid: {invalid}")
     snap = build_snapshot(utxo, args.height, tip_id, obfuscate=args.obfuscate)
