@@ -4,7 +4,8 @@ Criterion 8 checks that two runs agree with each other; these pins check
 that they agree with a run frozen in the source. A change that moves any
 byte of the trace, the reports, the chain, the snapshot file or the
 charts fails here until its pins are re-frozen on purpose (and the
-re-freeze is recorded in CHANGES.md).
+re-freeze is recorded in CHANGES.md). `chain gen`'s block and header
+files are pinned the same way.
 
 The scenario passes through every join path: snapshot joins, a legacy
 full sync, a bogus-chunk re-request, an eclipsed first attempt that
@@ -78,6 +79,15 @@ CLI_PINS = {
         "1dd1e798e224483f2244df9728c2e0bc49491e7d3324454b841e28bae369a06f",
 }
 
+# `chain gen --blocks 300 --seed 5 --headers`: the block file and the
+# header records a pruned node keeps
+CHAIN_GEN_PINS = {
+    "chain.blk":
+        "d57950d03dbe0404ee14286d220b250a1d53f333738b9f46d1e7d96ed1b1d8e7",
+    "chain.hdr":
+        "33a6faffccd5f7d892cbe0a0f86ed1709499c216bcf92c761c0eb71d52f7bee0",
+}
+
 
 def _hash256(data: bytes) -> str:
     return hashlib.sha256(hashlib.sha256(data).digest()).hexdigest()
@@ -146,3 +156,13 @@ def test_cli_artifacts_match_pins(golden_run, tmp_path, monkeypatch, capsys):
     # the CLI writes the same trace bytes the simulation holds
     assert got["run_trace.txt"] == SIM_PINS["trace"]
     assert got["run_storage.csv"] == SIM_PINS["storage_csv"]
+
+
+def test_chain_gen_files_match_pins(tmp_path, capsys):
+    assert main(["chain", "gen", "--blocks", "300", "--seed", "5",
+                 "--out", "chain.blk", "--headers", "chain.hdr",
+                 "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    got = {name: _hash256((tmp_path / name).read_bytes())
+           for name in CHAIN_GEN_PINS}
+    assert got == CHAIN_GEN_PINS
