@@ -14,8 +14,7 @@ so a joining node can verify the preserved payloads against the same
 miner vote that reaffirms the UTXO state.
 """
 
-from array import array
-from bisect import bisect_right
+from typing import Iterator
 
 from .hashing import hash256
 from . import scripts
@@ -40,62 +39,54 @@ def extract_op_return(block: Block, block_id: bytes) -> list[bytes]:
     return entries
 
 
-def _entry_end(buf: bytes, offset: int) -> int:
-    """The offset after the entry at `offset` < len(buf); SnapshotError
-    on a payload above 80 bytes or an entry that runs past `buf`."""
-    n = buf[offset]
-    if n > scripts.MAX_OP_RETURN_PAYLOAD:
-        raise SnapshotError(f"byte {offset}: app-data payload above 80 bytes")
-    end = offset + 1 + n + 64
-    if end > len(buf):
-        raise SnapshotError(f"truncated app-data entry at byte {offset}")
-    return end
+def _entries(buf: bytes) -> Iterator[bytes]:
+    """Each entry of `buf`, in order; SnapshotError at a payload above
+    80 bytes or an entry that runs past `buf`."""
+    offset = 0
+    while offset < len(buf):
+        n = buf[offset]
+        if n > scripts.MAX_OP_RETURN_PAYLOAD:
+            raise SnapshotError(f"byte {offset}: app-data payload above 80 bytes")
+        end = offset + 1 + n + 64
+        if end > len(buf):
+            raise SnapshotError(f"truncated app-data entry at byte {offset}")
+        yield buf[offset:end]
+        offset = end
 
 
 class AppDataStore:
-    """Append-only store of extracted entries, in chain order. The
-    entries' bytes are held back to back in one buffer, beside each
-    entry's end offset in it and the height of its block."""
+    """Append-only store of extracted entries, in chain order, held back
+    to back in one buffer; each entry's length byte is all that splits
+    them."""
 
     def __init__(self) -> None:
         self._bytes = bytearray()
-        self._ends = array("Q")
-        self._heights = array("I")  # ascending, as blocks are added
-
-    def __len__(self) -> int:
-        return len(self._ends)
 
     def __eq__(self, other: object) -> bool:
-        """Equal when both hold the same entries at the same heights."""
+        """Equal when both hold the same entries."""
         if not isinstance(other, AppDataStore):
             return NotImplemented
-        return self._bytes == other._bytes and self._heights == other._heights
+        return self._bytes == other._bytes
 
-    def add_block(self, block: Block, height: int, block_id: bytes) -> None:
+    def add_block(self, block: Block, block_id: bytes) -> None:
         for entry in extract_op_return(block, block_id):
             self._bytes += entry
-            self._ends.append(len(self._bytes))
-            self._heights.append(height)
 
     def snapshot_at(self, height: int, block_id: bytes) -> Snapshot:
-        """Chunked store of all entries up to height, identified like a snapshot."""
-        cut = bisect_right(self._heights, height)
-        data, ends = self._bytes, self._ends[:cut]
-        return Snapshot.assemble(height, block_id, chunk_records(
-            data[start:end] for start, end in zip([0, *ends], ends)))
+        """Chunked store of every entry added, identified like a snapshot
+        of the chain at height, the height of the last block added."""
+        return Snapshot.assemble(height, block_id,
+                                 chunk_records(_entries(self._bytes)))
 
 
 def parse_store(snapshot: Snapshot) -> AppDataStore:
     """Rebuild a store from a fetched app-data snapshot. Each chunk is
     walked in place, so an entry that crosses a chunk boundary
     (chunk_records never writes one) is truncated and fails."""
-    store, height = AppDataStore(), snapshot.header.height
+    store = AppDataStore()
     for chunk in snapshot.chunks:
-        offset, base = 0, len(store._bytes)
-        while offset < len(chunk):
-            offset = _entry_end(chunk, offset)
-            store._ends.append(base + offset)
-            store._heights.append(height)
+        for _ in _entries(chunk):  # each entry is checked
+            pass
         store._bytes += chunk
     return store
 

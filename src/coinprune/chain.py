@@ -18,7 +18,7 @@ import tempfile
 import weakref
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 from .hashing import hash256
@@ -734,8 +734,8 @@ def replay_blocks(utxo: UtxoSet, blocks, heights: range, prev_id: bytes,
                   params: ChainParams, applied=None) -> bytes:
     """Validate and apply blocks[h] for each h in heights, the first on top
     of prev_id; returns the id of the last block applied. Each block is
-    looked up once; `applied(block, height, block_id)`, when given, is
-    called with it after it is applied.
+    looked up once; `applied(block, block_id)`, when given, is called
+    with it after it is applied.
 
     Each block must link to the one before it, so a caller that compares
     the returned id with the tip it expects has checked every block.
@@ -745,7 +745,7 @@ def replay_blocks(utxo: UtxoSet, blocks, heights: range, prev_id: bytes,
         prev_id = validate_and_apply_block(utxo, block, height, prev_id,
                                            params)
         if applied is not None:
-            applied(block, height, prev_id)
+            applied(block, prev_id)
     return prev_id
 
 
@@ -767,47 +767,29 @@ def _check_outputs(tx: Transaction, txid: bytes, height: int,
 
 # --- persisted header records ---------------------------------------------
 
-class PersistedHeaderRecord(NamedTuple):
-    """What a pruned node keeps per block: 140 bytes, fixed."""
-    block_id: bytes
-    header: BlockHeader
-    height: int
-    cumulative_work: int
-    tx_count: int
-    timestamp: int
-
-    def serialize(self) -> bytes:
-        out = self.block_id + self.header.serialize() \
-            + struct.pack("<I", self.height) \
-            + self.cumulative_work.to_bytes(16, "little") \
-            + struct.pack("<II", self.tx_count, self.timestamp)
-        assert len(out) == HEADER_RECORD_SIZE
-        return out
-
-
-def header_record(block: Block, height: int, cumulative_work: int) -> PersistedHeaderRecord:
-    return PersistedHeaderRecord(block.block_id(), block.header, height,
-                                 cumulative_work, len(block.transactions),
-                                 block.header.timestamp)
-
-
-@dataclass
 class HeaderIndex:
-    """Flat-file index of consecutive header records from genesis."""
-    records: list = field(default_factory=list)
+    """What a pruned node keeps per block, from genesis: 140 bytes, held
+    back to back in `records`. Each record is the block id, the 80-byte
+    header, the height as LE32, the cumulative work as LE128, then the
+    transaction count and the timestamp as LE32 each."""
 
-    def append(self, record: PersistedHeaderRecord) -> None:
-        if record.height != len(self.records):
-            raise ChainError(
-                f"record height {record.height} breaks contiguity at {len(self.records)}")
-        self.records.append(record)
+    def __init__(self) -> None:
+        self.records = bytearray()
 
-    def serialize(self) -> bytes:
-        return b"".join(r.serialize() for r in self.records)
+    def append(self, block: Block) -> None:
+        """Add the record of the block above the last one appended."""
+        header = block.header
+        # the last record's cumulative work, or 0 before genesis
+        work = int.from_bytes(self.records[-24:-8], "little") \
+            + work_from_bits(header.bits)
+        self.records += block.block_id() + header.serialize() \
+            + struct.pack("<I", len(self.records) // HEADER_RECORD_SIZE) \
+            + work.to_bytes(16, "little") \
+            + struct.pack("<II", len(block.transactions), header.timestamp)
 
     def write(self, path) -> None:
         with open(path, "wb") as fh:
-            fh.write(self.serialize())
+            fh.write(self.records)
 
 
 def verify_headerchain(headers: list[BlockHeader],

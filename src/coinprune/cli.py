@@ -31,8 +31,8 @@ from contextlib import closing
 from pathlib import Path
 
 from .chain import (BlockValidationError, ChainError, ChainParams,
-                    HeaderIndex, UtxoSet, header_record, read_block_file,
-                    replay_blocks, work_from_bits, write_block_file)
+                    HeaderIndex, UtxoSet, read_block_file, replay_blocks,
+                    write_block_file)
 from .chaingen import light_profile, generate_chain
 from .netsim import SimError, format_scenario, parse_scenario, run_simulation
 from .security import (COMPROMISE_RATE, SweepConfig, SweepResult,
@@ -62,6 +62,17 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise UsageError(f"{self.prog}: {message}")
+
+
+def _refuse_overwrite(path: Path, source, flag: str) -> None:
+    """UsageError when path names the file `flag` names: the same file
+    by device and inode when both exist, else the same resolved path."""
+    try:
+        same = os.path.samefile(path, source)
+    except FileNotFoundError:
+        same = path.resolve() == Path(source).resolve()
+    if same:
+        raise UsageError(f"{path} is the {flag} file")
 
 
 def _fail(message: str, code: int = VERIFY_FAILED) -> int:
@@ -244,19 +255,18 @@ def _sweep_charts(prefix: str, result: SweepResult, meta: str) -> dict:
 
 def _cmd_chain_gen(args) -> int:
     out_dir = _out_dir(args)
+    out_path = out_dir / args.out
+    if args.headers:
+        header_path = out_dir / args.headers
+        _refuse_overwrite(header_path, out_path, "--out")
     blocks = generate_chain(light_profile(txs_per_block=args.txs_per_block),
                             args.blocks, seed=args.seed)
-    out_path = out_dir / args.out
     write_block_file(out_path, blocks)
     written = [str(out_path)]
     if args.headers:
         index = HeaderIndex()
-        work = 0
-        unit = work_from_bits(ChainParams().bits)
-        for height, block in enumerate(blocks):
-            work += unit
-            index.append(header_record(block, height, work))
-        header_path = out_dir / args.headers
+        for block in blocks:
+            index.append(block)
         index.write(header_path)
         written.append(str(header_path))
     tip = blocks.header(-1).block_id()
@@ -275,7 +285,10 @@ def _hashes_sidecar(snap_path: str) -> Path:
 
 
 def _cmd_snapshot_create(args) -> int:
-    out_dir = _out_dir(args)
+    out_path = _out_dir(args) / args.out
+    sidecar = _hashes_sidecar(out_path)
+    for path in (out_path, sidecar):
+        _refuse_overwrite(path, args.chain, "--chain")
     try:
         blocks = read_block_file(args.chain)
     except (OSError, ChainError) as exc:
@@ -302,11 +315,9 @@ def _cmd_snapshot_create(args) -> int:
     if invalid is not None:
         return _fail(f"chain invalid: {invalid}")
     snap = build_snapshot(utxo, args.height, tip_id, obfuscate=args.obfuscate)
-    out_path = out_dir / args.out
     write_snapshot_file(out_path, snap)
     # sidecar manifest mirrors the per-chunk hash list a booting node
     # would learn from the inventory advert; it lets verify localize
-    sidecar = _hashes_sidecar(out_path)
     sidecar.write_text("".join(f"{h.hex()}\n" for h in snap.digests))
     print(f"snapshot id {snap.id.hex()}")
     print(f"height {args.height}, {len(snap.chunks)} chunks, "

@@ -224,7 +224,7 @@ class Simulation:
         for cfg in self.joiners:  # a joiner holds no block before it joins
             self.nodes[cfg.name].pruned_below = scenario.chain_length + 1
         self.appstore = appdata_mod.AppDataStore()
-        self.appstore.add_block(self.builder.blocks[0], 0, self.builder.ids[0])
+        self.appstore.add_block(self.builder.blocks[0], self.builder.ids[0])
         self.pulses: dict[int, PulseRecord] = {}
         self.topology = self._build_topology()
         self.join_results: dict[str, JoinOutcome] = {}
@@ -267,7 +267,7 @@ class Simulation:
             miner = self.rng.choices(self.miners)[0]
             extra = self._coinbase_extra(miner, height)
             block = self.builder.next_block(extra)
-            self.appstore.add_block(block, height, self.builder.ids[height])
+            self.appstore.add_block(block, self.builder.ids[height])
             self._gossip(miner.name, self.builder.blocks.size(height))
             self._pulse_bookkeeping(height)
         for joiner in self.joiners:
@@ -632,8 +632,7 @@ class Simulation:
         replayed blocks and the applied snapshot. A join that ends in
         an earlier one's state takes a copy of its folded set, which
         shares its chunks and the index a first lookup builds, and one
-        whose entries and heights equal an earlier store's takes that
-        store."""
+        whose entries equal an earlier store's takes that store."""
         node = self.nodes[name]
         node.pruned_below, node.held = heights.start, held
         chunks = tuple(snapshot_mod.chunk_records(utxo.records()))

@@ -10,6 +10,10 @@ from the code they check.
   writes one entry in that layout.
 - `op_return_entries` scans blocks for outputs framed 0x6a, length,
   payload.
+- `header_records` reads a header file in the record layout of
+  `coinprune.chain.HeaderIndex`: 140 bytes a block, the 32-byte id, the
+  80-byte header, the height as LE32, the cumulative work as LE128,
+  then the transaction count and the timestamp as LE32 each.
 """
 
 import hashlib
@@ -99,4 +103,18 @@ def op_return_entries(blocks) -> list[tuple[int, tuple[bytes, bytes, bytes]]]:
                 if script[:1] == _RETURN:
                     found.append((height, (script[2:2 + script[1]],
                                            tx.txid(), block_id)))
+    return found
+
+
+def header_records(raw: bytes) -> list[tuple[bytes, bytes, int, int, int, int]]:
+    """(block id, header, height, cumulative work, transaction count,
+    timestamp) of every record of a header file, in order;
+    AssertionError when the file does not split into 140-byte records."""
+    assert len(raw) % 140 == 0, "header file is not whole records"
+    found = []
+    for at in range(0, len(raw), 140):
+        rec = raw[at:at + 140]
+        found.append((rec[:32], rec[32:112]) + tuple(
+            int.from_bytes(rec[start:end], "little")
+            for start, end in ((112, 116), (116, 132), (132, 136), (136, 140))))
     return found

@@ -1,7 +1,6 @@
 import random
 import tracemalloc
 from itertools import islice
-
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -29,8 +28,8 @@ def op_return_chain():
 
 def _store(blocks) -> AppDataStore:
     store = AppDataStore()
-    for height, block in enumerate(blocks):
-        store.add_block(block, height, block.block_id())
+    for block in blocks:
+        store.add_block(block, block.block_id())
     return store
 
 
@@ -42,9 +41,9 @@ def _entries(store: AppDataStore, blocks) -> list[tuple]:
 
 def test_extraction_matches_independent_scan(op_return_chain):
     store = _store(op_return_chain)
-    expected = op_return_entries(op_return_chain)
-    assert len(store) == len(expected) > 50
-    assert _entries(store, op_return_chain) == [e for _, e in expected]
+    expected = [e for _, e in op_return_entries(op_return_chain)]
+    assert len(expected) > 50
+    assert _entries(store, op_return_chain) == expected
 
 
 def test_parsed_store_matches_independent_scan(op_return_chain):
@@ -81,7 +80,6 @@ def test_entry_roundtrip(payload, txid, block_id):
             parse_store(snap)
         return
     store = parse_store(snap)
-    assert len(store) == 1
     assert appdata_entries(store.snapshot_at(1, b"\x00" * 32)) \
         == [(payload, txid, block_id)]
 
@@ -99,34 +97,23 @@ def test_snapshot_roundtrip(op_return_chain):
     assert again.id == snap.id
 
 
-def test_a_cut_below_the_tip_equals_a_store_built_to_it(op_return_chain):
-    store = _store(op_return_chain)
-    for height in (0, 1, 37, 60, len(op_return_chain) - 2):
-        block_id = op_return_chain[height].block_id()
-        cut = store.snapshot_at(height, block_id)
-        assert cut == _store(islice(op_return_chain, height + 1)) \
-            .snapshot_at(height, block_id)
-        assert appdata_entries(cut) == [
-            e for h, e in op_return_entries(op_return_chain) if h <= height]
-
-
-def test_stores_are_equal_when_entries_and_heights_are(op_return_chain):
+def test_stores_are_equal_when_entries_are(op_return_chain):
     store = _store(op_return_chain)
     assert store == _store(op_return_chain)
     assert store != AppDataStore()
-    # a parsed store carries the same entries, all at the snapshot height
+    # a joiner's parsed store equals the one its snapshot was cut from
     tip = len(op_return_chain) - 1
-    parsed = parse_store(store.snapshot_at(tip, op_return_chain[tip].block_id()))
-    assert _entries(parsed, op_return_chain) == _entries(store, op_return_chain)
-    assert parsed != store
+    assert parse_store(store.snapshot_at(
+        tip, op_return_chain[tip].block_id())) == store
+    assert _store(islice(op_return_chain, tip)) != store
     assert store != object()
 
 
-def test_a_store_holds_under_24_traced_bytes_per_entry_beyond_its_bytes(
+def test_a_store_holds_under_12_traced_bytes_per_entry_beyond_its_bytes(
         op_return_chain):
     # held as (height, entry) tuples with a bytes object per field, an
-    # entry traced about 300 bytes; held as bytes, a store keeps each
-    # entry's end offset and height beside them
+    # entry traced about 300 bytes; beside its entries' bytes, a store
+    # holds only the slack its buffer grows by
     rng = random.Random(18)
     fetched = [appdata_entry(rng.randbytes(rng.randrange(81)),
                              rng.randbytes(32), rng.randbytes(32))
@@ -136,15 +123,15 @@ def test_a_store_holds_under_24_traced_bytes_per_entry_beyond_its_bytes(
     tracemalloc.start()
     try:
         store = parse_store(snap)  # a joiner's store, then its chaintail
-        for height, block in enumerate(op_return_chain):
-            store.add_block(block, height, block.block_id())
+        for block in op_return_chain:
+            store.add_block(block, block.block_id())
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     entries = appdata_entries(store.snapshot_at(tip, b"\x00" * 32))
-    assert len(store) == len(entries) > 3000
+    assert len(entries) > 3000
     size = sum(1 + len(payload) + 64 for payload, _, _ in entries)
-    assert (held - size) / len(entries) < 24
+    assert (held - size) / len(entries) < 12
 
 
 def test_combined_tag_golden_vector():

@@ -1,6 +1,7 @@
 import os
 import struct
 import tracemalloc
+from contextlib import closing
 from itertools import islice
 
 import pytest
@@ -9,11 +10,9 @@ from hypothesis import strategies as st
 
 from coinprune.chain import (BLOCK_FILE_MAGIC, COINBASE_TXID, COINBASE_VOUT,
                              BlockFile, BlockValidationError, ChainError, ChainParams,
-                             HEADER_RECORD_SIZE, HEADER_SIZE, Block,
-                             BlockHeader,
-                             HeaderIndex, Transaction,
+                             HEADER_SIZE, Block, BlockHeader, Transaction,
                              TxInput, TxOutput, UtxoSet, best_tip, check_pow,
-                             coinbase_tx, genesis_block, header_record,
+                             coinbase_tx, genesis_block,
                              make_block, merkle_root, outpoint_key,
                              read_block_file,
                              replay_blocks, target_from_bits,
@@ -21,11 +20,14 @@ from coinprune.chain import (BLOCK_FILE_MAGIC, COINBASE_TXID, COINBASE_VOUT,
                              verify_headerchain, work_from_bits,
                              write_block_file)
 from coinprune.chaingen import generate_chain, light_profile
+from coinprune.cli import main
 from coinprune.hashing import hash160, hash256
 from coinprune.scripts import (SpendContext, is_op_return, key_unlock,
                                p2pkh_script)
 from coinprune.snapshot import (apply_snapshot, build_snapshot,
                                 serialize_utxo_set)
+
+from oracles import header_records
 
 PARAMS = ChainParams()
 KEY = b"\x02" + b"\x11" * 32
@@ -320,32 +322,24 @@ def test_replay_matches_set_difference_oracle():
 
 # --- persisted records and files ---------------------------------------------------
 
-def test_header_record_is_exactly_140_bytes(light_chain):
-    block = light_chain[3]
-    work = 4 * work_from_bits(PARAMS.bits)
-    raw = header_record(block, 3, work).serialize()
-    assert len(raw) == HEADER_RECORD_SIZE == 140
-    # id 32 | header 80 | height u32 | work u128 | tx_count u32 | timestamp u32
-    assert raw[:32] == block.block_id()
-    assert raw[32:112] == block.header.serialize()
-    assert struct.unpack_from("<I", raw, 112) == (3,)
-    assert int.from_bytes(raw[116:132], "little") == work
-    assert struct.unpack_from("<II", raw, 132) \
-        == (len(block.transactions), block.header.timestamp)
-
-
-def test_header_index_contiguity_and_file_roundtrip(tmp_path, light_chain):
-    index = HeaderIndex()
-    work = 0
-    for height, block in enumerate(islice(light_chain, 20)):
-        work += work_from_bits(PARAMS.bits)
-        index.append(header_record(block, height, work))
-    with pytest.raises(ChainError):
-        index.append(header_record(light_chain[25], 25, work))
-    path = tmp_path / "headers.dat"
-    index.write(path)
-    assert path.stat().st_size == 20 * HEADER_RECORD_SIZE
-    assert path.read_bytes() == b"".join(r.serialize() for r in index.records)
+def test_header_file_reads_back_through_an_independent_reader(tmp_path,
+                                                              capsys):
+    # the records `chain gen --headers` writes, read in the documented layout
+    assert main(["chain", "gen", "--blocks", "40", "--seed", "9", "--out",
+                 "c.blk", "--headers", "c.hdr", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    records = header_records((tmp_path / "c.hdr").read_bytes())
+    unit = work_from_bits(PARAMS.bits)
+    with closing(read_block_file(tmp_path / "c.blk")) as blocks:
+        assert len(records) == len(blocks) == 41
+        for h, (block, record) in enumerate(zip(blocks, records)):
+            block_id, header, height, work, tx_count, timestamp = record
+            assert header == block.header.serialize()
+            assert block_id == hash256(header)
+            assert height == h
+            assert work == (h + 1) * unit
+            assert tx_count == len(block.transactions)
+            assert timestamp == block.header.timestamp
 
 
 def test_verify_headerchain_and_corruption_position(light_chain):

@@ -126,11 +126,14 @@ def test_joiner_appdata_matches_canonical(honest_run):
 def test_joiner_store_cut_at_its_pulse_is_the_applied_appdata(honest_run):
     sim, _ = honest_run
     _, app = sim.nodes["jcp"].held
-    height = app.header.height
-    store = sim.join_stores["jcp"]
-    cut = store.snapshot_at(height, sim.builder.ids[height])
-    assert cut.id == app.id
-    assert 0 < len(appdata_entries(cut)) < len(store)  # chaintail entries
+    height, tip = app.header.height, sim.builder.height
+    joined = appdata_entries(
+        sim.join_stores["jcp"].snapshot_at(tip, sim.builder.ids[tip]))
+    chaintail = [e for h, e in op_return_entries(sim.builder.blocks)
+                 if h > height]
+    applied = appdata_entries(app)
+    assert joined == applied + chaintail
+    assert applied and chaintail
 
 
 def test_joined_sets_hold_no_dict_entries(honest_run):
@@ -144,8 +147,8 @@ def test_joined_sets_hold_no_dict_entries(honest_run):
 
 
 def test_joins_that_end_in_one_state_share_its_base(honest_run):
-    # the snapshot join and the full sync fold to the same chunks; their
-    # stores differ, as a full sync's entries carry their blocks' heights
+    # the snapshot join and the full sync fold to the same chunks and
+    # hold the same entries
     sim, _ = honest_run
     snap_join, full_sync = sim.join_utxo["jcp"], sim.join_utxo["jleg"]
     assert snap_join is not full_sync
@@ -155,7 +158,7 @@ def test_joins_that_end_in_one_state_share_its_base(honest_run):
     coin = next(snap_join.entries())
     assert outpoint_key(coin.txid, coin.vout) in snap_join
     assert full_sync._base.places is snap_join._base.places is not None
-    assert sim.join_stores["jcp"] is not sim.join_stores["jleg"]
+    assert len({id(store) for store in sim.join_stores.values()}) == 1
 
 
 def _two_snapshot_joins():
