@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from itertools import islice
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
