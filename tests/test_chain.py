@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from coinprune.chain import (BLOCK_FILE_MAGIC, COINBASE_TXID, COINBASE_VOUT,
                              BlockFile, BlockValidationError, ChainError, ChainParams,
-                             HEADER_SIZE, Block, BlockHeader, Transaction,
+                             HEADER_RECORD_SIZE, HEADER_SIZE, Block,
+                             BlockHeader, HeaderIndex, Transaction,
                              TxInput, TxOutput, UtxoSet, best_tip, check_pow,
                              coinbase_tx, genesis_block,
                              make_block, merkle_root, outpoint_key,
@@ -321,6 +322,41 @@ def test_replay_matches_set_difference_oracle():
 
 
 # --- persisted records and files ---------------------------------------------------
+
+def test_header_record_is_exactly_140_bytes(light_chain):
+    index = HeaderIndex()
+    for block in islice(light_chain, 4):
+        index.append(block)
+    assert len(index.records) == 4 * HEADER_RECORD_SIZE == 560
+    block = light_chain[3]
+    work = 4 * work_from_bits(PARAMS.bits)
+    raw = bytes(index.records[3 * HEADER_RECORD_SIZE:])
+    # id 32 | header 80 | height u32 | work u128 | tx_count u32 | timestamp u32
+    assert raw[:32] == block.block_id()
+    assert raw[32:112] == block.header.serialize()
+    assert struct.unpack_from("<I", raw, 112) == (3,)
+    assert int.from_bytes(raw[116:132], "little") == work
+    assert struct.unpack_from("<II", raw, 132) \
+        == (len(block.transactions), block.header.timestamp)
+
+
+def test_header_index_contiguity_and_file_roundtrip(tmp_path, light_chain):
+    # the index numbers its records itself: heights run 0, 1, 2, ...
+    # and the work accumulates one block at a time
+    index = HeaderIndex()
+    for block in islice(light_chain, 20):
+        index.append(block)
+    path = tmp_path / "headers.dat"
+    index.write(path)
+    assert path.stat().st_size == 20 * HEADER_RECORD_SIZE
+    assert path.read_bytes() == index.records
+    unit = work_from_bits(PARAMS.bits)
+    for h, record in enumerate(header_records(path.read_bytes())):
+        block_id, _, height, work, _, _ = record
+        assert block_id == light_chain[h].block_id()
+        assert height == h
+        assert work == (h + 1) * unit
+
 
 def test_header_file_reads_back_through_an_independent_reader(tmp_path,
                                                               capsys):
