@@ -665,7 +665,7 @@ def validate_and_apply_block(utxo: UtxoSet, block: Block, height: int,
         raise BlockValidationError(f"height {height}: prev hash mismatch")
     if header.bits != params.bits:
         raise BlockValidationError(f"height {height}: wrong difficulty bits")
-    block_id = header.block_id()
+    block_id = block.block_id()
     if not check_pow(block_id, header.bits):
         raise BlockValidationError(f"height {height}: insufficient proof of work")
     if not block.transactions:
@@ -768,41 +768,54 @@ def _check_outputs(tx: Transaction, txid: bytes, height: int,
 # --- persisted header records ---------------------------------------------
 
 class HeaderIndex:
-    """What a pruned node keeps per block, from genesis: 140 bytes, held
-    back to back in `records`. Each record is the block id, the 80-byte
-    header, the height as LE32, the cumulative work as LE128, then the
-    transaction count and the timestamp as LE32 each."""
+    """The header chain from genesis, as a pruned node keeps it: 140
+    bytes a block, held back to back in `records`. Each record is the
+    block id, the 80-byte header, the height as LE32, the cumulative
+    work as LE128, then the transaction count and the timestamp as LE32
+    each. `ChainBuilder` appends each block it mines; the simulator
+    serves the headers to its joiners."""
 
     def __init__(self) -> None:
         self.records = bytearray()
 
-    def append(self, block: Block) -> None:
-        """Add the record of the block above the last one appended."""
+    def __len__(self) -> int:
+        return len(self.records) // HEADER_RECORD_SIZE
+
+    def append(self, block: Block, block_id: bytes) -> None:
+        """Add the record of the block above the last one appended;
+        `block_id` is its id, as validation returned it."""
         header = block.header
         # the last record's cumulative work, or 0 before genesis
         work = int.from_bytes(self.records[-24:-8], "little") \
             + work_from_bits(header.bits)
-        self.records += block.block_id() + header.serialize() \
-            + struct.pack("<I", len(self.records) // HEADER_RECORD_SIZE) \
-            + work.to_bytes(16, "little") \
+        self.records += block_id + header.serialize() \
+            + struct.pack("<I", len(self)) + work.to_bytes(16, "little") \
             + struct.pack("<II", len(block.transactions), header.timestamp)
+
+    def block_id(self, height: int) -> bytes:
+        """The id of the block at `height`, from the tip when negative."""
+        start = range(len(self))[height] * HEADER_RECORD_SIZE
+        return bytes(self.records[start:start + 32])
+
+    def __iter__(self) -> Iterator[BlockHeader]:
+        """The headers in height order, each parsed as it is reached."""
+        for start in range(32, len(self.records), HEADER_RECORD_SIZE):
+            yield BlockHeader.parse(self.records[start:start + HEADER_SIZE])
 
     def write(self, path) -> None:
         with open(path, "wb") as fh:
             fh.write(self.records)
 
 
-def verify_headerchain(headers: list[BlockHeader],
+def verify_headerchain(headers: Iterable[BlockHeader],
                        params: ChainParams) -> tuple[bytes, int]:
-    """Check genesis linkage and PoW; return (tip id, cumulative work)."""
-    if not headers:
-        raise ChainError("empty header chain")
-    expected_genesis = genesis_block(params).header
-    if headers[0] != expected_genesis:
-        raise ChainError("position 0: not the configured genesis")
+    """Check genesis linkage and PoW over the headers, taken one at a
+    time from any iterable; return (tip id, cumulative work)."""
     work = 0
     prev_id = None
     for i, header in enumerate(headers):
+        if i == 0 and header != genesis_block(params).header:
+            raise ChainError("position 0: not the configured genesis")
         if i > 0 and header.prev_hash != prev_id:
             raise ChainError(f"position {i}: broken prev-hash link")
         if header.bits != params.bits:
@@ -811,6 +824,8 @@ def verify_headerchain(headers: list[BlockHeader],
         if not check_pow(prev_id, header.bits):
             raise ChainError(f"position {i}: insufficient proof of work")
         work += work_from_bits(header.bits)
+    if prev_id is None:
+        raise ChainError("empty header chain")
     return prev_id, work
 
 
@@ -837,6 +852,9 @@ def best_tip(chains: list[list[BlockHeader]], params: ChainParams) -> int:
 
 BLOCK_FILE_MAGIC = b"CPB1"
 COPY_PIECE = 1 << 20  # bytes that write_block_file copies at a time
+# bytes `BlockFile.coinbase` reads first: enough for the header, the
+# transaction count and a coinbase of a few outputs
+COINBASE_PREFIX = 512
 
 
 class BlockFile:
@@ -844,9 +862,9 @@ class BlockFile:
     only the span of each block's bytes in the file, 16 bytes a block.
     The simulator and `chain gen` keep their chains in an unnamed
     temporary file, and `read_block_file` in the file it opened. A block
-    is read and parsed when it is looked up and not kept; `raw`, `size`,
-    `header` and `coinbase` read one block without a full parse. The
-    file is closed by `close`, or else when the store is dropped."""
+    is read and parsed when it is looked up and not kept; `raw`, `size`
+    and `coinbase` read one block without a full parse. The file is
+    closed by `close`, or else when the store is dropped."""
 
     def __init__(self, fh: BinaryIO | None = None) -> None:
         """The blocks of the open block file `fh`, which the store now
@@ -914,14 +932,19 @@ class BlockFile:
     def size(self, height: int) -> int:
         return self._ends[height] - self._starts[height]
 
-    def header(self, height: int) -> BlockHeader:
-        start = self._starts[height]
-        size = min(HEADER_SIZE, self._ends[height] - start)
-        return BlockHeader.parse(os.pread(self._fd, size, start))
-
     def coinbase(self, height: int) -> Transaction:
-        """The block's first transaction, parsed without the others."""
-        return Transaction.parse(self.raw(height), HEADER_SIZE + 4)[0]
+        """The block's first transaction, parsed without the others from
+        the block's first COINBASE_PREFIX bytes, or from the whole block
+        when the transaction runs past them."""
+        size = self.size(height)
+        raw = os.pread(self._fd, min(COINBASE_PREFIX, size),
+                       self._starts[height])
+        if len(raw) < size:
+            try:
+                return Transaction.parse(raw, HEADER_SIZE + 4)[0]
+            except ChainError:  # the coinbase runs past the prefix
+                raw = self.raw(height)
+        return Transaction.parse(raw, HEADER_SIZE + 4)[0]
 
 
 def write_block_file(path, blocks: BlockFile) -> None:

@@ -19,9 +19,9 @@ from typing import NamedTuple
 
 from .hashing import hash160, sha256
 from . import scripts
-from .chain import (Block, BlockFile, ChainParams, Transaction, TxInput,
-                    TxOutput, UtxoSet, coinbase_tx, genesis_block, make_block,
-                    validate_and_apply_block)
+from .chain import (Block, BlockFile, ChainParams, HeaderIndex, Transaction,
+                    TxInput, TxOutput, UtxoSet, coinbase_tx, genesis_block,
+                    make_block, validate_and_apply_block)
 
 DEFAULT_MIXTURE = (
     ("p2pkh", 0.85),
@@ -68,7 +68,8 @@ class ChainBuilder:
     The builder owns the authoritative UTXO set and runs the real
     validator on every block it produces, so invalid construction
     fails immediately rather than downstream. It keeps each block as
-    its bytes in `blocks`, not as a parsed `Block`.
+    its bytes in `blocks`, not as a parsed `Block`, and its header
+    record in `headers`, the one copy of the header chain.
     """
 
     def __init__(self, profile: WorkloadProfile, params: ChainParams, seed: int):
@@ -77,19 +78,20 @@ class ChainBuilder:
         self.rng = random.Random(seed)
         self.utxo = UtxoSet()
         self.blocks = BlockFile()
-        self.ids: list[bytes] = []  # block ids, as validation computed them
+        self.headers = HeaderIndex()
         self.wallet: list[WalletUtxo] = []
-        gen = genesis_block(params)
-        self.ids.append(validate_and_apply_block(self.utxo, gen, 0,
-                                                 b"\x00" * 32, params))
-        self.blocks.append(gen)
+        self._add(genesis_block(params), b"\x00" * 32)
 
     @property
     def height(self) -> int:
         return len(self.blocks) - 1
 
-    def tip_id(self) -> bytes:
-        return self.ids[-1]
+    def _add(self, block: Block, prev_id: bytes) -> None:
+        """Validate and apply the next block, then keep it and its record."""
+        block_id = validate_and_apply_block(self.utxo, block, len(self.blocks),
+                                            prev_id, self.params)
+        self.blocks.append(block)
+        self.headers.append(block, block_id)
 
     def next_block(self, coinbase_extra: bytes = b"") -> Block:
         """Mine, validate and apply the next block."""
@@ -101,13 +103,11 @@ class ChainBuilder:
                                [TxOutput(self.params.subsidy + fees,
                                          coinbase_script)],
                                coinbase_extra)
-        prev_id = self.tip_id()
+        prev_id = self.headers.block_id(-1)
         block = make_block(prev_id, [coinbase] + txs,
                            self.params.genesis_timestamp + height * BLOCK_INTERVAL,
                            self.params.bits)
-        self.ids.append(validate_and_apply_block(self.utxo, block, height,
-                                                 prev_id, self.params))
-        self.blocks.append(block)
+        self._add(block, prev_id)
         # wallet bookkeeping only after the block is accepted; `spent`
         # holds wallet positions in ascending order
         for pos in reversed(spent):
@@ -252,9 +252,3 @@ class ChainBuilder:
         if w.kind == "p2ms":
             return scripts.signature_unlock(w.material[0], ctx)
         raise ValueError(f"wallet cannot unlock kind {w.kind!r}")
-
-
-def generate_chain(profile: WorkloadProfile, n_blocks: int,
-                   seed: int = 0) -> BlockFile:
-    """Generate genesis plus n_blocks fully validated blocks."""
-    return ChainBuilder(profile, ChainParams(), seed).build(n_blocks)

@@ -30,10 +30,9 @@ import sys
 from contextlib import closing
 from pathlib import Path
 
-from .chain import (BlockValidationError, ChainError, ChainParams,
-                    HeaderIndex, UtxoSet, read_block_file, replay_blocks,
-                    write_block_file)
-from .chaingen import light_profile, generate_chain
+from .chain import (BlockValidationError, ChainError, ChainParams, UtxoSet,
+                    read_block_file, replay_blocks, write_block_file)
+from .chaingen import ChainBuilder, light_profile
 from .netsim import SimError, format_scenario, parse_scenario, run_simulation
 from .security import (COMPROMISE_RATE, SweepConfig, SweepResult,
                        percent_grid, sweep)
@@ -48,9 +47,15 @@ USAGE = 2
 
 
 def _out_dir(args) -> Path:
-    path = Path(args.out_dir or os.environ.get(OUT_DIR_ENV, "."))
+    """The output directory, which `_make_out_dir` creates."""
+    return Path(args.out_dir or os.environ.get(OUT_DIR_ENV, "."))
+
+
+def _make_out_dir(path: Path) -> None:
+    """Create the output directory. A command calls this just before it
+    writes its first file, so one refused or failed before then leaves
+    no directory behind."""
     path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 class UsageError(Exception):
@@ -259,19 +264,17 @@ def _cmd_chain_gen(args) -> int:
     if args.headers:
         header_path = out_dir / args.headers
         _refuse_overwrite(header_path, out_path, "--out")
-    blocks = generate_chain(light_profile(txs_per_block=args.txs_per_block),
-                            args.blocks, seed=args.seed)
+    builder = ChainBuilder(light_profile(txs_per_block=args.txs_per_block),
+                           ChainParams(), args.seed)
+    blocks = builder.build(args.blocks)
+    _make_out_dir(out_dir)
     write_block_file(out_path, blocks)
     written = [str(out_path)]
     if args.headers:
-        index = HeaderIndex()
-        for block in blocks:
-            index.append(block)
-        index.write(header_path)
+        builder.headers.write(header_path)
         written.append(str(header_path))
-    tip = blocks.header(-1).block_id()
     print(f"chain: {len(blocks)} blocks (genesis + {len(blocks) - 1}), "
-          f"tip {tip.hex()}")
+          f"tip {builder.headers.block_id(-1).hex()}")
     print(f"seed {args.seed}")
     for path in written:
         print(f"wrote {path} ({os.path.getsize(path)} bytes)")
@@ -285,7 +288,8 @@ def _hashes_sidecar(snap_path: str) -> Path:
 
 
 def _cmd_snapshot_create(args) -> int:
-    out_path = _out_dir(args) / args.out
+    out_dir = _out_dir(args)
+    out_path = out_dir / args.out
     sidecar = _hashes_sidecar(out_path)
     for path in (out_path, sidecar):
         _refuse_overwrite(path, args.chain, "--chain")
@@ -315,6 +319,7 @@ def _cmd_snapshot_create(args) -> int:
     if invalid is not None:
         return _fail(f"chain invalid: {invalid}")
     snap = build_snapshot(utxo, args.height, tip_id, obfuscate=args.obfuscate)
+    _make_out_dir(out_dir)
     write_snapshot_file(out_path, snap)
     # sidecar manifest mirrors the per-chunk hash list a booting node
     # would learn from the inventory advert; it lets verify localize
@@ -394,6 +399,7 @@ def _cmd_sim_bootstrap(args) -> int:
         "outputs": sorted(files),
     }
     files[f"{prefix}_meta.json"] = json.dumps(meta, indent=2) + "\n"
+    _make_out_dir(out_dir)
     for name, text in sorted(files.items()):
         (out_dir / name).write_text(text)
         print(f"wrote {out_dir / name}")
@@ -435,6 +441,7 @@ def _cmd_sim_security(args) -> int:
     prefix = args.prefix
     meta = f"seed={args.seed} trials={args.trials} mode={args.mode}"
     sweep_csv = out_dir / f"{prefix}_sweep.csv"
+    _make_out_dir(out_dir)
     with open(sweep_csv, "w") as fh:
         result.write_csv(fh)
     print(f"wrote {sweep_csv}")
@@ -468,17 +475,15 @@ def _cmd_report(args) -> int:
     if not args.sweep and not args.storage:
         raise UsageError("nothing to report, pass --sweep and/or --storage")
     prefix = args.prefix
-    written = []
+    files = {}
     if args.sweep:
         try:
             result = SweepResult.from_csv(Path(args.sweep).read_text())
             _require_finite(result.columns)
         except (OSError, KeyError, TypeError, ValueError, csv.Error) as exc:
             return _fail(f"cannot read sweep csv: {exc}")
-        charts = _sweep_charts(prefix, result, f"source={args.sweep}")
-        for name, text in sorted(charts.items()):
-            (out_dir / name).write_text(text)
-            written.append(out_dir / name)
+        files.update(sorted(_sweep_charts(prefix, result,
+                                          f"source={args.sweep}").items()))
     if args.storage:
         try:
             with open(args.storage, newline="") as fh:
@@ -487,13 +492,12 @@ def _cmd_report(args) -> int:
             _require_finite(v for _, v in bars)
         except (OSError, KeyError, TypeError, ValueError, csv.Error) as exc:
             return _fail(f"cannot read storage csv: {exc}")
-        chart = svg_bar_chart("Per-node storage", "bytes", bars,
-                              meta=f"source={args.storage}")
-        path = out_dir / f"{prefix}_storage.svg"
-        path.write_text(chart)
-        written.append(path)
-    for path in written:
-        print(f"wrote {path}")
+        files[f"{prefix}_storage.svg"] = svg_bar_chart(
+            "Per-node storage", "bytes", bars, meta=f"source={args.storage}")
+    _make_out_dir(out_dir)
+    for name, text in files.items():
+        (out_dir / name).write_text(text)
+        print(f"wrote {out_dir / name}")
     return OK
 
 

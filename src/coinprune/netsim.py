@@ -26,8 +26,8 @@ from . import appdata as appdata_mod
 from . import coordination
 from . import scripts
 from . import snapshot as snapshot_mod
-from .chain import (HEADER_RECORD_SIZE, HEADER_SIZE, ChainError, ChainParams,
-                    UtxoEntry, UtxoSet, replay_blocks, verify_headerchain)
+from .chain import (HEADER_SIZE, ChainError, ChainParams, UtxoEntry, UtxoSet,
+                    replay_blocks, verify_headerchain)
 from .chaingen import ChainBuilder, WorkloadProfile, light_profile
 from .coordination import CoordinationError, PulseParams
 from .scripts import CompressedTxOut
@@ -224,7 +224,8 @@ class Simulation:
         for cfg in self.joiners:  # a joiner holds no block before it joins
             self.nodes[cfg.name].pruned_below = scenario.chain_length + 1
         self.appstore = appdata_mod.AppDataStore()
-        self.appstore.add_block(self.builder.blocks[0], self.builder.ids[0])
+        self.appstore.add_block(self.builder.blocks[0],
+                                self.builder.headers.block_id(0))
         self.pulses: dict[int, PulseRecord] = {}
         self.topology = self._build_topology()
         self.join_results: dict[str, JoinOutcome] = {}
@@ -267,7 +268,7 @@ class Simulation:
             miner = self.rng.choices(self.miners)[0]
             extra = self._coinbase_extra(miner, height)
             block = self.builder.next_block(extra)
-            self.appstore.add_block(block, self.builder.ids[height])
+            self.appstore.add_block(block, self.builder.headers.block_id(-1))
             self._gossip(miner.name, self.builder.blocks.size(height))
             self._pulse_bookkeeping(height)
         for joiner in self.joiners:
@@ -324,7 +325,7 @@ class Simulation:
                         setattr(rec, field, None)
 
     def _make_pulse_record(self, index: int, height: int) -> PulseRecord:
-        block_id = self.builder.ids[height]
+        block_id = self.builder.headers.block_id(height)
         snap = snapshot_mod.build_snapshot(self.builder.utxo, height, block_id,
                                            obfuscate=self.scenario.obfuscate)
         app = self.appstore.snapshot_at(height, block_id)
@@ -484,8 +485,8 @@ class Simulation:
         if height % params.delta_p != 0 or height == 0:
             return "snapshot height is not a pulse"
         index = height // params.delta_p
-        if height > tip_height \
-                or self.builder.ids[height] != served[0].header.block_id:
+        if height > tip_height or served[0].header.block_id \
+                != self.builder.headers.block_id(height):
             return "snapshot header contradicts headerchain"
         if (coordination.latest_closed_pulse(tip_height, params) or 0) < index:
             return "reaffirmation window still open"
@@ -588,8 +589,7 @@ class Simulation:
     def _sync_headers(self, name: str, peer: NodeConfig) -> int:
         """Fetch and verify the headerchain from one peer; its tip height."""
         self._send(name, peer.name, "getheaders", 4)
-        blocks = self.builder.blocks
-        headers = [blocks.header(h) for h in range(len(blocks))]
+        headers = self.builder.headers
         self._send(peer.name, name, "headers", 4 + HEADER_SIZE * len(headers))
         self._round(name)
         verify_headerchain(headers, self.builder.params)
@@ -618,10 +618,10 @@ class Simulation:
         then added to the app-data store; they must end at the
         headerchain's block at the last height."""
         start = heights[0]
-        prev_id = self.builder.ids[start - 1] if start else b"\x00" * 32
+        prev_id = self.builder.headers.block_id(start - 1) if start else bytes(32)
         tip_id = replay_blocks(utxo, self.builder.blocks, heights, prev_id,
                                self.builder.params, store.add_block)
-        if tip_id != self.builder.ids[heights[-1]]:
+        if tip_id != self.builder.headers.block_id(heights[-1]):
             raise SimError(f"block {heights[-1]} does not match headerchain")
 
     def _keep_join(self, name: str, utxo: UtxoSet,
@@ -658,7 +658,7 @@ class Simulation:
         if node.held is not None:
             snap_bytes, app_bytes = map(snapshot_mod.wire_size, node.held)
         blocks = self.builder.blocks
-        return (HEADER_RECORD_SIZE * len(blocks),
+        return (len(self.builder.headers.records),
                 sum(map(blocks.size, range(node.pruned_below, len(blocks)))),
                 snap_bytes, app_bytes)
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from coinprune.chaingen import generate_chain, light_profile
+from coinprune.chain import ChainParams
+from coinprune.chaingen import ChainBuilder, light_profile
 from coinprune.netsim import Simulation
 from coinprune.snapshot import wire_size
 
@@ -34,7 +35,7 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture(scope="session")
 def light_chain():
     """Genesis plus 600 validated light-workload blocks, shared read-only."""
-    return generate_chain(light_profile(), 600, seed=1234)
+    return ChainBuilder(light_profile(), ChainParams(), 1234).build(600)
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from coinprune import scripts
 from coinprune.chain import (Block, ChainParams, UtxoEntry, UtxoSet,
                              encode_record, obfuscate_record,
                              validate_and_apply_block)
-from coinprune.chaingen import WorkloadProfile, generate_chain, light_profile
+from coinprune.chaingen import ChainBuilder, WorkloadProfile, light_profile
 from coinprune.cli import main as cli_main
 from coinprune.coordination import PulseParams
 from coinprune.hashing import hash160, hash256, sha256
@@ -329,7 +329,8 @@ def test_criterion_7_appdata_preservation(acceptance):
     # the joiner's store read back in order, as it would serve it
     tip = sim.builder.height
     found = appdata_entries(
-        sim.join_stores["j0"].snapshot_at(tip, sim.builder.ids[tip]))
+        sim.join_stores["j0"].snapshot_at(
+            tip, sim.builder.headers.block_id(tip)))
     kept = sum(1 for got, want in zip(found, expected) if got == want)
     held = sim.nodes["j0"].held
     tag_ok = False
@@ -358,8 +359,8 @@ def test_criterion_8_determinism(tmp_path, acceptance):
                 and rep1.pulse_outcomes == rep2.pulse_outcomes
                 and rep1.join_outcomes == rep2.join_outcomes)
 
-    chain_a = generate_chain(light_profile(), 200, seed=3)
-    chain_b = generate_chain(light_profile(), 200, seed=3)
+    chain_a = ChainBuilder(light_profile(), ChainParams(), 3).build(200)
+    chain_b = ChainBuilder(light_profile(), ChainParams(), 3).build(200)
     chain_ok = [b.serialize() for b in chain_a] \
         == [b.serialize() for b in chain_b]
 

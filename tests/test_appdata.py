@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from coinprune.appdata import AppDataStore, combined_tag, parse_store
 from coinprune.chain import ChainParams, UtxoSet, validate_and_apply_block
-from coinprune.chaingen import WorkloadProfile, generate_chain
+from coinprune.chaingen import ChainBuilder, WorkloadProfile
 from coinprune.hashing import hash256
 from coinprune.scripts import is_op_return
 from coinprune.snapshot import Snapshot, SnapshotError, chunk_records
@@ -24,7 +24,7 @@ OP_RETURN_HEAVY = WorkloadProfile(txs_per_block=10, op_return_rate=0.5)
 
 @pytest.fixture(scope="module")
 def op_return_chain():
-    return generate_chain(OP_RETURN_HEAVY, 120, seed=77)
+    return ChainBuilder(OP_RETURN_HEAVY, ChainParams(), 77).build(120)
 
 
 def _store(blocks) -> AppDataStore:

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinprune.chain import (BLOCK_FILE_MAGIC, COINBASE_TXID, COINBASE_VOUT,
+from coinprune.chain import (BLOCK_FILE_MAGIC, COINBASE_PREFIX,
+                             COINBASE_TXID, COINBASE_VOUT,
                              BlockFile, BlockValidationError, ChainError, ChainParams,
                              HEADER_RECORD_SIZE, HEADER_SIZE, Block,
                              BlockHeader, HeaderIndex, Transaction,
@@ -20,7 +21,7 @@ from coinprune.chain import (BLOCK_FILE_MAGIC, COINBASE_TXID, COINBASE_VOUT,
                              validate_and_apply_block,
                              verify_headerchain, work_from_bits,
                              write_block_file)
-from coinprune.chaingen import generate_chain, light_profile
+from coinprune.chaingen import ChainBuilder, light_profile
 from coinprune.cli import main
 from coinprune.hashing import hash160, hash256
 from coinprune.scripts import (SpendContext, is_op_return, key_unlock,
@@ -299,7 +300,7 @@ def test_base_coin_spent_at_h_is_missing_at_h_plus_1():
 # --- replay against a set-difference oracle --------------------------------------
 
 def test_replay_matches_set_difference_oracle():
-    blocks = generate_chain(light_profile(), 50, seed=9)
+    blocks = ChainBuilder(light_profile(), ChainParams(), 9).build(50)
     utxo = UtxoSet()
     tip = replay_blocks(utxo, blocks, range(len(blocks)), b"\x00" * 32, PARAMS)
     assert tip == blocks[-1].block_id()
@@ -326,7 +327,7 @@ def test_replay_matches_set_difference_oracle():
 def test_header_record_is_exactly_140_bytes(light_chain):
     index = HeaderIndex()
     for block in islice(light_chain, 4):
-        index.append(block)
+        index.append(block, block.block_id())
     assert len(index.records) == 4 * HEADER_RECORD_SIZE == 560
     block = light_chain[3]
     work = 4 * work_from_bits(PARAMS.bits)
@@ -345,7 +346,7 @@ def test_header_index_contiguity_and_file_roundtrip(tmp_path, light_chain):
     # and the work accumulates one block at a time
     index = HeaderIndex()
     for block in islice(light_chain, 20):
-        index.append(block)
+        index.append(block, block.block_id())
     path = tmp_path / "headers.dat"
     index.write(path)
     assert path.stat().st_size == 20 * HEADER_RECORD_SIZE
@@ -380,15 +381,21 @@ def test_header_file_reads_back_through_an_independent_reader(tmp_path,
 
 def test_verify_headerchain_and_corruption_position(light_chain):
     headers = [b.header for b in light_chain]
-    tip_id, work = verify_headerchain(headers, PARAMS)
-    assert tip_id == light_chain[-1].block_id()
-    assert work == len(headers) * work_from_bits(PARAMS.bits)
+    # a list, and an iterator that yields each header once
+    for given in (headers, iter(headers)):
+        tip_id, work = verify_headerchain(given, PARAMS)
+        assert tip_id == light_chain[-1].block_id()
+        assert work == len(headers) * work_from_bits(PARAMS.bits)
 
     broken = list(headers)
     broken[7] = broken[7]._replace(nonce=broken[7].nonce + 1)
-    with pytest.raises(ChainError) as err:
-        verify_headerchain(broken, PARAMS)
-    assert "7" in str(err.value) or "8" in str(err.value)
+    for given in (broken, iter(broken)):
+        with pytest.raises(ChainError) as err:
+            verify_headerchain(given, PARAMS)
+        assert "7" in str(err.value) or "8" in str(err.value)
+    for empty in ([], iter([])):
+        with pytest.raises(ChainError, match="^empty header chain$"):
+            verify_headerchain(empty, PARAMS)
 
 
 def test_best_tip_prefers_cumulative_work(light_chain):
@@ -433,7 +440,7 @@ def test_write_block_file_refuses_its_own_source(tmp_path, light_chain):
 def test_a_block_file_holds_only_its_index_in_memory():
     # the blocks' bytes stay in the file: the store keeps the span of
     # each block, 16 bytes; an image of the file held about 1.8 KB a block
-    chain = generate_chain(light_profile(), 1000, seed=77)
+    chain = ChainBuilder(light_profile(), ChainParams(), 77).build(1000)
     tracemalloc.start()
     try:
         store = BlockFile()
@@ -501,15 +508,34 @@ def test_read_block_file_fails_closed(small_block_file, tmp_path_factory,
     assert _next_fd() == fd
 
 
-def test_stored_blocks_read_back_as_their_bytes(light_chain):
+def test_stored_blocks_read_back_as_their_bytes(light_chain, monkeypatch):
     for height in range(-1, len(light_chain)):
         block = light_chain[height]
         raw = light_chain.raw(height)
         assert block.serialize() == raw
         assert light_chain.size(height) == len(raw)
-        assert light_chain.header(height) == block.header \
-            == BlockHeader.parse(raw[:HEADER_SIZE])
+        assert block.header == BlockHeader.parse(raw[:HEADER_SIZE])
         assert light_chain.coinbase(height) == block.transactions[0]
+    # a coinbase is parsed from a bounded prefix of its block, and from
+    # the whole block only when it runs past the prefix
+    outputs = [TxOutput(PARAMS.subsidy // 20, p2pkh_script(bytes([i]) * 20))
+               for i in range(20)]
+    long_coinbase = coinbase_tx(1, outputs, b"")
+    store = BlockFile()
+    store.append(make_block(b"\x00" * 32, [long_coinbase],
+                            PARAMS.genesis_timestamp, PARAMS.bits))
+    tip = light_chain[-1]
+    store.append(tip)
+    assert HEADER_SIZE + 4 + len(long_coinbase.serialize()) > COINBASE_PREFIX
+    assert store.size(1) > COINBASE_PREFIX
+    reads = []
+    real_pread = os.pread
+    monkeypatch.setattr(os, "pread", lambda fd, n, offset: (
+        reads.append(n), real_pread(fd, n, offset))[1])
+    assert store.coinbase(1) == tip.transactions[0]
+    assert reads == [COINBASE_PREFIX]
+    assert store.coinbase(0) == long_coinbase
+    assert reads == [COINBASE_PREFIX, COINBASE_PREFIX, store.size(0)]
 
 
 def test_parsed_transactions_keep_and_hash_their_slices(light_chain):

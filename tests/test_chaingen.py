@@ -14,7 +14,7 @@ import pytest
 
 from coinprune.chain import (Block, ChainParams, Transaction, UtxoSet,
                              validate_and_apply_block)
-from coinprune.chaingen import ChainBuilder, WorkloadProfile, generate_chain, light_profile
+from coinprune.chaingen import ChainBuilder, WorkloadProfile, light_profile
 from coinprune.scripts import MAX_OP_RETURN_PAYLOAD, ScriptClass, classify
 
 from oracles import decompress
@@ -22,7 +22,7 @@ from oracles import decompress
 
 @pytest.fixture(scope="module")
 def default_chain():
-    return generate_chain(WorkloadProfile(), 1200, seed=42)
+    return ChainBuilder(WorkloadProfile(), ChainParams(), 42).build(1200)
 
 
 def _chain_bytes(blocks):
@@ -30,14 +30,14 @@ def _chain_bytes(blocks):
 
 
 def test_same_seed_same_bytes():
-    a = generate_chain(light_profile(), 60, seed=9)
-    b = generate_chain(light_profile(), 60, seed=9)
+    a = ChainBuilder(light_profile(), ChainParams(), 9).build(60)
+    b = ChainBuilder(light_profile(), ChainParams(), 9).build(60)
     assert _chain_bytes(a) == _chain_bytes(b)
 
 
 def test_different_seed_different_bytes():
-    a = generate_chain(light_profile(), 60, seed=9)
-    b = generate_chain(light_profile(), 60, seed=10)
+    a = ChainBuilder(light_profile(), ChainParams(), 9).build(60)
+    b = ChainBuilder(light_profile(), ChainParams(), 10).build(60)
     assert _chain_bytes(a) != _chain_bytes(b)
 
 
@@ -148,5 +148,5 @@ def test_builder_keeps_no_parsed_blocks():
 
 def test_unfundable_profile_degrades_to_coinbase_blocks():
     profile = WorkloadProfile(txs_per_block=50, spend_probability=0.0)
-    blocks = generate_chain(profile, 20, seed=3)
+    blocks = ChainBuilder(profile, ChainParams(), 3).build(20)
     assert all(len(b.transactions) == 1 for b in islice(blocks, 1, None))

@@ -74,6 +74,16 @@ def test_chain_gen_refuses_one_file_for_blocks_and_headers(tmp_path, capsys):
     assert (tmp_path / "c.blk").read_bytes() == raw
 
 
+def test_a_refused_or_failed_command_makes_no_out_dir(tmp_path, capsys):
+    # the output directory is made just before the first file is written
+    _refused(["chain", "gen", "--blocks", "5", "--out", "c.blk", "--headers",
+              "c.blk", "--out-dir", str(tmp_path / "fresh")], capsys)
+    assert main(["snapshot", "create", "--chain", str(tmp_path / "missing.blk"),
+                 "--height", "0", "--out-dir", str(tmp_path / "fresh2")]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read chain")
+    assert not any(tmp_path.iterdir())
+
+
 def test_snapshot_create_refuses_to_write_over_its_chain(tmp_path, capsys):
     assert main(["chain", "gen", "--blocks", "5", "--out", "c.blk",
                  "--out-dir", str(tmp_path)]) == 0
@@ -422,7 +432,7 @@ def test_report_rejects_a_sweep_that_does_not_fill_its_grid(tmp_path, capsys,
     assert code == 1
     assert err.startswith("error: cannot read sweep csv") \
         and err.count("\n") == 1
-    assert not any((tmp_path / "charts").iterdir())
+    assert not (tmp_path / "charts").exists()
 
 
 def test_report_without_inputs_is_usage_error(tmp_path, capsys):
@@ -505,7 +515,7 @@ def test_report_rejects_non_finite_numbers(tmp_path, capsys, kind, text):
                  "--out-dir", str(tmp_path / "charts")])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: cannot read {kind} csv")
-    assert not any((tmp_path / "charts").iterdir())
+    assert not (tmp_path / "charts").exists()
 
 
 def test_report_rejects_negative_delta_r(tmp_path, capsys):
@@ -516,7 +526,7 @@ def test_report_rejects_negative_delta_r(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "charts")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: cannot read sweep csv")
-    assert not any((tmp_path / "charts").iterdir())
+    assert not (tmp_path / "charts").exists()
 
 
 # generated input files for `report --sweep`/`--storage` and `snapshot

@@ -7,6 +7,7 @@ genesis, fault injection never tricks a joiner into an unreaffirmed
 snapshot, and legacy nodes stay untouched by the protocol overlay.
 """
 
+import os
 import struct
 import tracemalloc
 from itertools import islice
@@ -118,7 +119,8 @@ def test_joiner_appdata_matches_canonical(honest_run):
     sim, _ = honest_run
     tip = sim.builder.height
     joined = appdata_entries(
-        sim.join_stores["jcp"].snapshot_at(tip, sim.builder.ids[tip]))
+        sim.join_stores["jcp"].snapshot_at(
+            tip, sim.builder.headers.block_id(tip)))
     scanned = [e for _, e in op_return_entries(sim.builder.blocks)]
     assert joined == scanned and len(joined) > 0
 
@@ -128,7 +130,8 @@ def test_joiner_store_cut_at_its_pulse_is_the_applied_appdata(honest_run):
     _, app = sim.nodes["jcp"].held
     height, tip = app.header.height, sim.builder.height
     joined = appdata_entries(
-        sim.join_stores["jcp"].snapshot_at(tip, sim.builder.ids[tip]))
+        sim.join_stores["jcp"].snapshot_at(
+            tip, sim.builder.headers.block_id(tip)))
     chaintail = [e for h, e in op_return_entries(sim.builder.blocks)
                  if h > height]
     applied = appdata_entries(app)
@@ -421,8 +424,8 @@ def test_join_rejects_a_foreign_tip_block(joiner):
     swapped = BlockFile()
     for block in islice(blocks, tip):
         swapped.append(block)
-    swapped.append(make_block(blocks.header(tip - 1).block_id(), [coinbase],
-                              blocks.header(tip).timestamp, params.bits))
+    swapped.append(make_block(blocks[tip - 1].block_id(), [coinbase],
+                              blocks[tip].header.timestamp, params.bits))
     sim.builder.blocks = swapped
     cfg = next(c for c in sim.joiners if c.name == joiner)
     outcome = sim.bootstrap(cfg)
@@ -496,6 +499,39 @@ def test_mining_hashes_each_header_once_per_use(monkeypatch):
                              params=PulseParams(delta_p=20, delta_r=5,
                                                 delta_d=1, k=2)))
     assert len(calls) == 101
+
+
+def test_header_sync_reads_nothing_from_the_block_file(monkeypatch):
+    # a joiner is served the builder's header records; the headers in
+    # the block file are not read again for each join
+    syncing, reads = [], []
+    real_pread, real_sync = os.pread, Simulation._sync_headers
+
+    def pread(fd, size, offset):
+        if syncing:
+            reads.append(size)
+        return real_pread(fd, size, offset)
+
+    def sync_headers(self, name, peer):
+        syncing.append(name)
+        try:
+            return real_sync(self, name, peer)
+        finally:
+            syncing.remove(name)
+
+    monkeypatch.setattr(os, "pread", pread)
+    monkeypatch.setattr(Simulation, "_sync_headers", sync_headers)
+    nodes = (NodeConfig("m0", "miner"), NodeConfig("full0", "full"),
+             NodeConfig("legacy0", "full", coinprune=False),
+             NodeConfig("jcp", "joining"),
+             NodeConfig("jleg", "joining", coinprune=False))
+    sim, _ = run_simulation(_scenario(
+        nodes=nodes, chain_length=100,
+        params=PulseParams(delta_p=20, delta_r=5, delta_d=1, k=2)))
+    # one snapshot join and one full sync, each after a header sync
+    assert [(o.accepted, o.via_snapshot) for _, o in
+            sorted(sim.join_results.items())] == [(True, True), (True, False)]
+    assert reads == []
 
 
 def test_obfuscated_snapshot_bootstrap_equivalence():
