@@ -312,6 +312,7 @@ def genesis_block(params: ChainParams) -> Block:
 _RECORD_HEAD = struct.Struct("<32sIQIBB")
 RECORD_HEAD_SIZE = _RECORD_HEAD.size  # 50
 _ORDER_HEAD = struct.Struct("<32sI8xI")  # txid, vout and height of a record
+_AMOUNT, _AMOUNT_AT = struct.Struct("<Q"), 36
 # a txid's first 8 bytes as a number; numeric order is their byte order
 _PREFIX = struct.Struct(">Q")
 _CASE_AT = RECORD_HEAD_SIZE - 1  # obfuscation rewrites it and the payload
@@ -334,8 +335,8 @@ class UtxoEntry(NamedTuple):
     compressed: CompressedTxOut
 
 
-def _pack_record(txid: bytes, vout: int, amount: int, height: int,
-                 coinbase: bool, comp: CompressedTxOut) -> bytes:
+def pack_record(txid: bytes, vout: int, amount: int, height: int,
+                coinbase: bool, comp: CompressedTxOut) -> bytes:
     try:
         record = _RECORD_HEAD.pack(txid, vout, amount, height,
                                    1 if coinbase else 0, comp.case) \
@@ -371,10 +372,6 @@ def obfuscate_record(record: bytes) -> bytes:
     if hidden is comp:
         return record
     return record[:_CASE_AT] + bytes((hidden.case,)) + hidden.payload
-
-
-def encode_record(entry: UtxoEntry) -> bytes:
-    return _pack_record(*entry)
 
 
 def _record_end(buf: bytes, offset: int) -> int:
@@ -455,21 +452,21 @@ _NO_BASE = _Base(())  # the base of a set that never had one
 
 
 class UtxoSet:
-    """Mutable map of unspent outputs, each coin held as its record;
-    `get` and `entries` decode on demand. The packed 36-byte key that
-    `outpoint_key` builds is the set's interface: `in`, `get`, `remove`
-    and `add_records` take it, and a bytes key of any other length
-    matches no coin. Only `bytes` keys are supported: a key of another
+    """Mutable map of unspent outputs, each coin held as its record,
+    which `record` returns. The packed 36-byte key that `outpoint_key`
+    builds is the set's interface: `in`, `record`, `remove` and
+    `add_records` take it, and a bytes key of any other length matches
+    no coin. Only `bytes` keys are supported: a key of another
     type is a TypeError where it misses the dict, but the hit path is
     left unchecked, so one equal to a key the dict holds (a `memoryview`
     of it) still finds that coin.
 
     A set made by `from_chunks` reads its base coins from the snapshot
     chunks in place, with a spent mark of one byte per coin: a base
-    coin spent, or read by `get` (which moves it to the dict), is
+    coin spent, or read by `record` (which moves it to the dict), is
     marked. Coins added since, and every coin of a set that never had a
     snapshot, sit in a dict from key to record. `records`, `bytes` and
-    `entries` walk the chunks in order; the first `in`, `get` or
+    `entries` walk the chunks in order; the first `in`, `record` or
     `remove` that reaches the base builds its index of 16 bytes per
     coin, the txid's first 8 bytes and the chunk number and offset,
     sorted as the records are, and slots that share those 8 bytes are
@@ -577,7 +574,8 @@ class UtxoSet:
     def __contains__(self, key: bytes) -> bool:
         return key in self._records or self._base_slot(key) >= 0
 
-    def get(self, key: bytes) -> UtxoEntry | None:
+    def record(self, key: bytes) -> bytes | None:
+        """The record of the coin at outpoint `key`, or None."""
         record = self._records.get(key)
         if record is None:
             slot = self._base_slot(key)
@@ -588,10 +586,10 @@ class UtxoSet:
             record = self._records[key] = self._base.record(slot)
             self._gone[slot] = 1
             self._live -= 1
-        return _entry(record)
+        return record
 
     def add(self, entry: UtxoEntry) -> None:
-        record = encode_record(entry)
+        record = pack_record(*entry)
         key = outpoint_key(entry.txid, entry.vout)
         if key in self:
             raise ChainError("duplicate outpoint created")
@@ -697,17 +695,18 @@ def validate_and_apply_block(utxo: UtxoSet, block: Block, height: int,
             if key in spent:
                 raise BlockValidationError(
                     f"height {height}: double spend of {txin.prev_txid.hex()}:{txin.prev_vout}")
-            record = created.get(key)
-            entry = utxo.get(key) if record is None else _entry(record)
-            if entry is None:
+            record = created.get(key) or utxo.record(key)
+            if record is None:
                 raise BlockValidationError(
                     f"height {height}: missing outpoint {txin.prev_txid.hex()}:{txin.prev_vout}")
             ctx = SpendContext(txin.prev_txid, txin.prev_vout)
-            if not scripts.validate_spend(entry.compressed, txin.unlock, ctx):
+            comp = tuple.__new__(CompressedTxOut, (record[_CASE_AT],
+                                                   record[RECORD_HEAD_SIZE:]))
+            if not scripts.validate_spend(comp, txin.unlock, ctx):
                 raise BlockValidationError(
                     f"height {height}: invalid unlock for {txin.prev_txid.hex()}:{txin.prev_vout}")
             spent[key] = None
-            in_value += entry.amount
+            in_value += _AMOUNT.unpack_from(record, _AMOUNT_AT)[0]
         out_value = _check_outputs(tx, txid, height, created)
         if out_value > in_value:
             raise BlockValidationError(
@@ -759,7 +758,7 @@ def _check_outputs(tx: Transaction, txid: bytes, height: int,
         total += txout.amount
         if scripts.is_op_return(txout.script):
             continue  # provably unspendable, never enters the set
-        created[outpoint_key(txid, vout)] = _pack_record(
+        created[outpoint_key(txid, vout)] = pack_record(
             txid, vout, txout.amount, height, coinbase,
             scripts.compress(txout.script))
     return total
@@ -859,7 +858,8 @@ COINBASE_PREFIX = 512
 
 class BlockFile:
     """Blocks in height order, kept in a block file on disk: memory holds
-    only the span of each block's bytes in the file, 16 bytes a block.
+    only where each block's bytes end in the file, 8 bytes a block, as
+    each starts 4 bytes after the one before it ends.
     The simulator and `chain gen` keep their chains in an unnamed
     temporary file, and `read_block_file` in the file it opened. A block
     is read and parsed when it is looked up and not kept; `raw`, `size`
@@ -881,7 +881,7 @@ class BlockFile:
         head = os.pread(fd, 8, 0)
         if head[:4] != BLOCK_FILE_MAGIC:
             raise ChainError("not a block file")
-        self._starts, self._ends = array("Q"), array("Q")
+        self._ends = array("Q")
         offset = 8
         for _ in range(_u32(head, 4, "block count")):
             prefix = os.pread(fd, 4, offset)
@@ -892,7 +892,6 @@ class BlockFile:
             size = int.from_bytes(prefix, "little")
             if offset + size > file_size:
                 raise ChainError(f"truncated block record at offset {offset}")
-            self._starts.append(offset)
             offset += size
             self._ends.append(offset)
         if offset != file_size:
@@ -907,7 +906,6 @@ class BlockFile:
         """Add the next block's record; serializes the block once."""
         raw = block.serialize()
         os.pwrite(self._fd, struct.pack("<I", len(raw)) + raw, self._end)
-        self._starts.append(self._end + 4)
         self._end += 4 + len(raw)
         self._ends.append(self._end)
         os.pwrite(self._fd, struct.pack("<I", len(self._ends)), 4)
@@ -925,12 +923,19 @@ class BlockFile:
     def __iter__(self) -> Iterator[Block]:
         return map(self.__getitem__, range(len(self)))
 
+    def _start(self, height: int) -> int:
+        """Where the block's bytes start: 4 bytes, its size field, after
+        the previous block's end or the file head."""
+        if height < 0:
+            height += len(self._ends)
+        return (self._ends[height - 1] if height > 0 else 8) + 4
+
     def raw(self, height: int) -> bytes:
-        start = self._starts[height]
+        start = self._start(height)
         return os.pread(self._fd, self._ends[height] - start, start)
 
     def size(self, height: int) -> int:
-        return self._ends[height] - self._starts[height]
+        return self._ends[height] - self._start(height)
 
     def coinbase(self, height: int) -> Transaction:
         """The block's first transaction, parsed without the others from
@@ -938,7 +943,7 @@ class BlockFile:
         when the transaction runs past them."""
         size = self.size(height)
         raw = os.pread(self._fd, min(COINBASE_PREFIX, size),
-                       self._starts[height])
+                       self._start(height))
         if len(raw) < size:
             try:
                 return Transaction.parse(raw, HEADER_SIZE + 4)[0]

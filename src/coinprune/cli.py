@@ -101,10 +101,11 @@ def _int_at_least(least: int, below: int | None = None):
     return parse
 
 
-def _require_finite(values) -> None:
-    """ValueError if any value read from an input file is inf or nan."""
-    if not all(map(math.isfinite, values)):
-        raise ValueError("non-finite number")
+def _require_within(values, low: float, high: float) -> None:
+    """ValueError if any value read from an input file is inf, nan or
+    outside [low, high]."""
+    if not all(math.isfinite(v) and low <= v <= high for v in values):
+        raise ValueError(f"a number outside [{low}, {high}]")
 
 
 # --- SVG line charts --------------------------------------------------------
@@ -479,7 +480,7 @@ def _cmd_report(args) -> int:
     if args.sweep:
         try:
             result = SweepResult.from_csv(Path(args.sweep).read_text())
-            _require_finite(result.columns)
+            _require_within(result.columns, 0, 1)  # probabilities
         except (OSError, KeyError, TypeError, ValueError, csv.Error) as exc:
             return _fail(f"cannot read sweep csv: {exc}")
         files.update(sorted(_sweep_charts(prefix, result,
@@ -489,7 +490,7 @@ def _cmd_report(args) -> int:
             with open(args.storage, newline="") as fh:
                 reader = csv.DictReader(fh)
                 bars = [(r["node"], float(r["bytes_stored"])) for r in reader]
-            _require_finite(v for _, v in bars)
+            _require_within((v for _, v in bars), 0, math.inf)
         except (OSError, KeyError, TypeError, ValueError, csv.Error) as exc:
             return _fail(f"cannot read storage csv: {exc}")
         files[f"{prefix}_storage.svg"] = svg_bar_chart(

@@ -54,6 +54,13 @@ def pulse_height(index: int, params: PulseParams) -> int:
     return index * params.delta_p
 
 
+def pulse_index(height: int, params: PulseParams) -> int | None:
+    """The index of the pulse at this height, or None when no pulse is
+    there; the inverse of `pulse_height`."""
+    index, rest = divmod(height, params.delta_p)
+    return index if index >= 1 and not rest else None
+
+
 def window_range(index: int, params: PulseParams) -> range:
     """Heights whose coinbases count for this pulse (inclusive bounds)."""
     start = pulse_height(index, params) + params.delta_d + 1

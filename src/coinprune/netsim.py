@@ -26,8 +26,9 @@ from . import appdata as appdata_mod
 from . import coordination
 from . import scripts
 from . import snapshot as snapshot_mod
-from .chain import (HEADER_SIZE, ChainError, ChainParams, UtxoEntry, UtxoSet,
-                    replay_blocks, verify_headerchain)
+from .chain import (HEADER_SIZE, ChainError, ChainParams, UtxoSet,
+                    outpoint_key, pack_record, replay_blocks,
+                    verify_headerchain)
 from .chaingen import ChainBuilder, WorkloadProfile, light_profile
 from .coordination import CoordinationError, PulseParams
 from .scripts import CompressedTxOut
@@ -304,8 +305,8 @@ class Simulation:
 
     def _pulse_bookkeeping(self, height: int) -> None:
         params = self.scenario.params
-        if height % params.delta_p == 0:
-            index = height // params.delta_p
+        index = coordination.pulse_index(height, params)
+        if index is not None:
             self.pulses[index] = self._make_pulse_record(index, height)
             rec = self.pulses[index]
             self.trace.add(f"pulse {index} height {height} "
@@ -340,9 +341,9 @@ class Simulation:
         """A self-consistent snapshot of a state that never existed."""
         forged = self.builder.utxo.copy()
         payload = hash256(b"forged-riches" + struct.pack("<I", height))
-        forged.add(UtxoEntry(payload, 0, 21_000_000 * 100_000_000, height,
-                             False, CompressedTxOut(scripts.CASE_P2PKH,
-                                                    payload[:20])))
+        forged.add_records({outpoint_key(payload, 0): pack_record(
+            payload, 0, 21_000_000 * 100_000_000, height, False,
+            CompressedTxOut(scripts.CASE_P2PKH, payload[:20]))})
         return snapshot_mod.build_snapshot(forged, height, block_id,
                                            obfuscate=self.scenario.obfuscate)
 
@@ -482,9 +483,9 @@ class Simulation:
 
         params = self.scenario.params
         height = served[0].header.height
-        if height % params.delta_p != 0 or height == 0:
+        index = coordination.pulse_index(height, params)
+        if index is None:
             return "snapshot height is not a pulse"
-        index = height // params.delta_p
         if height > tip_height or served[0].header.block_id \
                 != self.builder.headers.block_id(height):
             return "snapshot header contradicts headerchain"

@@ -4,6 +4,10 @@ from the code they check.
 - `decompress` rebuilds an output script from a compressed entry, using
   the case table in the `coinprune.scripts` module docstring and
   Bitcoin's opcode bytes.
+- `utxo_records` reads UTXO set bytes in the record layout of
+  `coinprune.chain`: the 32-byte txid, the vout as LE32, the amount as
+  LE64, the height as LE32, a coinbase byte of 0 or 1, the case byte,
+  then the payload, whose size that same case table gives.
 - `appdata_entries` reads an app-data snapshot's chunks in the entry
   layout of `coinprune.appdata`: a length byte, that many payload
   bytes, the 32-byte txid, then the 32-byte block id. `appdata_entry`
@@ -67,6 +71,33 @@ def decompress(entry) -> bytes:
     if case >= 0x0A and len(payload) == case - 0x0A:  # stored verbatim
         return payload
     raise ValueError(f"case {case:#04x} with {len(payload)} payload bytes")
+
+
+# case -> payload size; a case from 0x0A on stores a script of case - 0x0A
+# bytes verbatim
+_PAYLOAD_SIZE = {case: size for case, (size, _, _) in _TEMPLATES.items()}
+_PAYLOAD_SIZE.update({0x04: 32, 0x05: 32})
+
+
+def utxo_records(raw: bytes) -> list[tuple]:
+    """(txid, vout, amount, height, coinbase, (case, payload)) of every
+    record in `raw`, in order; AssertionError when the bytes do not
+    split into whole records or a coinbase byte is not 0 or 1."""
+    found = []
+    at = 0
+    while at < len(raw):
+        assert at + 50 <= len(raw), f"record head at byte {at} is cut"
+        case = raw[at + 49]
+        end = at + 50 + _PAYLOAD_SIZE.get(case, case - 0x0A)
+        assert end <= len(raw), f"record payload at byte {at} is cut"
+        assert raw[at + 48] in (0, 1), f"coinbase byte at byte {at}"
+        found.append((raw[at:at + 32],
+                      int.from_bytes(raw[at + 32:at + 36], "little"),
+                      int.from_bytes(raw[at + 36:at + 44], "little"),
+                      int.from_bytes(raw[at + 44:at + 48], "little"),
+                      raw[at + 48] == 1, (case, raw[at + 50:end])))
+        at = end
+    return found
 
 
 def appdata_entries(snapshot) -> list[tuple[bytes, bytes, bytes]]:

@@ -7,6 +7,7 @@ tolerance band below was sized once against the exact distribution and
 the observed values are reproduced bit-for-bit on every run.
 """
 
+import hashlib
 import random
 import re
 import struct
@@ -16,8 +17,8 @@ from collections import Counter
 import pytest
 
 from coinprune import scripts
-from coinprune.chain import (Block, ChainParams, UtxoEntry, UtxoSet,
-                             encode_record, obfuscate_record,
+from coinprune.chain import (Block, ChainParams, UtxoSet, obfuscate_record,
+                             outpoint_key, pack_record,
                              validate_and_apply_block)
 from coinprune.chaingen import ChainBuilder, WorkloadProfile, light_profile
 from coinprune.cli import main as cli_main
@@ -25,9 +26,10 @@ from coinprune.coordination import PulseParams
 from coinprune.hashing import hash160, hash256, sha256
 from coinprune.netsim import NodeConfig, SimScenario, run_simulation
 from coinprune.security import SweepConfig, percent_grid, sweep
-from coinprune.snapshot import build_snapshot, serialize_utxo_set
+from coinprune.snapshot import build_snapshot
 
-from oracles import appdata_entries, op_return_entries
+from oracles import (appdata_entries, decompress, op_return_entries,
+                     utxo_records)
 
 GRID_TIME_BUDGET = 120.0  # seconds per (delta_r, k) grid, binomial path
 
@@ -65,8 +67,57 @@ def _window_winner(blocks, pulse_height: int, params: PulseParams):
     return ranked[0][0]
 
 
+def _replayed_coins(blocks) -> dict:
+    """Independent oracle: the unspent outputs after `blocks`, replayed
+    over a plain dict {(txid, vout): (amount, height, coinbase, script)}.
+    Each txid is hashed here from the transaction's bytes; an input
+    deletes the outpoint it spends, and an output whose script starts
+    with 0x6a never enters. Proof of work, scripts and amounts are not
+    checked again: criterion 3 is about the state the joiner ends in."""
+    coins = {}
+    for height, block in enumerate(blocks):
+        for position, tx in enumerate(block.transactions):
+            raw = tx.serialize()
+            txid = hashlib.sha256(hashlib.sha256(raw).digest()).digest()
+            if position:  # the coinbase spends nothing
+                for txin in tx.inputs:
+                    del coins[(txin.prev_txid, txin.prev_vout)]
+            for vout, out in enumerate(tx.outputs):
+                if out.script[:1] != b"\x6a":
+                    coins[(txid, vout)] = (out.amount, height, position == 0,
+                                           out.script)
+    return coins
+
+
+def _state_matches(coins: dict, raw: bytes) -> bool:
+    """Whether the UTXO set bytes `raw`, read in the documented record
+    layout, hold exactly `coins` in strictly ascending (txid, vout)
+    order."""
+    held = utxo_records(raw)
+    outpoints = [coin[:2] for coin in held]
+    ascending = all(a < b for a, b in zip(outpoints, outpoints[1:]))
+    return ascending and coins == {
+        (txid, vout): (amount, height, coinbase, decompress(compressed))
+        for txid, vout, amount, height, coinbase, compressed in held}
+
+
+def test_replay_oracle_catches_a_dropped_coin_and_a_changed_amount():
+    builder = ChainBuilder(light_profile(), ChainParams(), 4)
+    coins = _replayed_coins(builder.build(120))
+    records = list(builder.utxo.records())
+    assert len(records) == len(coins) > 2
+    assert _state_matches(coins, b"".join(records))
+    changed = bytearray(records[0])
+    changed[36] ^= 1  # the amount's low byte
+    for raw in (b"".join(records[1:]), b"".join(records[:-1]),
+                bytes(changed) + b"".join(records[1:]),
+                b"".join([records[1], records[0]] + records[2:])):
+        assert not _state_matches(coins, raw)
+
+
 def _replay_from_wire(blocks) -> UtxoSet:
-    """Independent oracle: reparse every block and replay from genesis."""
+    """The set after every block, each reparsed from its bytes and
+    replayed from genesis."""
     params = ChainParams()
     utxo = UtxoSet()
     prev = b"\x00" * 32
@@ -158,12 +209,12 @@ def test_criterion_3_bootstrap_equivalence(acceptance):
         if not (outcome.accepted and outcome.via_snapshot):
             failures.append((blocks, dp, dr, outcome.reason))
             continue
-        if serialize_utxo_set(sim.join_utxo["j0"]) \
-                != serialize_utxo_set(_replay_from_wire(sim.builder.blocks)):
-            failures.append((blocks, dp, dr, "serialization mismatch"))
+        if not _state_matches(_replayed_coins(sim.builder.blocks),
+                              bytes(sim.join_utxo["j0"])):
+            failures.append((blocks, dp, dr, "state mismatch"))
     acceptance(3, not failures,
                f"{len(combos) - len(failures)}/{len(combos)} scenarios "
-               f"bitwise equal to from-genesis replay"
+               f"equal to a test-side replay from genesis"
                + (f"; failures {failures}" if failures else ""))
 
 
@@ -254,8 +305,7 @@ def test_criterion_5_obfuscation_equivalence(acceptance):
                 if scripts.validate_spend(plain, unlock, ctx) \
                         != scripts.validate_spend(obf, unlock, ctx):
                     disagreements += 1
-            entry = UtxoEntry(txid, i % 5, 5000 + i, i, False, plain)
-            raw_plain = encode_record(entry)
+            raw_plain = pack_record(txid, i % 5, 5000 + i, i, False, plain)
             raw_obf = obfuscate_record(raw_plain)
             if mutable in raw_obf:
                 leaks += 1
@@ -366,10 +416,12 @@ def test_criterion_8_determinism(tmp_path, acceptance):
 
     utxo = _replay_from_wire(chain_a)
     shuffled = UtxoSet()
-    entries = list(utxo.entries())
-    random.Random(8).shuffle(entries)
-    for entry in entries:
-        shuffled.add(entry)
+    coins = utxo_records(bytes(utxo))
+    random.Random(8).shuffle(coins)
+    for txid, vout, amount, height, coinbase, compressed in coins:
+        shuffled.add_records({outpoint_key(txid, vout): pack_record(
+            txid, vout, amount, height, coinbase,
+            scripts.CompressedTxOut(*compressed))})
     tip_id = chain_a[-1].block_id()
     snap_a = build_snapshot(utxo, 200, tip_id)
     snap_b = build_snapshot(shuffled, 200, tip_id)

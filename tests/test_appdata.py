@@ -14,7 +14,7 @@ from coinprune.scripts import is_op_return
 from coinprune.snapshot import Snapshot, SnapshotError, chunk_records
 
 from oracles import (appdata_entries, appdata_entry, decompress,
-                     op_return_entries)
+                     op_return_entries, utxo_records)
 
 # hash256 of thirty-two 0x01 bytes followed by thirty-two 0x02 bytes
 COMBINED_GOLDEN = "39ce20bede82c96b8908bec4a157b09c549b3db90b9b474bda9ae9b9030310b4"
@@ -63,8 +63,8 @@ def test_payloads_never_enter_utxo_set(op_return_chain):
         validate_and_apply_block(utxo, block, height, prev, ChainParams())
         prev = block.block_id()
     assert len(utxo) > 0
-    for entry in utxo.entries():
-        assert not is_op_return(decompress(entry.compressed))
+    for *_, compressed in utxo_records(bytes(utxo)):
+        assert not is_op_return(decompress(compressed))
 
 
 @given(st.binary(max_size=255), st.binary(min_size=32, max_size=32),

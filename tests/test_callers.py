@@ -26,6 +26,8 @@ SRC = ROOT / "src" / "coinprune"
 # called by perfbench/, whose files a benchmark change alone may edit;
 # each goes once perfbench stops calling it
 PINNED_BY_BENCHMARK = {
+    "chain.UtxoSet.add": "snapshot-bulk's set-up inserts its 300,000 "
+                         "synthetic coins through it",
     "chain.UtxoSet.entries": "snapshot-bulk's set-up samples leak payloads "
                              "from the held coins",
     "snapshot.serialize_utxo_set": "sim-bootstrap and snapshot-bulk compare "

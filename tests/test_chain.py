@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coinprune import chain
 from coinprune.chain import (BLOCK_FILE_MAGIC, COINBASE_PREFIX,
                              COINBASE_TXID, COINBASE_VOUT,
                              BlockFile, BlockValidationError, ChainError, ChainParams,
@@ -29,7 +30,7 @@ from coinprune.scripts import (SpendContext, is_op_return, key_unlock,
 from coinprune.snapshot import (apply_snapshot, build_snapshot,
                                 serialize_utxo_set)
 
-from oracles import header_records
+from oracles import header_records, utxo_records
 
 PARAMS = ChainParams()
 KEY = b"\x02" + b"\x11" * 32
@@ -241,14 +242,14 @@ def test_coinbase_must_begin_with_its_height(unlock):
 
 def test_failed_block_leaves_utxo_untouched():
     for utxo, g, b1, cb in (_fresh_chain(), _applied_chain()):
-        before = {(e.txid, e.vout): e for e in utxo.entries()}
+        before = {e[:2]: e for e in utxo_records(bytes(utxo))}
         state = serialize_utxo_set(utxo)
         t1 = _spend(cb.txid(), 0, [TxOutput(PARAMS.subsidy, PAY_SCRIPT)])
         cb2 = coinbase_tx(2, [TxOutput(PARAMS.subsidy + 5, PAY_SCRIPT)], b"")
         b2 = _mine_on(b1, [cb2, t1], 2)  # coinbase overclaims: no fee paid
         with pytest.raises(BlockValidationError):
             validate_and_apply_block(utxo, b2, 2, b1.block_id(), PARAMS)
-        assert {(e.txid, e.vout): e for e in utxo.entries()} == before
+        assert {e[:2]: e for e in utxo_records(bytes(utxo))} == before
         assert serialize_utxo_set(utxo) == state
 
 
@@ -285,7 +286,7 @@ def test_base_coin_spent_at_h_is_missing_at_h_plus_1():
     key = outpoint_key(cb.txid(), 0)
     for utxo in (applied, replayed):
         validate_and_apply_block(utxo, b2, 2, b1.block_id(), PARAMS)
-        assert key not in utxo and utxo.get(key) is None
+        assert key not in utxo and utxo.record(key) is None
         with pytest.raises(BlockValidationError,
                            match=f"height 3: missing outpoint {cb.txid().hex()}:0$"):
             validate_and_apply_block(utxo, b3, 3, b2.block_id(), PARAMS)
@@ -295,6 +296,25 @@ def test_base_coin_spent_at_h_is_missing_at_h_plus_1():
         assert key not in utxo
     assert len(applied) == len(replayed) == 3
     assert serialize_utxo_set(applied) == serialize_utxo_set(replayed)
+
+
+def test_validation_reads_spent_coins_without_decoding_them(monkeypatch):
+    # mining, a replay onto an empty set and one onto a set applied from
+    # a snapshot, whose spends read base coins, all run with the decoder
+    # refusing
+    def refuse(record):
+        raise AssertionError("a coin was decoded")
+
+    monkeypatch.setattr(chain, "_entry", refuse)
+    blocks = ChainBuilder(light_profile(), ChainParams(), 9).build(60)
+    utxo = UtxoSet()
+    tip = replay_blocks(utxo, blocks, range(31), b"\x00" * 32, PARAMS)
+    applied = apply_snapshot(build_snapshot(utxo, 30, tip))
+    for held in (utxo, applied):
+        assert replay_blocks(held, blocks, range(31, len(blocks)), tip,
+                             PARAMS) == blocks[-1].block_id()
+    assert applied._live < len(applied._gone)  # base coins were spent
+    assert bytes(applied) == bytes(utxo)
 
 
 # --- replay against a set-difference oracle --------------------------------------
@@ -318,7 +338,8 @@ def test_replay_matches_set_difference_oracle():
                     created[(txid, vout)] = (out.amount, height)
     expected = {k: v for k, v in created.items() if k not in spent}
 
-    got = {(e.txid, e.vout): (e.amount, e.height) for e in utxo.entries()}
+    got = {(txid, vout): (amount, height)
+           for txid, vout, amount, height, *_ in utxo_records(bytes(utxo))}
     assert got == expected
 
 
@@ -438,8 +459,8 @@ def test_write_block_file_refuses_its_own_source(tmp_path, light_chain):
 
 
 def test_a_block_file_holds_only_its_index_in_memory():
-    # the blocks' bytes stay in the file: the store keeps the span of
-    # each block, 16 bytes; an image of the file held about 1.8 KB a block
+    # the blocks' bytes stay in the file: the store keeps where each
+    # block ends, 8 bytes; an image of the file held about 1.8 KB a block
     chain = ChainBuilder(light_profile(), ChainParams(), 77).build(1000)
     tracemalloc.start()
     try:
@@ -452,6 +473,12 @@ def test_a_block_file_holds_only_its_index_in_memory():
     assert [store.raw(h) for h in range(len(store))] \
         == [chain.raw(h) for h in range(len(chain))]
     assert held / len(store) < 100
+    # a height from the tip reads as Python's indexing does
+    assert store.raw(-1) == chain.raw(len(chain) - 1)
+    assert store.raw(-len(store)) == chain.raw(0)
+    for height in (len(store), -len(store) - 1):
+        with pytest.raises(IndexError):
+            store.raw(height)
 
 
 def _next_fd() -> int:

@@ -17,7 +17,7 @@ from coinprune.chain import (Block, ChainParams, Transaction, UtxoSet,
 from coinprune.chaingen import ChainBuilder, WorkloadProfile, light_profile
 from coinprune.scripts import MAX_OP_RETURN_PAYLOAD, ScriptClass, classify
 
-from oracles import decompress
+from oracles import decompress, utxo_records
 
 
 @pytest.fixture(scope="module")
@@ -96,8 +96,8 @@ def test_op_return_outputs_generated_and_excluded(default_chain):
     for height, block in enumerate(islice(default_chain, 200)):
         validate_and_apply_block(utxo, block, height, prev, params)
         prev = block.block_id()
-    for entry in utxo.entries():
-        assert classify(decompress(entry.compressed)) is not ScriptClass.OP_RETURN
+    for *_, compressed in utxo_records(bytes(utxo)):
+        assert classify(decompress(compressed)) is not ScriptClass.OP_RETURN
 
 
 def test_utxo_size_stays_in_equilibrium(default_chain):

@@ -506,8 +506,17 @@ def test_out_of_range_arguments_are_usage_errors(tmp_path, capsys, argv):
     ("storage", "node,bytes_stored\nm0," + "9" * 200_000 + "\n"),
     ("sweep", "f_C,f_A,delta_r,k,p_correct,p_adversary,p_skipped\n"
               "1.0," + "0" * 200_000 + ",100,5,1.0,0.0,0.0\n"),
+    # finite numbers outside their domain: a negative byte count would
+    # draw a bar of negative height, and a probability lies in [0, 1]
+    ("storage", "node,bytes_stored\nm0,10\nm1,-5\n"),
+    ("sweep", "f_C,f_A,delta_r,k,p_correct,p_adversary,p_skipped\n"
+              "1.0,0.0,100,5,-3.0,0.0,0.0\n"),
+    ("sweep", "f_C,f_A,delta_r,k,p_correct,p_adversary,p_skipped\n"
+              "1.0,0.0,100,5,0.0,7.5,0.0\n"),
 ], ids=["storage-inf", "storage-nan", "sweep-inf", "sweep-nan",
-        "storage-oversized-field", "sweep-oversized-field"])
+        "storage-oversized-field", "sweep-oversized-field",
+        "storage-negative", "sweep-negative-probability",
+        "sweep-probability-above-1"])
 def test_report_rejects_non_finite_numbers(tmp_path, capsys, kind, text):
     source = tmp_path / f"{kind}.csv"
     source.write_text(text)

@@ -7,7 +7,7 @@ from coinprune.coordination import (FRAME_SIZE, TAG_PREFIX, TAG_SUFFIX,
                                     PulseParams, encode_coinbase_tag,
                                     latest_closed_pulse, parse_coinbase_tag,
                                     pulse_for_height, pulse_height,
-                                    tally_window, window_range)
+                                    pulse_index, tally_window, window_range)
 
 P = PulseParams(delta_p=200, delta_r=50, delta_d=6, k=5)
 TAG_A = b"\xaa" * 32
@@ -23,6 +23,11 @@ def test_pulse_heights():
     assert pulse_height(3, P) == 600
     with pytest.raises(CoordinationError):
         pulse_height(0, P)
+    # pulse_index inverts pulse_height, and genesis is never a pulse
+    for index in (1, 3, 40):
+        assert pulse_index(pulse_height(index, P), P) == index
+    for height in (0, 1, 199, 201, 599, -200):
+        assert pulse_index(height, P) is None
 
 
 def test_window_boundaries():

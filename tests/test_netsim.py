@@ -28,7 +28,7 @@ from coinprune.netsim import (MAX_BOOTSTRAP_ATTEMPTS, NodeConfig, SimError,
                               parse_scenario, run_simulation)
 from coinprune.snapshot import build_snapshot, serialize_utxo_set, wire_size
 
-from oracles import appdata_entries, op_return_entries
+from oracles import appdata_entries, op_return_entries, utxo_records
 
 PARAMS = PulseParams(delta_p=200, delta_r=50, delta_d=6, k=5)
 
@@ -158,8 +158,8 @@ def test_joins_that_end_in_one_state_share_its_base(honest_run):
     assert snap_join._base is full_sync._base
     # the index a lookup on one builds is the other's: `in` reads the
     # base without moving the coin to the dict
-    coin = next(snap_join.entries())
-    assert outpoint_key(coin.txid, coin.vout) in snap_join
+    txid, vout, *_ = utxo_records(bytes(snap_join))[0]
+    assert outpoint_key(txid, vout) in snap_join
     assert full_sync._base.places is snap_join._base.places is not None
     assert len({id(store) for store in sim.join_stores.values()}) == 1
 
@@ -183,8 +183,8 @@ def test_a_spend_on_a_shared_joined_set_leaves_the_other_alone():
     mine, other = sim.join_utxo["jcp"], sim.join_utxo["jcp2"]
     assert mine._base is other._base
     before = bytes(other)
-    coin = next(mine.entries())
-    key = outpoint_key(coin.txid, coin.vout)
+    txid, vout, *_ = utxo_records(bytes(mine))[0]
+    key = outpoint_key(txid, vout)
     mine.remove(key)
     assert key not in mine
     assert key in other and bytes(other) == before

@@ -1,14 +1,15 @@
 import random
 import struct
 import tracemalloc
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from coinprune import snapshot as snapshot_mod
-from coinprune.chain import (ChainError, UtxoEntry, UtxoSet, encode_record,
-                             obfuscate_record, outpoint_key)
+from coinprune.chain import (ChainError, UtxoSet, obfuscate_record,
+                             outpoint_key, pack_record)
 from coinprune.hashing import hash256
 from coinprune.scripts import (CompressedTxOut, compress, obfuscate,
                                p2pk_script, p2pkh_script, p2sh_script,
@@ -20,6 +21,8 @@ from coinprune.snapshot import (CHUNK_SIZE, Snapshot, SnapshotError,
                                 verify_snapshot, wire_size,
                                 write_snapshot_file)
 
+from oracles import utxo_records
+
 # layered id of the empty set at height 0 over a zero block id, frozen
 EMPTY_ID = "c970065223a20aeffece263aab16497d3bf99fe6ae6b6e01e731f41dae07cffd"
 # layered id over one fixed 1024-byte chunk (bytes 0..255 repeated), frozen
@@ -28,21 +31,37 @@ ONE_CHUNK_ID = "b46b688a02e3669a1328e6591af4e52d6934624fb2e5d7448c831fa3fb4fba36
 TOP = 2 ** 32 - 1
 
 
-def _entry(i: int, vout: int = 0, script: bytes | None = None) -> UtxoEntry:
+class Coin(NamedTuple):
+    """A coin's fields, in `pack_record`'s argument order."""
+    txid: bytes
+    vout: int
+    amount: int
+    height: int
+    coinbase: bool
+    compressed: CompressedTxOut
+
+
+def _entry(i: int, vout: int = 0, script: bytes | None = None) -> Coin:
     txid = hash256(i.to_bytes(8, "little"))
     compressed = compress(script or p2pkh_script(txid[:20]))
-    return UtxoEntry(txid, vout, 1000 + i, i, i % 7 == 0, compressed)
+    return Coin(txid, vout, 1000 + i, i, i % 7 == 0, compressed)
 
 
-def _key(entry: UtxoEntry) -> bytes:
+def _key(entry: Coin) -> bytes:
     return outpoint_key(entry.txid, entry.vout)
 
 
+def _add(utxo: UtxoSet, entry: Coin) -> None:
+    utxo.add_records({_key(entry): pack_record(*entry)})
+
+
+def _packed(entry: Coin | None) -> bytes | None:
+    """The record a set holds for the coin, or None for no coin."""
+    return None if entry is None else pack_record(*entry)
+
+
 def _filled_set(n: int) -> UtxoSet:
-    utxo = UtxoSet()
-    for i in range(n):
-        utxo.add(_entry(i))
-    return utxo
+    return _set_of(map(_entry, range(n)))
 
 
 def _obfuscated_bytes(utxo: UtxoSet) -> bytes:
@@ -86,23 +105,24 @@ def test_layered_id_dual_route():
 
 @given(entries)
 def test_record_roundtrip(entry):
-    raw = encode_record(entry)
+    raw = pack_record(*entry)
     utxo = UtxoSet.from_chunks([raw], TOP)
     assert len(utxo) == 1 and bytes(utxo) == raw
-    assert utxo.get(_key(entry)) == entry
+    assert utxo.record(_key(entry)) == pack_record(*entry)
+    assert utxo_records(raw) == [entry]
 
 
 @given(entries)
 def test_obfuscated_record_roundtrip_keeps_flag(entry):
-    raw = obfuscate_record(encode_record(entry))
-    decoded = UtxoSet.from_chunks([raw], TOP).get(_key(entry))
-    assert (decoded.txid, decoded.vout, decoded.amount, decoded.height,
-            decoded.coinbase) == (entry.txid, entry.vout, entry.amount,
-                                  entry.height, entry.coinbase)
+    raw = obfuscate_record(pack_record(*entry))
+    [decoded] = utxo_records(UtxoSet.from_chunks([raw], TOP)
+                             .record(_key(entry)))
+    assert decoded[:5] == (entry.txid, entry.vout, entry.amount,
+                           entry.height, entry.coinbase)
 
 
 def test_decode_reports_byte_offset():
-    first, second = sorted(map(encode_record, (_entry(1), _entry(2))))
+    first, second = sorted(pack_record(*e) for e in (_entry(1), _entry(2)))
     with pytest.raises(SnapshotError) as err:
         UtxoSet.from_chunks([first + second[:-1]], TOP)
     assert str(err.value) == f"truncated record payload at byte {len(first)}"
@@ -110,10 +130,10 @@ def test_decode_reports_byte_offset():
 
 def test_serialization_sorted_by_outpoint():
     a, b = _filled_set(30), UtxoSet()
-    shuffled = list(_filled_set(30).entries())
+    shuffled = [_entry(i) for i in range(30)]
     random.Random(5).shuffle(shuffled)
     for entry in shuffled:
-        b.add(entry)
+        _add(b, entry)
     assert serialize_utxo_set(a) == serialize_utxo_set(b)
 
 
@@ -123,14 +143,14 @@ def test_obfuscated_serialization_hides_payloads():
     utxo = UtxoSet()
     for i in range(25):
         script = p2pkh_script(hash256(b"addr" + i.to_bytes(8, "little"))[:20])
-        utxo.add(_entry(i, script=script))
+        _add(utxo, _entry(i, script=script))
     plain = serialize_utxo_set(utxo)
     hidden = _obfuscated_bytes(utxo)
     assert plain != hidden
-    for entry in utxo.entries():
-        if entry.compressed.case == 0x00:  # p2pkh
-            assert entry.compressed.payload in plain
-            assert entry.compressed.payload not in hidden
+    for *_, (case, payload) in utxo_records(plain):
+        if case == 0x00:  # p2pkh
+            assert payload in plain
+            assert payload not in hidden
 
 
 # --- chunking -------------------------------------------------------------------
@@ -232,19 +252,19 @@ def test_apply_roundtrip():
     utxo = _filled_set(300)
     snap = build_snapshot(utxo, 299, b"\x03" * 32)
     restored = apply_snapshot(snap)
-    assert {(e.txid, e.vout): e for e in restored.entries()} == \
-        {(e.txid, e.vout): e for e in utxo.entries()}
+    assert {e[:2]: e for e in utxo_records(bytes(restored))} == \
+        {e[:2]: e for e in utxo_records(bytes(utxo))}
 
 
 def test_apply_rejects_a_bad_coinbase_flag():
-    record = bytearray(encode_record(_entry(1)))
+    record = bytearray(pack_record(*_entry(1)))
     record[48] = 2  # the byte after txid, vout, amount and height
     with pytest.raises(SnapshotError, match="^bad coinbase flag at byte 0$"):
         apply_snapshot(Snapshot.assemble(1, b"\x00" * 32, [bytes(record)]))
 
 
 def test_apply_rejects_a_record_split_across_chunks():
-    record = encode_record(_entry(1))
+    record = pack_record(*_entry(1))
     snap = Snapshot.assemble(1, b"\x00" * 32, [record[:60], record[60:]])
     with pytest.raises(SnapshotError):
         apply_snapshot(snap)
@@ -258,9 +278,9 @@ def test_an_applied_set_holds_under_2_traced_bytes_per_coin():
     rng = random.Random(20)
     utxo = UtxoSet()
     for _ in range(20_000):
-        utxo.add(UtxoEntry(rng.randbytes(32), rng.randrange(4),
-                           rng.randrange(1, 10 ** 12), rng.randrange(1, 800_000),
-                           False, compress(p2pkh_script(rng.randbytes(20)))))
+        _add(utxo, Coin(rng.randbytes(32), rng.randrange(4),
+                        rng.randrange(1, 10 ** 12), rng.randrange(1, 800_000),
+                        False, compress(p2pkh_script(rng.randbytes(20)))))
     snap = build_snapshot(utxo, 800_000, b"\x05" * 32)
     del utxo
     tracemalloc.start()
@@ -275,7 +295,7 @@ def test_an_applied_set_holds_under_2_traced_bytes_per_coin():
 
 def test_apply_rejects_duplicate_outpoints():
     entry = _entry(1, vout=258)
-    record = encode_record(entry)
+    record = pack_record(*entry)
     chunk = record + record
     snap = Snapshot.assemble(1, b"\x00" * 32, [chunk])
     with pytest.raises(SnapshotError, match=f"{entry.txid.hex()}:258$"):
@@ -285,10 +305,9 @@ def test_apply_rejects_duplicate_outpoints():
 def test_apply_rejects_records_out_of_order():
     ordered = sorted((_entry(i) for i in range(4)),
                      key=lambda e: (e.txid, e.vout))
-    records = [encode_record(e) for e in ordered]
+    records = [pack_record(*e) for e in ordered]
     txid = ordered[0].txid  # vout 256 sorts after vout 1, not before
-    vouts = [encode_record(UtxoEntry(txid, vout, 1, 1, False,
-                                     ordered[0].compressed))
+    vouts = [pack_record(txid, vout, 1, 1, False, ordered[0].compressed)
              for vout in (256, 1)]
     for chunks in ([records[1] + records[0] + records[2] + records[3]],
                    [records[2] + records[3], records[0] + records[1]],
@@ -297,21 +316,21 @@ def test_apply_rejects_records_out_of_order():
             apply_snapshot(Snapshot.assemble(3, b"\x00" * 32, chunks))
     applied = apply_snapshot(Snapshot.assemble(
         3, b"\x00" * 32, [records[0] + records[1], records[2] + records[3]]))
-    assert sorted(applied.entries()) == sorted(ordered)
+    assert sorted(utxo_records(bytes(applied))) == sorted(ordered)
 
 
 def test_apply_rejects_a_record_above_the_snapshot_height():
     txid = hash256(b"three outputs")
-    coins = [UtxoEntry(txid, vout, 1000, height, False,
-                       compress(p2pkh_script(txid[:20])))
+    coins = [Coin(txid, vout, 1000, height, False,
+                  compress(p2pkh_script(txid[:20])))
              for vout, height in enumerate((3, 4, 5))]
-    records = [encode_record(e) for e in coins]
+    records = [pack_record(*e) for e in coins]
     chunks = [records[0], records[1] + records[2]]
     with pytest.raises(SnapshotError, match="snapshot's height 4 at byte "
                                             f"{len(records[1])} of chunk 1$"):
         apply_snapshot(Snapshot.assemble(4, b"\x00" * 32, chunks))
     applied = apply_snapshot(Snapshot.assemble(5, b"\x00" * 32, chunks))
-    assert sorted(applied.entries()) == coins
+    assert sorted(utxo_records(bytes(applied))) == coins
 
 
 def test_file_roundtrip(tmp_path):
@@ -342,7 +361,7 @@ def test_header_roundtrip():
 # --- parsers fail closed -------------------------------------------------------
 
 # chunk bytes: well-formed records mixed with arbitrary bytes
-record_soup = st.lists(st.one_of(entries.map(encode_record),
+record_soup = st.lists(st.one_of(entries.map(lambda e: pack_record(*e)),
                                  st.binary(max_size=60)),
                        max_size=5).map(b"".join)
 
@@ -364,16 +383,18 @@ def test_read_snapshot_file_fails_closed(tmp_path_factory, raw):
 
 
 @given(st.lists(record_soup, max_size=3), st.integers(0, TOP))
-@example([encode_record(_entry(7))], 6)  # a coin mined above the snapshot
+@example([pack_record(*_entry(7))], 6)  # a coin mined above the snapshot
 def test_apply_snapshot_fails_closed(chunks, height):
     snap = Snapshot.assemble(height, b"\x00" * 32, chunks)
     try:
         utxo = apply_snapshot(snap)
     except SnapshotError:
         return
-    assert sum(len(encode_record(e)) for e in utxo.entries()) \
+    held = utxo_records(bytes(utxo))
+    assert len(held) == len(utxo)
+    assert sum(50 + len(payload) for *_, (_, payload) in held) \
         == sum(len(c) for c in chunks)
-    assert all(e.height <= height for e in utxo.entries())
+    assert all(e[3] <= height for e in held)
 
 
 # --- the record-backed set against an independent oracle ---------------------
@@ -395,7 +416,7 @@ coin_scripts = st.one_of(
     st.binary(min_size=32, max_size=32).map(p2wsh_script),
     st.binary(min_size=32, max_size=32).map(lambda x: p2pk_script(b"\x03" + x)),
     st.binary(min_size=1, max_size=60).filter(lambda s: s[0] != 0x6a))
-coins = st.builds(UtxoEntry, st.binary(min_size=32, max_size=32),
+coins = st.builds(Coin, st.binary(min_size=32, max_size=32),
                   st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 64 - 1),
                   st.integers(0, 2 ** 32 - 1), st.booleans(),
                   coin_scripts.map(compress))
@@ -405,23 +426,23 @@ coins = st.builds(UtxoEntry, st.binary(min_size=32, max_size=32),
 def test_record_backed_set_matches_oracle(added):
     utxo = UtxoSet()
     for entry in added:
-        utxo.add(entry)
+        _add(utxo, entry)
     assert len(utxo) == len(added)
-    assert all(utxo.get(_key(e)) == e for e in added)
+    assert all(utxo.record(_key(e)) == pack_record(*e) for e in added)
     assert serialize_utxo_set(utxo) == _oracle_bytes(added)
 
     hidden = [e._replace(compressed=obfuscate(e.compressed)) for e in added]
     applied = apply_snapshot(build_snapshot(utxo, TOP, b"\x06" * 32,
                                             obfuscate=True))
-    assert all(applied.get(_key(e)) == e for e in hidden)
+    assert all(applied.record(_key(e)) == pack_record(*e) for e in hidden)
     assert serialize_utxo_set(applied) == _oracle_bytes(hidden)
     assert _obfuscated_bytes(utxo) == _oracle_bytes(hidden)
 
     spent, kept = added[::2], added[1::2]
     for entry in spent:
         utxo.remove(_key(entry))
-        assert utxo.get(_key(entry)) is None
-    assert sorted(utxo.entries()) == sorted(kept)
+        assert utxo.record(_key(entry)) is None
+    assert sorted(utxo_records(bytes(utxo))) == sorted(kept)
     assert serialize_utxo_set(utxo) == _oracle_bytes(kept)
 
 
@@ -434,7 +455,7 @@ def test_add_rejects_an_entry_with_no_record_form():
                 entry._replace(height=2 ** 32), entry._replace(height=-1),
                 entry._replace(amount=2 ** 64), entry._replace(amount=-1)):
         with pytest.raises(ChainError, match="has no record form"):
-            UtxoSet().add(bad)
+            _add(UtxoSet(), bad)
 
 
 # txids that share coins, and one that shares only its first 8 bytes, so
@@ -442,7 +463,7 @@ def test_add_rejects_an_entry_with_no_record_form():
 _SHARED = [hash256(bytes([i])) for i in range(3)]
 _SHARED.append(_SHARED[0][:8] + b"\xff" * 24)
 layered_coins = st.builds(
-    UtxoEntry, st.one_of(st.sampled_from(_SHARED),
+    Coin, st.one_of(st.sampled_from(_SHARED),
                          st.binary(min_size=32, max_size=32)),
     st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 64 - 1),
     st.integers(0, 2 ** 32 - 1), st.booleans(), coin_scripts.map(compress))
@@ -454,9 +475,7 @@ def test_applied_set_layers_match_oracle(coins_):
     # an applied set spends from its base and adds to its dict; both
     # layers together must read as one set
     base, extra = coins_[::2], coins_[1::2]
-    source = UtxoSet()
-    for entry in base:
-        source.add(entry)
+    source = _set_of(base)
     applied = apply_snapshot(build_snapshot(source, TOP, b"\x06" * 32))
     untouched = applied.copy()
     assert serialize_utxo_set(applied) == _oracle_bytes(base)
@@ -466,19 +485,19 @@ def test_applied_set_layers_match_oracle(coins_):
         applied.remove(_key(entry))
     assert serialize_utxo_set(applied) == _oracle_bytes(kept)
     for entry in extra + spent[:1]:  # a spent base coin may come back
-        applied.add(entry)
+        _add(applied, entry)
     held = kept + extra + spent[:1]
     for entry in kept:
         with pytest.raises(ChainError):
-            applied.add(entry)
+            _add(applied, entry)
     for entry in spent[1:]:
-        assert applied.get(_key(entry)) is None
+        assert applied.record(_key(entry)) is None
         assert _key(entry) not in applied
         with pytest.raises(KeyError):
             applied.remove(_key(entry))
     assert len(applied) == len(held)
-    assert all(applied.get(_key(e)) == e for e in held)
-    assert sorted(applied.entries()) == sorted(held)
+    assert all(applied.record(_key(e)) == pack_record(*e) for e in held)
+    assert sorted(utxo_records(bytes(applied))) == sorted(held)
     assert serialize_utxo_set(applied) == _oracle_bytes(held)
     hidden = [e._replace(compressed=obfuscate(e.compressed)) for e in held]
     assert _obfuscated_bytes(applied) == _oracle_bytes(hidden)
@@ -491,18 +510,18 @@ def test_canonical_order_holds_past_one_byte_of_vout():
     # vout little-endian would put 256 before 1
     txid = hash256(b"one txid, many outputs")
     vouts = [0, 1, 255, 256, 65535, 65536, 2 ** 32 - 1]
-    added = [UtxoEntry(txid, vout, 1000 + vout, 5, False,
-                       compress(p2pkh_script(txid[:20]))) for vout in vouts]
+    added = [Coin(txid, vout, 1000 + vout, 5, False,
+                  compress(p2pkh_script(txid[:20]))) for vout in vouts]
     random.Random(9).shuffle(added)
     utxo = UtxoSet()
     for entry in added:
-        utxo.add(entry)
+        _add(utxo, entry)
     assert serialize_utxo_set(utxo) == _oracle_bytes(added)
     applied = apply_snapshot(build_snapshot(utxo, 5, b"\x06" * 32))
     assert serialize_utxo_set(applied) == _oracle_bytes(added)
     for entry in added:
-        assert utxo.get(_key(entry)) == entry
-        assert applied.get(_key(entry)) == entry
+        assert utxo.record(_key(entry)) == pack_record(*entry)
+        assert applied.record(_key(entry)) == pack_record(*entry)
 
 
 def test_malformed_outpoints_match_nothing():
@@ -520,11 +539,11 @@ def test_malformed_outpoints_match_nothing():
                                             b"\x06" * 32))
     for utxo in (_set_of([entry, padded]), applied):
         for bad in malformed:
-            assert utxo.get(bad) is None
+            assert utxo.record(bad) is None
             assert bad not in utxo
             with pytest.raises(KeyError):
                 utxo.remove(bad)
-        assert len(utxo) == 2 and utxo.get(key) == entry
+        assert len(utxo) == 2 and utxo.record(key) == pack_record(*entry)
 
 
 def test_keys_that_are_not_bytes_are_refused():
@@ -540,12 +559,12 @@ def test_keys_that_are_not_bytes_are_refused():
             with pytest.raises(TypeError):
                 bad in utxo
             with pytest.raises(TypeError):
-                utxo.get(bad)
+                utxo.record(bad)
             with pytest.raises(TypeError):
                 utxo.remove(bad)
         with pytest.raises(TypeError):
-            utxo.add_records({(entry.txid, 1): encode_record(entry)})
-        assert len(utxo) == 1 and utxo.get(_key(entry)) == entry
+            utxo.add_records({(entry.txid, 1): pack_record(*entry)})
+        assert len(utxo) == 1 and utxo.record(_key(entry)) == pack_record(*entry)
 
 
 # --- a multi-chunk plain build folds the set's dict into its chunks ----------
@@ -555,8 +574,7 @@ FOLDED = 20_000  # p2pkh records of 70 bytes: two 1 MiB chunks
 
 def _set_of(coins) -> UtxoSet:
     utxo = UtxoSet()
-    for entry in coins:
-        utxo.add(entry)
+    utxo.add_records({_key(e): pack_record(*e) for e in coins})
     return utxo
 
 
@@ -568,11 +586,11 @@ def test_a_multi_chunk_build_takes_its_chunks_as_the_set(by):
     base, read, spent_before = every[::2], every[:2000:4], every[2:2000:4]
     utxo = apply_snapshot(build_snapshot(_set_of(base), TOP, b"\x07" * 32))
     for entry in read:
-        assert utxo.get(_key(entry)) == entry
+        assert utxo.record(_key(entry)) == pack_record(*entry)
     for entry in spent_before:
         utxo.remove(_key(entry))
     for entry in every[1::2]:
-        utxo.add(entry)
+        _add(utxo, entry)
     assert utxo._records and utxo._live
     gone = set(spent_before)
     coins = [e for e in every if e not in gone]
@@ -594,28 +612,28 @@ def test_a_multi_chunk_build_takes_its_chunks_as_the_set(by):
         utxo.remove(_key(entry))
         oracle.remove(_key(entry))
     for entry in fresh + spent[:1]:  # a spent coin may come back
-        utxo.add(entry)
-        oracle.add(entry)
+        _add(utxo, entry)
+        _add(oracle, entry)
     for entry in coins[1:30:3] + fresh[:3]:
         for held in (utxo, oracle):
             with pytest.raises(ChainError):
-                held.add(entry)
+                _add(held, entry)
     for key in map(_key, spent[1:20]):
         for held in (utxo, oracle):
-            assert key not in held and held.get(key) is None
+            assert key not in held and held.record(key) is None
             with pytest.raises(KeyError):
                 held.remove(key)
     for entry in coins + fresh:
         assert (_key(entry) in utxo) == (_key(entry) in oracle)
-        assert utxo.get(_key(entry)) == oracle.get(_key(entry))
+        assert utxo.record(_key(entry)) == oracle.record(_key(entry))
     assert len(utxo) == len(oracle)
     assert serialize_utxo_set(utxo) == serialize_utxo_set(oracle)
 
     assert len(before) == len(coins)
     assert serialize_utxo_set(before) == _oracle_bytes(coins)
     for entry in read + spent_before:
-        assert before.get(_key(entry)) \
-            == (None if entry in gone else entry)
+        assert before.record(_key(entry)) \
+            == _packed(None if entry in gone else entry)
     assert build_snapshot(before, 9, b"\x07" * 32).chunks == folded
 
 
@@ -642,7 +660,7 @@ def test_an_applied_layout_does_not_change_the_built_id():
     # records greedily, as a fresh set of the same coins would
     coins = sorted((_entry(i) for i in range(FOLDED)), key=_key)
     one_per_chunk = Snapshot.assemble(FOLDED, b"\x07" * 32,
-                                      [encode_record(e) for e in coins])
+                                      [pack_record(*e) for e in coins])
     applied = apply_snapshot(one_per_chunk)
     fresh = _set_of(coins)
     for obfuscate in (True, False, False):
@@ -663,10 +681,10 @@ def test_a_folded_set_holds_under_2_traced_bytes_per_coin():
     try:
         utxo = UtxoSet()
         for _ in range(FOLDED):
-            utxo.add(UtxoEntry(rng.randbytes(32), rng.randrange(4),
-                               rng.randrange(1, 10 ** 12),
-                               rng.randrange(1, 800_000), False,
-                               compress(p2pkh_script(rng.randbytes(20)))))
+            _add(utxo, Coin(rng.randbytes(32), rng.randrange(4),
+                            rng.randrange(1, 10 ** 12),
+                            rng.randrange(1, 800_000), False,
+                            compress(p2pkh_script(rng.randbytes(20)))))
         snap = build_snapshot(utxo, 7, b"\x05" * 32)
         held, _ = tracemalloc.get_traced_memory()
     finally:
@@ -687,16 +705,16 @@ def test_the_first_lookup_builds_the_index_once_for_every_copy():
     assert copied._base is base and base.places is None
     assert b"".join(applied.records()) == bytes(copied) \
         == _oracle_bytes(coins)
-    assert sorted(copied.entries()) == sorted(coins)
+    assert sorted(utxo_records(b"".join(copied.records()))) == sorted(coins)
     assert base.places is None  # the walks read the chunks alone
     assert _key(coins[0]) in copied
     prefixes, places = base.prefixes, base.places
     assert len(prefixes) == len(places) == len(coins)
     for entry in coins[1:]:
-        assert applied.get(_key(entry)) == entry
+        assert applied.record(_key(entry)) == pack_record(*entry)
     copied.remove(_key(coins[0]))
     later = copied.copy()
-    assert later.get(_key(coins[1])) == coins[1]
+    assert later.record(_key(coins[1])) == pack_record(*coins[1])
     assert later._base is base
     assert base.prefixes is prefixes and base.places is places
     assert len(applied) == len(coins) and len(copied) == len(coins) - 1
@@ -705,7 +723,7 @@ def test_the_first_lookup_builds_the_index_once_for_every_copy():
 POOL = 60  # operations name a coin by its position in the pool, modulo
 lazy_ops = st.lists(st.one_of(
     st.just(("records",)), st.just(("bytes",)),
-    st.tuples(st.sampled_from(["in", "get", "remove"]),
+    st.tuples(st.sampled_from(["in", "record", "remove"]),
               st.integers(0, POOL - 1)),
     st.tuples(st.just("add_records"),
               st.lists(st.integers(0, POOL - 1), max_size=3))),
@@ -716,14 +734,14 @@ lazy_ops = st.lists(st.one_of(
                 unique_by=lambda e: (e.txid, e.vout)),
        st.integers(1, 4), lazy_ops)
 @example([_entry(i) for i in range(8)], 2,
-         [("records",), ("bytes",), ("in", 0), ("records",), ("get", 2),
+         [("records",), ("bytes",), ("in", 0), ("records",), ("record", 2),
           ("bytes",), ("remove", 4), ("add_records", [1, 0]),
           ("add_records", [1]), ("records",), ("remove", 4)])
 def test_a_lazily_indexed_set_matches_a_dict_oracle(coins_, per_chunk, ops):
     # half the coins are the applied base, laid `per_chunk` records to a
     # chunk; the walks read it before and after the index exists
     held = sorted(coins_[::2], key=_key)
-    records = [encode_record(e) for e in held]
+    records = [pack_record(*e) for e in held]
     chunks = [b"".join(records[i:i + per_chunk])
               for i in range(0, len(records), per_chunk)]
     utxo = apply_snapshot(Snapshot.assemble(TOP, b"\x06" * 32, chunks))
@@ -738,7 +756,7 @@ def test_a_lazily_indexed_set_matches_a_dict_oracle(coins_, per_chunk, ops):
         elif op == "add_records":
             added = {_key(e): e
                      for e in (coins_[i % len(coins_)] for i in args[0])}
-            batch = {key: encode_record(e) for key, e in added.items()}
+            batch = {key: pack_record(*e) for key, e in added.items()}
             if any(key in oracle for key in added):
                 with pytest.raises(ChainError):
                     utxo.add_records(batch)
@@ -749,8 +767,8 @@ def test_a_lazily_indexed_set_matches_a_dict_oracle(coins_, per_chunk, ops):
             key = _key(coins_[args[0] % len(coins_)])
             if op == "in":
                 assert (key in utxo) == (key in oracle)
-            elif op == "get":
-                assert utxo.get(key) == oracle.get(key)
+            elif op == "record":
+                assert utxo.record(key) == _packed(oracle.get(key))
             elif key in oracle:
                 utxo.remove(key)
                 del oracle[key]
@@ -760,5 +778,5 @@ def test_a_lazily_indexed_set_matches_a_dict_oracle(coins_, per_chunk, ops):
         if op in ("records", "bytes"):
             assert (utxo._base.places is not None) == indexed
         assert len(utxo) == len(oracle)
-    assert sorted(utxo.entries()) == sorted(oracle.values())
+    assert sorted(utxo_records(bytes(utxo))) == sorted(oracle.values())
     assert bytes(utxo) == _oracle_bytes(oracle.values())
