@@ -3,7 +3,9 @@ from the code they check.
 
 - `decompress` rebuilds an output script from a compressed entry, using
   the case table in the `coinprune.scripts` module docstring and
-  Bitcoin's opcode bytes.
+  Bitcoin's opcode bytes. `compress_script` goes the other way for an
+  unobfuscated script: the first plain case that rebuilds it, else the
+  script verbatim.
 - `utxo_records` reads UTXO set bytes in the record layout of
   `coinprune.chain`: the 32-byte txid, the vout as LE32, the amount as
   LE64, the height as LE32, a coinbase byte of 0 or 1, the case byte,
@@ -77,6 +79,24 @@ def decompress(entry) -> bytes:
 # bytes verbatim
 _PAYLOAD_SIZE = {case: size for case, (size, _, _) in _TEMPLATES.items()}
 _PAYLOAD_SIZE.update({0x04: 32, 0x05: 32})
+
+
+# plain case -> where its payload starts in the script
+_PAYLOAD_AT = {0x00: 3, 0x01: 2, 0x02: 2, 0x03: 2, 0x04: 2, 0x05: 2}
+
+
+def compress_script(script: bytes) -> tuple[int, bytes]:
+    """The (case, payload) the case table stores an unobfuscated
+    `script` as: the first plain case whose `decompress` gives the script
+    back, else the script verbatim behind case 0x0A + its length."""
+    for case, at in _PAYLOAD_AT.items():
+        payload = script[at:at + _PAYLOAD_SIZE[case]]
+        try:
+            if decompress((case, payload)) == script:
+                return case, payload
+        except ValueError:
+            continue
+    return 0x0A + len(script), script
 
 
 def utxo_records(raw: bytes) -> list[tuple]:

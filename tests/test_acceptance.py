@@ -28,8 +28,8 @@ from coinprune.netsim import NodeConfig, SimScenario, run_simulation
 from coinprune.security import SweepConfig, percent_grid, sweep
 from coinprune.snapshot import build_snapshot
 
-from oracles import (appdata_entries, decompress, op_return_entries,
-                     utxo_records)
+from oracles import (appdata_entries, compress_script, decompress,
+                     op_return_entries, utxo_records)
 
 GRID_TIME_BUDGET = 120.0  # seconds per (delta_r, k) grid, binomial path
 
@@ -92,16 +92,19 @@ def _replayed_coins(blocks) -> dict:
 def _state_matches(coins: dict, raw: bytes) -> bool:
     """Whether the UTXO set bytes `raw`, read in the documented record
     layout, hold exactly `coins` in strictly ascending (txid, vout)
-    order."""
+    order, each script in the case the case table gives it, so that the
+    bytes themselves, not only the coins they decode to, are fixed."""
     held = utxo_records(raw)
     outpoints = [coin[:2] for coin in held]
     ascending = all(a < b for a, b in zip(outpoints, outpoints[1:]))
-    return ascending and coins == {
-        (txid, vout): (amount, height, coinbase, decompress(compressed))
-        for txid, vout, amount, height, coinbase, compressed in held}
+    return ascending and {
+        outpoint: (amount, height, coinbase, compress_script(script))
+        for outpoint, (amount, height, coinbase, script) in coins.items()} \
+        == {(txid, vout): (amount, height, coinbase, compressed)
+            for txid, vout, amount, height, coinbase, compressed in held}
 
 
-def test_replay_oracle_catches_a_dropped_coin_and_a_changed_amount():
+def test_replay_oracle_catches_a_differing_set():
     builder = ChainBuilder(light_profile(), ChainParams(), 4)
     coins = _replayed_coins(builder.build(120))
     records = list(builder.utxo.records())
@@ -109,9 +112,15 @@ def test_replay_oracle_catches_a_dropped_coin_and_a_changed_amount():
     assert _state_matches(coins, b"".join(records))
     changed = bytearray(records[0])
     changed[36] ^= 1  # the amount's low byte
+    # a P2PKH coin stored verbatim decodes to the same script
+    at = next(i for i, record in enumerate(records) if record[49] == 0x00)
+    verbatim = records[:at] + [records[at][:49] + bytes([0x0A + 25])
+                               + decompress((0x00, records[at][50:70]))] \
+        + records[at + 1:]
     for raw in (b"".join(records[1:]), b"".join(records[:-1]),
                 bytes(changed) + b"".join(records[1:]),
-                b"".join([records[1], records[0]] + records[2:])):
+                b"".join([records[1], records[0]] + records[2:]),
+                b"".join(verbatim)):
         assert not _state_matches(coins, raw)
 
 

@@ -1,15 +1,14 @@
 import random
 import struct
 import tracemalloc
-from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from coinprune import snapshot as snapshot_mod
-from coinprune.chain import (ChainError, UtxoSet, obfuscate_record,
-                             outpoint_key, pack_record)
+from coinprune.chain import (ChainError, UtxoEntry, UtxoSet,
+                             obfuscate_record, outpoint_key, pack_record)
 from coinprune.hashing import hash256
 from coinprune.scripts import (CompressedTxOut, compress, obfuscate,
                                p2pk_script, p2pkh_script, p2sh_script,
@@ -31,37 +30,26 @@ ONE_CHUNK_ID = "b46b688a02e3669a1328e6591af4e52d6934624fb2e5d7448c831fa3fb4fba36
 TOP = 2 ** 32 - 1
 
 
-class Coin(NamedTuple):
-    """A coin's fields, in `pack_record`'s argument order."""
-    txid: bytes
-    vout: int
-    amount: int
-    height: int
-    coinbase: bool
-    compressed: CompressedTxOut
-
-
-def _entry(i: int, vout: int = 0, script: bytes | None = None) -> Coin:
+def _entry(i: int, vout: int = 0, script: bytes | None = None) -> UtxoEntry:
     txid = hash256(i.to_bytes(8, "little"))
     compressed = compress(script or p2pkh_script(txid[:20]))
-    return Coin(txid, vout, 1000 + i, i, i % 7 == 0, compressed)
+    return UtxoEntry(txid, vout, 1000 + i, i, i % 7 == 0, compressed)
 
 
-def _key(entry: Coin) -> bytes:
+def _key(entry: UtxoEntry) -> bytes:
     return outpoint_key(entry.txid, entry.vout)
 
 
-def _add(utxo: UtxoSet, entry: Coin) -> None:
-    utxo.add_records({_key(entry): pack_record(*entry)})
-
-
-def _packed(entry: Coin | None) -> bytes | None:
+def _packed(entry: UtxoEntry | None) -> bytes | None:
     """The record a set holds for the coin, or None for no coin."""
     return None if entry is None else pack_record(*entry)
 
 
 def _filled_set(n: int) -> UtxoSet:
-    return _set_of(map(_entry, range(n)))
+    utxo = UtxoSet()
+    for i in range(n):
+        utxo.add(_entry(i))
+    return utxo
 
 
 def _obfuscated_bytes(utxo: UtxoSet) -> bytes:
@@ -130,10 +118,10 @@ def test_decode_reports_byte_offset():
 
 def test_serialization_sorted_by_outpoint():
     a, b = _filled_set(30), UtxoSet()
-    shuffled = [_entry(i) for i in range(30)]
+    shuffled = list(_filled_set(30).entries())
     random.Random(5).shuffle(shuffled)
     for entry in shuffled:
-        _add(b, entry)
+        b.add(entry)
     assert serialize_utxo_set(a) == serialize_utxo_set(b)
 
 
@@ -143,7 +131,7 @@ def test_obfuscated_serialization_hides_payloads():
     utxo = UtxoSet()
     for i in range(25):
         script = p2pkh_script(hash256(b"addr" + i.to_bytes(8, "little"))[:20])
-        _add(utxo, _entry(i, script=script))
+        utxo.add(_entry(i, script=script))
     plain = serialize_utxo_set(utxo)
     hidden = _obfuscated_bytes(utxo)
     assert plain != hidden
@@ -278,9 +266,9 @@ def test_an_applied_set_holds_under_2_traced_bytes_per_coin():
     rng = random.Random(20)
     utxo = UtxoSet()
     for _ in range(20_000):
-        _add(utxo, Coin(rng.randbytes(32), rng.randrange(4),
-                        rng.randrange(1, 10 ** 12), rng.randrange(1, 800_000),
-                        False, compress(p2pkh_script(rng.randbytes(20)))))
+        utxo.add(UtxoEntry(rng.randbytes(32), rng.randrange(4),
+                           rng.randrange(1, 10 ** 12), rng.randrange(1, 800_000),
+                           False, compress(p2pkh_script(rng.randbytes(20)))))
     snap = build_snapshot(utxo, 800_000, b"\x05" * 32)
     del utxo
     tracemalloc.start()
@@ -321,8 +309,8 @@ def test_apply_rejects_records_out_of_order():
 
 def test_apply_rejects_a_record_above_the_snapshot_height():
     txid = hash256(b"three outputs")
-    coins = [Coin(txid, vout, 1000, height, False,
-                  compress(p2pkh_script(txid[:20])))
+    coins = [UtxoEntry(txid, vout, 1000, height, False,
+                       compress(p2pkh_script(txid[:20])))
              for vout, height in enumerate((3, 4, 5))]
     records = [pack_record(*e) for e in coins]
     chunks = [records[0], records[1] + records[2]]
@@ -416,7 +404,7 @@ coin_scripts = st.one_of(
     st.binary(min_size=32, max_size=32).map(p2wsh_script),
     st.binary(min_size=32, max_size=32).map(lambda x: p2pk_script(b"\x03" + x)),
     st.binary(min_size=1, max_size=60).filter(lambda s: s[0] != 0x6a))
-coins = st.builds(Coin, st.binary(min_size=32, max_size=32),
+coins = st.builds(UtxoEntry, st.binary(min_size=32, max_size=32),
                   st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 64 - 1),
                   st.integers(0, 2 ** 32 - 1), st.booleans(),
                   coin_scripts.map(compress))
@@ -426,7 +414,7 @@ coins = st.builds(Coin, st.binary(min_size=32, max_size=32),
 def test_record_backed_set_matches_oracle(added):
     utxo = UtxoSet()
     for entry in added:
-        _add(utxo, entry)
+        utxo.add(entry)
     assert len(utxo) == len(added)
     assert all(utxo.record(_key(e)) == pack_record(*e) for e in added)
     assert serialize_utxo_set(utxo) == _oracle_bytes(added)
@@ -437,6 +425,11 @@ def test_record_backed_set_matches_oracle(added):
     assert all(applied.record(_key(e)) == pack_record(*e) for e in hidden)
     assert serialize_utxo_set(applied) == _oracle_bytes(hidden)
     assert _obfuscated_bytes(utxo) == _oracle_bytes(hidden)
+    # entries() decodes the dict's records and the base's alike
+    plain = apply_snapshot(build_snapshot(utxo, TOP, b"\x06" * 32))
+    for held in (utxo, plain):
+        assert sorted(held.entries()) == sorted(utxo_records(bytes(held))) \
+            == sorted(added)
 
     spent, kept = added[::2], added[1::2]
     for entry in spent:
@@ -455,7 +448,7 @@ def test_add_rejects_an_entry_with_no_record_form():
                 entry._replace(height=2 ** 32), entry._replace(height=-1),
                 entry._replace(amount=2 ** 64), entry._replace(amount=-1)):
         with pytest.raises(ChainError, match="has no record form"):
-            _add(UtxoSet(), bad)
+            UtxoSet().add(bad)
 
 
 # txids that share coins, and one that shares only its first 8 bytes, so
@@ -463,7 +456,7 @@ def test_add_rejects_an_entry_with_no_record_form():
 _SHARED = [hash256(bytes([i])) for i in range(3)]
 _SHARED.append(_SHARED[0][:8] + b"\xff" * 24)
 layered_coins = st.builds(
-    Coin, st.one_of(st.sampled_from(_SHARED),
+    UtxoEntry, st.one_of(st.sampled_from(_SHARED),
                          st.binary(min_size=32, max_size=32)),
     st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 64 - 1),
     st.integers(0, 2 ** 32 - 1), st.booleans(), coin_scripts.map(compress))
@@ -475,7 +468,9 @@ def test_applied_set_layers_match_oracle(coins_):
     # an applied set spends from its base and adds to its dict; both
     # layers together must read as one set
     base, extra = coins_[::2], coins_[1::2]
-    source = _set_of(base)
+    source = UtxoSet()
+    for entry in base:
+        source.add(entry)
     applied = apply_snapshot(build_snapshot(source, TOP, b"\x06" * 32))
     untouched = applied.copy()
     assert serialize_utxo_set(applied) == _oracle_bytes(base)
@@ -485,11 +480,11 @@ def test_applied_set_layers_match_oracle(coins_):
         applied.remove(_key(entry))
     assert serialize_utxo_set(applied) == _oracle_bytes(kept)
     for entry in extra + spent[:1]:  # a spent base coin may come back
-        _add(applied, entry)
+        applied.add(entry)
     held = kept + extra + spent[:1]
     for entry in kept:
         with pytest.raises(ChainError):
-            _add(applied, entry)
+            applied.add(entry)
     for entry in spent[1:]:
         assert applied.record(_key(entry)) is None
         assert _key(entry) not in applied
@@ -510,12 +505,12 @@ def test_canonical_order_holds_past_one_byte_of_vout():
     # vout little-endian would put 256 before 1
     txid = hash256(b"one txid, many outputs")
     vouts = [0, 1, 255, 256, 65535, 65536, 2 ** 32 - 1]
-    added = [Coin(txid, vout, 1000 + vout, 5, False,
-                  compress(p2pkh_script(txid[:20]))) for vout in vouts]
+    added = [UtxoEntry(txid, vout, 1000 + vout, 5, False,
+                       compress(p2pkh_script(txid[:20]))) for vout in vouts]
     random.Random(9).shuffle(added)
     utxo = UtxoSet()
     for entry in added:
-        _add(utxo, entry)
+        utxo.add(entry)
     assert serialize_utxo_set(utxo) == _oracle_bytes(added)
     applied = apply_snapshot(build_snapshot(utxo, 5, b"\x06" * 32))
     assert serialize_utxo_set(applied) == _oracle_bytes(added)
@@ -564,7 +559,8 @@ def test_keys_that_are_not_bytes_are_refused():
                 utxo.remove(bad)
         with pytest.raises(TypeError):
             utxo.add_records({(entry.txid, 1): pack_record(*entry)})
-        assert len(utxo) == 1 and utxo.record(_key(entry)) == pack_record(*entry)
+        assert len(utxo) == 1
+        assert utxo.record(_key(entry)) == pack_record(*entry)
 
 
 # --- a multi-chunk plain build folds the set's dict into its chunks ----------
@@ -574,7 +570,8 @@ FOLDED = 20_000  # p2pkh records of 70 bytes: two 1 MiB chunks
 
 def _set_of(coins) -> UtxoSet:
     utxo = UtxoSet()
-    utxo.add_records({_key(e): pack_record(*e) for e in coins})
+    for entry in coins:
+        utxo.add(entry)
     return utxo
 
 
@@ -590,7 +587,7 @@ def test_a_multi_chunk_build_takes_its_chunks_as_the_set(by):
     for entry in spent_before:
         utxo.remove(_key(entry))
     for entry in every[1::2]:
-        _add(utxo, entry)
+        utxo.add(entry)
     assert utxo._records and utxo._live
     gone = set(spent_before)
     coins = [e for e in every if e not in gone]
@@ -612,12 +609,12 @@ def test_a_multi_chunk_build_takes_its_chunks_as_the_set(by):
         utxo.remove(_key(entry))
         oracle.remove(_key(entry))
     for entry in fresh + spent[:1]:  # a spent coin may come back
-        _add(utxo, entry)
-        _add(oracle, entry)
+        utxo.add(entry)
+        oracle.add(entry)
     for entry in coins[1:30:3] + fresh[:3]:
         for held in (utxo, oracle):
             with pytest.raises(ChainError):
-                _add(held, entry)
+                held.add(entry)
     for key in map(_key, spent[1:20]):
         for held in (utxo, oracle):
             assert key not in held and held.record(key) is None
@@ -681,10 +678,10 @@ def test_a_folded_set_holds_under_2_traced_bytes_per_coin():
     try:
         utxo = UtxoSet()
         for _ in range(FOLDED):
-            _add(utxo, Coin(rng.randbytes(32), rng.randrange(4),
-                            rng.randrange(1, 10 ** 12),
-                            rng.randrange(1, 800_000), False,
-                            compress(p2pkh_script(rng.randbytes(20)))))
+            utxo.add(UtxoEntry(rng.randbytes(32), rng.randrange(4),
+                               rng.randrange(1, 10 ** 12),
+                               rng.randrange(1, 800_000), False,
+                               compress(p2pkh_script(rng.randbytes(20)))))
         snap = build_snapshot(utxo, 7, b"\x05" * 32)
         held, _ = tracemalloc.get_traced_memory()
     finally:
