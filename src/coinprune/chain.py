@@ -19,7 +19,7 @@ import weakref
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 from .hashing import hash256
 from . import scripts
@@ -311,6 +311,10 @@ def genesis_block(params: ChainParams) -> Block:
 
 _RECORD_HEAD = struct.Struct("<32sIQIBB")
 RECORD_HEAD_SIZE = _RECORD_HEAD.size  # 50
+# a record after its txid and vout, which the outpoint key holds: the
+# tail that the set's dict keeps
+_TAIL_HEAD = struct.Struct("<QIBB")  # amount, height, coinbase, case
+_TAIL_AT = RECORD_HEAD_SIZE - _TAIL_HEAD.size  # 36
 _ORDER_HEAD = struct.Struct("<32sI8xI")  # txid, vout and height of a record
 _AMOUNT, _AMOUNT_AT = struct.Struct("<Q"), 36
 # a txid's first 8 bytes as a number; numeric order is their byte order
@@ -365,6 +369,17 @@ def _record_key(record: bytes) -> bytes:
     return record[:32] + record[35:31:-1]
 
 
+def _whole_record(key: bytes, tail: bytes) -> bytes:
+    """The record of the coin at outpoint `key` whose tail is `tail`:
+    the inverse of `_record_key` and `record[_TAIL_AT:]`."""
+    return key[:32] + key[35:31:-1] + tail
+
+
+def _duplicate(key: bytes) -> ChainError:
+    return ChainError(f"duplicate outpoint {key[:32].hex()}:"
+                      f"{int.from_bytes(key[32:], 'big')}")
+
+
 def obfuscate_record(record: bytes) -> bytes:
     """The record with its output passed through `scripts.obfuscate`."""
     comp = CompressedTxOut(record[_CASE_AT], record[RECORD_HEAD_SIZE:])
@@ -388,14 +403,16 @@ def _record_end(buf: bytes, offset: int) -> int:
     return end
 
 
-def _entry(record: bytes) -> UtxoEntry:
-    """Decode a record that was checked or packed before."""
-    txid, vout, amount, height, coinbase, case = _RECORD_HEAD.unpack_from(record)
+def _entry(key: bytes, tail: bytes) -> UtxoEntry:
+    """Decode the coin at outpoint `key` from its record's tail, which
+    was checked or packed before."""
+    amount, height, coinbase, case = _TAIL_HEAD.unpack_from(tail)
     # tuple.__new__ skips the named tuples' Python-level constructors,
     # which are half the cost of a decode
     return tuple.__new__(UtxoEntry, (
-        txid, vout, amount, height, coinbase == 1,
-        tuple.__new__(CompressedTxOut, (case, record[RECORD_HEAD_SIZE:]))))
+        key[:32], int.from_bytes(key[32:], "big"), amount, height,
+        coinbase == 1,
+        tuple.__new__(CompressedTxOut, (case, tail[_TAIL_HEAD.size:]))))
 
 
 class _Base:
@@ -465,7 +482,9 @@ class UtxoSet:
     chunks in place, with a spent mark of one byte per coin: a base
     coin spent, or read by `record` (which moves it to the dict), is
     marked. Coins added since, and every coin of a set that never had a
-    snapshot, sit in a dict from key to record. `records`, `bytes` and
+    snapshot, sit in a dict from key to the record's tail, the bytes
+    after its txid and vout, which the key holds; `record`, `records`
+    and `bytes` rebuild the whole record. `records`, `bytes` and
     `entries` walk the chunks in order; the first `in`, `record` or
     `remove` that reaches the base builds its index of 16 bytes per
     coin, the txid's first 8 bytes and the chunk number and offset,
@@ -473,13 +492,14 @@ class UtxoSet:
     bisected by key. Copies share the chunks and the index, so it is
     built once.
 
-    `fold` makes a set's own records its base the same way, as an LSM
-    tree folds its memtable into a sorted run, and empties the dict: a
-    coin then costs its record in the chunks and its spent mark, and 16
-    bytes more once a lookup builds the index, against about 207 bytes
+    `fold` packs a set's own records into chunks and makes them its
+    base the same way, as an LSM tree writes its memtable out as a
+    sorted run, taking the coins out of the dict as it goes: a coin
+    then costs its record in the chunks and its spent mark, and 16
+    bytes more once a lookup builds the index, against about 166 bytes
     in the dict. A plain `build_snapshot` of more than one chunk folds
-    the set into the built chunks, which the set and the snapshot then
-    share; a one-chunk set keeps its dict, whose hash probes are
+    the set into the chunks it builds, which the set and the snapshot
+    then share; a one-chunk set keeps its dict, whose hash probes are
     cheaper than the base's bisection. A kept join folds too, at any
     size: the joined node applies no more blocks.
     """
@@ -526,10 +546,40 @@ class UtxoSet:
         utxo._lay_base(chunks, count)
         return utxo
 
-    def fold(self, chunks: Iterable[bytes]) -> None:
-        """Take `chunks`, which hold exactly this set's records in
-        canonical order, unchecked, as the base and empty the dict."""
-        self._lay_base(tuple(chunks), len(self))
+    def fold(self, pack: Callable[[Iterable[bytes]], Iterable[bytes]],
+             min_chunks: int = 1) -> tuple:
+        """The chunks `pack` makes of the set's records, which it is
+        given in canonical order and must keep in order, unsplit. When
+        there are at least `min_chunks` of them, they become the base
+        and the dict empties: each chunk's dict coins leave the dict as
+        soon as `pack` yields the chunk after it, so the coins are not
+        held twice over while they are packed. If `pack` raises, the
+        set holds what it held."""
+        records, count = self._records, len(self)
+        keys = sorted(records)
+        chunks, done = [], 0  # keys[:done] have left the dict
+        try:
+            for chunk in pack(self._walk(keys)):
+                if chunks:  # every coin before this chunk is packed
+                    stop = bisect_left(keys, _record_key(chunk), done)
+                    for key in keys[done:stop]:
+                        del records[key]
+                    # and the list lets go of their keys
+                    keys[done:stop] = itertools.repeat(None, stop - done)
+                    done = stop
+                chunks.append(chunk)
+        except BaseException:
+            # the coins that left the dict are in the chunks: each record
+            # there that the base does not hold goes back
+            for record in _Base(tuple(chunks)).records(bytearray(count)):
+                key = _record_key(record)
+                if self._base_slot(key) < 0:
+                    records[key] = record[_TAIL_AT:]
+            raise
+        chunks = tuple(chunks)
+        if len(chunks) >= min_chunks:
+            self._lay_base(chunks, count)
+        return chunks
 
     def _lay_base(self, chunks: tuple, count: int) -> None:
         """Make `chunks`, which hold `count` records, the base and empty
@@ -576,33 +626,45 @@ class UtxoSet:
 
     def record(self, key: bytes) -> bytes | None:
         """The record of the coin at outpoint `key`, or None."""
-        record = self._records.get(key)
-        if record is None:
-            slot = self._base_slot(key)
-            if slot < 0:
-                return None
-            # a base coin read moves to the dict, as in a coins cache, so
-            # the spend that usually follows finds it there
-            record = self._records[key] = self._base.record(slot)
-            self._gone[slot] = 1
-            self._live -= 1
+        tail = self._records.get(key)
+        if tail is not None:
+            return _whole_record(key, tail)
+        slot = self._base_slot(key)
+        if slot < 0:
+            return None
+        # a base coin read moves to the dict, as in a coins cache, so the
+        # spend that usually follows finds it there
+        record = self._base.record(slot)
+        self._records[key] = record[_TAIL_AT:]
+        self._gone[slot] = 1
+        self._live -= 1
         return record
 
     def add(self, entry: UtxoEntry) -> None:
-        record = pack_record(*entry)
-        key = outpoint_key(entry.txid, entry.vout)
+        """ChainError when the coin has no record form, a field outside
+        its unsigned width or a payload its case does not fit, or when
+        the set holds a coin at its outpoint."""
+        txid, vout, amount, height, coinbase, comp = entry
+        key = outpoint_key(txid, vout)  # b"" for a vout outside u32
+        try:
+            tail = _TAIL_HEAD.pack(amount, height, 1 if coinbase else 0,
+                                   comp.case) + comp.payload
+        except struct.error:
+            tail = b""
+        if len(key) != 36 or len(tail) != _RECORD_SIZE[comp.case] - _TAIL_AT:
+            raise ChainError(f"coin {txid.hex()}:{vout} has no record form")
         if key in self:
-            raise ChainError("duplicate outpoint created")
-        self._records[key] = record
+            raise _duplicate(key)
+        self._records[key] = tail
 
     def add_records(self, records: dict[bytes, bytes]) -> None:
         """Insert packed records under their outpoint keys; ChainError,
         inserting none, when the set holds a coin at any of them."""
         for key in records:
             if key in self:
-                raise ChainError(f"duplicate outpoint {key[:32].hex()}:"
-                                 f"{int.from_bytes(key[32:], 'big')}")
-        self._records.update(records)
+                raise _duplicate(key)
+        self._records.update({key: record[_TAIL_AT:]
+                              for key, record in records.items()})
 
     def remove(self, key: bytes) -> None:
         """KeyError when the set holds no coin at outpoint `key`."""
@@ -615,18 +677,23 @@ class UtxoSet:
 
     def entries(self) -> Iterator[UtxoEntry]:
         """Every coin: the dict's in insertion order, then the base's."""
-        return map(_entry, itertools.chain(self._records.values(),
-                                           self._base.records(self._gone)))
+        base = ((_record_key(record), record[_TAIL_AT:])
+                for record in self._base.records(self._gone))
+        return itertools.starmap(_entry, itertools.chain(
+            self._records.items(), base))
 
     def records(self) -> Iterable[bytes]:
         """Every record, sorted by (txid, vout): the canonical order,
-        which is the keys' byte order and the base's slot order. The
-        base's records are read lazily, so use them before changing the
-        set."""
+        which is the keys' byte order and the base's slot order. They
+        are read lazily, so use them before changing the set."""
+        return self._walk(sorted(self._records))
+
+    def _walk(self, keys: list) -> Iterable[bytes]:
+        """`records`, given the dict's keys sorted."""
         records, base = self._records, self._base.records(self._gone)
         if not records:
             return base
-        added = [records[key] for key in sorted(records)]
+        added = (_whole_record(key, records[key]) for key in keys)
         if not self._live:
             return added
         return heapq.merge(base, added, key=_record_key)

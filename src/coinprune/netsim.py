@@ -636,13 +636,12 @@ class Simulation:
         whose entries equal an earlier store's takes that store."""
         node = self.nodes[name]
         node.pruned_below, node.held = heights.start, held
-        chunks = tuple(snapshot_mod.chunk_records(utxo.records()))
+        chunks = utxo.fold(snapshot_mod.chunk_records)
         for kept_chunks, kept in self._kept_states:  # compared bytewise
             if kept_chunks == chunks:
                 utxo = kept.copy()
                 break
         else:
-            utxo.fold(chunks)
             self._kept_states.append((chunks, utxo.copy()))
         for kept in self.join_stores.values():
             if kept == store:

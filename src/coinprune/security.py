@@ -272,7 +272,8 @@ class SweepResult:
     def from_csv(cls, text: str) -> "SweepResult":
         """Rows as write_csv writes them, in any order, under the grid
         they cover; ValueError unless they hold each cell of that grid
-        exactly once."""
+        exactly once, each with outcome frequencies that sum to 1 within
+        1e-9: they are shares of the same trials."""
         def rows():
             for r in csv.DictReader(io.StringIO(text)):
                 yield (int(r["delta_r"]), int(r["k"]), float(r["f_C"]),
@@ -300,6 +301,9 @@ class SweepResult:
             if filled[index]:
                 raise ValueError(f"more than one row for the cell {row[:4]}")
             filled[index] = 1
+            if not abs(sum(row[4:]) - 1) <= 1e-9:  # nan too
+                raise ValueError(f"the outcomes of the cell {row[:4]} sum "
+                                 f"to {sum(row[4:])}, not 1")
             columns[3 * index:3 * index + 3] = array("d", row[4:])
         return cls(config, columns)
 

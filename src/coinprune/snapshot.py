@@ -12,9 +12,10 @@ so a verifier can localize a corrupted chunk without re-downloading the
 rest, and an empty set still has a well-defined id.
 """
 
+import io
 import os
 import struct
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .hashing import hash256
 # the record codec lives in chain, beside the set that holds records
@@ -76,22 +77,20 @@ def serialize_utxo_set(utxo: UtxoSet) -> bytes:
     return bytes(utxo)
 
 
-def chunk_records(records: Iterable[bytes]) -> list[bytes]:
-    """Greedy 1 MiB packing; records are never split across chunks."""
-    chunks: list[bytes] = []
-    current: list[bytes] = []
-    size = 0
+def chunk_records(records: Iterable[bytes]) -> Iterator[bytes]:
+    """Greedy 1 MiB packing; records are never split across chunks.
+    Each chunk is yielded once the record after it is drawn."""
+    # getvalue hands a BytesIO's buffer over without copying it
+    current = io.BytesIO()
     for record in records:
         if len(record) > CHUNK_SIZE:
             raise SnapshotError("record larger than the chunk limit")
-        if size + len(record) > CHUNK_SIZE:
-            chunks.append(b"".join(current))
-            current, size = [], 0
-        current.append(record)
-        size += len(record)
-    if current:
-        chunks.append(b"".join(current))
-    return chunks
+        if current.tell() + len(record) > CHUNK_SIZE:
+            yield current.getvalue()
+            current = io.BytesIO()
+        current.write(record)
+    if current.tell():
+        yield current.getvalue()
 
 
 def layered_id(header_digest: bytes, chunk_digests: Iterable[bytes]) -> bytes:
@@ -104,15 +103,14 @@ def build_snapshot(utxo: UtxoSet, height: int, block_id: bytes,
     """The snapshot of the set's records in canonical order, each
     obfuscated if asked. The records are always packed afresh, so the
     layout of a base the set was applied from never changes the id. A
-    plain snapshot of more than one chunk then becomes the set's base,
-    and the set drops its dict (see `UtxoSet`)."""
-    records = utxo.records()
+    plain build of more than one chunk folds the set into its chunks as
+    it packs them: they become the set's base, and the set drops its
+    dict (see `UtxoSet`)."""
     if obfuscate:
-        records = map(obfuscate_record, records)
-    snap = Snapshot.assemble(height, block_id, chunk_records(records))
-    if not obfuscate and len(snap.chunks) > 1:
-        utxo.fold(snap.chunks)
-    return snap
+        chunks = chunk_records(map(obfuscate_record, utxo.records()))
+    else:
+        chunks = utxo.fold(chunk_records, min_chunks=2)
+    return Snapshot.assemble(height, block_id, chunks)
 
 
 def verify_snapshot(snapshot: Snapshot, expected_id: bytes,

@@ -513,10 +513,17 @@ def test_out_of_range_arguments_are_usage_errors(tmp_path, capsys, argv):
               "1.0,0.0,100,5,-3.0,0.0,0.0\n"),
     ("sweep", "f_C,f_A,delta_r,k,p_correct,p_adversary,p_skipped\n"
               "1.0,0.0,100,5,0.0,7.5,0.0\n"),
+    # each probability in [0, 1], but the three are shares of the same
+    # trials, so they sum to 1
+    ("sweep", "f_C,f_A,delta_r,k,p_correct,p_adversary,p_skipped\n"
+              "1.0,0.0,100,5,1.0,1.0,1.0\n"),
+    ("sweep", "f_C,f_A,delta_r,k,p_correct,p_adversary,p_skipped\n"
+              "1.0,0.0,100,5,0.25,0.25,0.0\n"),
 ], ids=["storage-inf", "storage-nan", "sweep-inf", "sweep-nan",
         "storage-oversized-field", "sweep-oversized-field",
         "storage-negative", "sweep-negative-probability",
-        "sweep-probability-above-1"])
+        "sweep-probability-above-1", "sweep-outcomes-sum-to-3",
+        "sweep-outcomes-sum-to-half"])
 def test_report_rejects_non_finite_numbers(tmp_path, capsys, kind, text):
     source = tmp_path / f"{kind}.csv"
     source.write_text(text)

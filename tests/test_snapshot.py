@@ -161,13 +161,13 @@ def test_chunking_is_greedy():
     records = [b"x" * (CHUNK_SIZE // 2 + 1)] * 3
     chunks = chunk_records(records)
     assert [len(c) for c in chunks] == [CHUNK_SIZE // 2 + 1] * 3
-    small = chunk_records([b"ab"] * 100)
+    small = list(chunk_records([b"ab"] * 100))
     assert len(small) == 1
 
 
 def test_oversized_record_rejected():
     with pytest.raises(SnapshotError):
-        chunk_records([b"y" * (CHUNK_SIZE + 1)])
+        list(chunk_records([b"y" * (CHUNK_SIZE + 1)]))
 
 
 # --- verification ----------------------------------------------------------------
@@ -596,7 +596,7 @@ def test_a_multi_chunk_build_takes_its_chunks_as_the_set(by):
         snap = build_snapshot(utxo, 9, b"\x07" * 32)
         assert utxo._base.chunks is snap.chunks
     else:
-        utxo.fold(chunk_records(utxo.records()))
+        assert utxo.fold(chunk_records) == utxo._base.chunks
     folded = utxo._base.chunks
     assert len(folded) >= 2 and not utxo._records
 
@@ -613,7 +613,8 @@ def test_a_multi_chunk_build_takes_its_chunks_as_the_set(by):
         oracle.add(entry)
     for entry in coins[1:30:3] + fresh[:3]:
         for held in (utxo, oracle):
-            with pytest.raises(ChainError):
+            with pytest.raises(ChainError, match=f"^duplicate outpoint "
+                               f"{entry.txid.hex()}:{entry.vout}$"):
                 held.add(entry)
     for key in map(_key, spent[1:20]):
         for held in (utxo, oracle):
@@ -691,6 +692,94 @@ def test_a_folded_set_holds_under_2_traced_bytes_per_coin():
     assert (held - sum(map(len, snap.chunks))) / FOLDED < 2
 
 
+def _p2pkh_coins(seed: int) -> list[UtxoEntry]:
+    rng = random.Random(seed)
+    return [UtxoEntry(rng.randbytes(32), rng.randrange(4),
+                      rng.randrange(1, 10 ** 12), rng.randrange(1, 800_000),
+                      False, compress(p2pkh_script(rng.randbytes(20))))
+            for _ in range(FOLDED)]
+
+
+def test_a_dict_held_coin_holds_under_175_traced_bytes():
+    # the dict keeps a coin's record tail, 34 bytes for a p2pkh coin,
+    # under its 36-byte outpoint key: 165.5 traced bytes a coin
+    coins = _p2pkh_coins(22)
+    tracemalloc.start()
+    try:
+        utxo = _set_of(coins)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(utxo) == FOLDED and utxo._base.chunks == ()
+    assert held / FOLDED < 175
+
+
+@pytest.mark.parametrize("chunk_size,bound", [(CHUNK_SIZE, 1.5),
+                                              (1 << 16, 0.5)])
+def test_a_plain_build_peaks_near_its_chunks_above_the_set(
+        monkeypatch, chunk_size, bound):
+    # each chunk is packed in place, and its coins leave the dict once
+    # the next is packed: above the set, the peak read 1.20 times the
+    # chunks' bytes in two 1 MiB chunks and 0.21 times in 22 of 64 KiB,
+    # where a build that kept every coin until the end read 1.13
+    monkeypatch.setattr(snapshot_mod, "CHUNK_SIZE", chunk_size)
+    coins = _p2pkh_coins(23)
+    tracemalloc.start()
+    try:
+        utxo = _set_of(coins)
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        snap = build_snapshot(utxo, 7, b"\x05" * 32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(snap.chunks) >= 2 and utxo._base.chunks is snap.chunks
+    assert bytes(utxo) == _oracle_bytes(coins)
+    assert (peak - before) / sum(map(len, snap.chunks)) < bound
+
+
+@pytest.mark.parametrize("after", [1, 2, 4])
+@pytest.mark.parametrize("applied", [False, True], ids=["dict", "layered"])
+def test_a_build_that_raises_part_way_leaves_the_set_as_it_was(
+        monkeypatch, applied, after):
+    # packing raises once it has yielded `after` chunks; from the second
+    # on, the coins of the chunks before have left the dict and go back
+    monkeypatch.setattr(snapshot_mod, "CHUNK_SIZE", 2000)  # 28 p2pkh coins
+    every = [_entry(i) for i in range(300)]
+    if applied:  # coins in both layers, as in the multi-chunk test above
+        utxo = apply_snapshot(build_snapshot(_set_of(every[::2]), TOP,
+                                             b"\x07" * 32))
+        for entry in every[:100:4]:
+            utxo.record(_key(entry))
+        for entry in every[2:100:4]:
+            utxo.remove(_key(entry))
+        for entry in every[1::2]:
+            utxo.add(entry)
+        assert utxo._records and utxo._live
+    else:
+        utxo = _set_of(every)
+    before = utxo.copy()
+    expected = build_snapshot(before, 9, b"\x07" * 32)
+    assert len(expected.chunks) > after
+    real = snapshot_mod.chunk_records
+
+    def raising(records):
+        for number, chunk in enumerate(real(records), 1):
+            yield chunk
+            if number == after:
+                raise OSError("disk full")
+
+    monkeypatch.setattr(snapshot_mod, "chunk_records", raising)
+    with pytest.raises(OSError, match="disk full"):
+        build_snapshot(utxo, 9, b"\x07" * 32)
+    assert len(utxo) == len(before)
+    assert bytes(utxo) == b"".join(expected.chunks)
+    for entry in every:
+        assert utxo.record(_key(entry)) == before.record(_key(entry))
+    monkeypatch.setattr(snapshot_mod, "chunk_records", real)
+    assert build_snapshot(utxo, 9, b"\x07" * 32).id == expected.id
+
+
 # --- an applied base builds its index at the first point lookup -------------
 
 def test_the_first_lookup_builds_the_index_once_for_every_copy():
@@ -719,7 +808,7 @@ def test_the_first_lookup_builds_the_index_once_for_every_copy():
 
 POOL = 60  # operations name a coin by its position in the pool, modulo
 lazy_ops = st.lists(st.one_of(
-    st.just(("records",)), st.just(("bytes",)),
+    st.just(("records",)), st.just(("bytes",)), st.just(("build",)),
     st.tuples(st.sampled_from(["in", "record", "remove"]),
               st.integers(0, POOL - 1)),
     st.tuples(st.just("add_records"),
@@ -731,9 +820,9 @@ lazy_ops = st.lists(st.one_of(
                 unique_by=lambda e: (e.txid, e.vout)),
        st.integers(1, 4), lazy_ops)
 @example([_entry(i) for i in range(8)], 2,
-         [("records",), ("bytes",), ("in", 0), ("records",), ("record", 2),
-          ("bytes",), ("remove", 4), ("add_records", [1, 0]),
-          ("add_records", [1]), ("records",), ("remove", 4)])
+         [("records",), ("bytes",), ("in", 0), ("build",), ("records",),
+          ("record", 2), ("bytes",), ("remove", 4), ("add_records", [1, 0]),
+          ("build",), ("add_records", [1]), ("records",), ("remove", 4)])
 def test_a_lazily_indexed_set_matches_a_dict_oracle(coins_, per_chunk, ops):
     # half the coins are the applied base, laid `per_chunk` records to a
     # chunk; the walks read it before and after the index exists
@@ -750,6 +839,16 @@ def test_a_lazily_indexed_set_matches_a_dict_oracle(coins_, per_chunk, ops):
             assert b"".join(utxo.records()) == _oracle_bytes(oracle.values())
         elif op == "bytes":
             assert bytes(utxo) == _oracle_bytes(oracle.values())
+        elif op == "build":
+            # chunks of a few records, so a plain build of a few coins
+            # packs more than one and folds the set; the longest record,
+            # 295 bytes, still fits
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(snapshot_mod, "CHUNK_SIZE", 300)
+                built = build_snapshot(utxo, TOP, b"\x06" * 32)
+            assert b"".join(built.chunks) == _oracle_bytes(oracle.values())
+            assert (utxo._base.chunks is built.chunks) \
+                == (len(built.chunks) > 1)
         elif op == "add_records":
             added = {_key(e): e
                      for e in (coins_[i % len(coins_)] for i in args[0])}
