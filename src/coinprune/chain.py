@@ -375,11 +375,6 @@ def _whole_record(key: bytes, tail: bytes) -> bytes:
     return key[:32] + key[35:31:-1] + tail
 
 
-def _duplicate(key: bytes) -> ChainError:
-    return ChainError(f"duplicate outpoint {key[:32].hex()}:"
-                      f"{int.from_bytes(key[32:], 'big')}")
-
-
 def obfuscate_record(record: bytes) -> bytes:
     """The record with its output passed through `scripts.obfuscate`."""
     comp = CompressedTxOut(record[_CASE_AT], record[RECORD_HEAD_SIZE:])
@@ -654,7 +649,7 @@ class UtxoSet:
         if len(key) != 36 or len(tail) != _RECORD_SIZE[comp.case] - _TAIL_AT:
             raise ChainError(f"coin {txid.hex()}:{vout} has no record form")
         if key in self:
-            raise _duplicate(key)
+            raise ChainError(f"duplicate outpoint {txid.hex()}:{vout}")
         self._records[key] = tail
 
     def add_records(self, records: dict[bytes, bytes]) -> None:
@@ -662,7 +657,8 @@ class UtxoSet:
         inserting none, when the set holds a coin at any of them."""
         for key in records:
             if key in self:
-                raise _duplicate(key)
+                raise ChainError(f"duplicate outpoint {key[:32].hex()}:"
+                                 f"{int.from_bytes(key[32:], 'big')}")
         self._records.update({key: record[_TAIL_AT:]
                               for key, record in records.items()})
 
