@@ -644,9 +644,11 @@ class UtxoSet:
         try:
             tail = _TAIL_HEAD.pack(amount, height, 1 if coinbase else 0,
                                    comp.case) + comp.payload
-        except struct.error:
-            tail = b""
-        if len(key) != 36 or len(tail) != _RECORD_SIZE[comp.case] - _TAIL_AT:
+            fits = len(key) == 36 \
+                and len(tail) == _RECORD_SIZE[comp.case] - _TAIL_AT
+        except struct.error:  # a field outside its unsigned width
+            fits = False
+        if not fits:
             raise ChainError(f"coin {txid.hex()}:{vout} has no record form")
         if key in self:
             raise ChainError(f"duplicate outpoint {txid.hex()}:{vout}")

@@ -451,6 +451,15 @@ def test_add_rejects_an_entry_with_no_record_form():
             UtxoSet().add(bad)
 
 
+def test_add_rejects_a_case_outside_a_byte():
+    entry = _entry(1)
+    for case in (256, -1):
+        bad = entry._replace(
+            compressed=CompressedTxOut(case, entry.compressed.payload))
+        with pytest.raises(ChainError, match="has no record form"):
+            UtxoSet().add(bad)
+
+
 # txids that share coins, and one that shares only its first 8 bytes, so
 # the index meets runs of equal prefixes
 _SHARED = [hash256(bytes([i])) for i in range(3)]
