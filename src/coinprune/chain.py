@@ -492,11 +492,10 @@ class UtxoSet:
     sorted run, taking the coins out of the dict as it goes: a coin
     then costs its record in the chunks and its spent mark, and 16
     bytes more once a lookup builds the index, against about 166 bytes
-    in the dict. A plain `build_snapshot` of more than one chunk folds
-    the set into the chunks it builds, which the set and the snapshot
-    then share; a one-chunk set keeps its dict, whose hash probes are
-    cheaper than the base's bisection. A kept join folds too, at any
-    size: the joined node applies no more blocks.
+    in the dict. Every plain `build_snapshot` folds the set into the
+    chunks it builds, which the set and the snapshot then share, so a
+    set that goes on applying blocks keeps in its dict only the coins
+    created since its last build. A kept join folds too.
     """
 
     def __init__(self) -> None:
@@ -541,15 +540,14 @@ class UtxoSet:
         utxo._lay_base(chunks, count)
         return utxo
 
-    def fold(self, pack: Callable[[Iterable[bytes]], Iterable[bytes]],
-             min_chunks: int = 1) -> tuple:
+    def fold(self, pack: Callable[[Iterable[bytes]], Iterable[bytes]]
+             ) -> tuple:
         """The chunks `pack` makes of the set's records, which it is
-        given in canonical order and must keep in order, unsplit. When
-        there are at least `min_chunks` of them, they become the base
-        and the dict empties: each chunk's dict coins leave the dict as
-        soon as `pack` yields the chunk after it, so the coins are not
-        held twice over while they are packed. If `pack` raises, the
-        set holds what it held."""
+        given in canonical order and must keep in order, unsplit. They
+        become the base and the dict empties: each chunk's dict coins
+        leave the dict as soon as `pack` yields the chunk after it, so
+        the coins are not held twice over while they are packed. If
+        `pack` raises, the set holds what it held."""
         records, count = self._records, len(self)
         keys = sorted(records)
         chunks, done = [], 0  # keys[:done] have left the dict
@@ -572,8 +570,7 @@ class UtxoSet:
                     records[key] = record[_TAIL_AT:]
             raise
         chunks = tuple(chunks)
-        if len(chunks) >= min_chunks:
-            self._lay_base(chunks, count)
+        self._lay_base(chunks, count)
         return chunks
 
     def _lay_base(self, chunks: tuple, count: int) -> None:

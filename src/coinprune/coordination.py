@@ -35,8 +35,11 @@ class PulseParams:
     k: int = 5
 
     def __post_init__(self) -> None:
-        if self.delta_p <= 0 or self.delta_r <= 0 or self.delta_d < 0:
-            raise CoordinationError("pulse intervals must be positive")
+        for name, least in (("delta_p", 1), ("delta_r", 1), ("delta_d", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise CoordinationError(
+                    f"{name} must be at least {least}, not {value}")
         if not 1 <= self.k <= self.delta_r:
             raise CoordinationError(
                 "acceptance threshold must be between 1 and delta_r")

@@ -17,8 +17,11 @@ produce byte-identical traces and reports.
 
 import csv
 import io
+import os
 import random
 import struct
+import tempfile
+import weakref
 from dataclasses import dataclass
 
 from .hashing import hash256
@@ -53,7 +56,7 @@ KNOWN_FAULTS = ("bogus_tags", "bogus_chunks", "bogus_snapshot", "eclipse")
 MAX_BOOTSTRAP_ATTEMPTS = 3  # neighbor samples a joiner tries before giving up
 CHUNK_RETRY = 2  # deliveries of one chunk before an attempt aborts
 BLOCK_BATCH = 16  # blocks requested from one peer per round
-TRACE_PAGE_LINES = 1024  # trace lines joined into one held str
+TRACE_PAGE_LINES = 1024  # trace lines written to the trace file at once
 
 SCENARIO_KEYS = {"seed", "blocks", "nodes", "roles", "params", "faults",
                  "obfuscate", "appdata", "txs_per_block", "neighbors"}
@@ -158,26 +161,36 @@ class JoinOutcome:
 
 class Trace:
     """Line-delimited event log; bytes are compared across runs. Every
-    TRACE_PAGE_LINES lines are joined into one page str, since a str per
-    line costs about 75 bytes besides its text; a line holds no newline."""
+    TRACE_PAGE_LINES lines are written as one page to an unnamed
+    temporary file, as `chain.BlockFile` keeps a chain, so memory holds
+    only the open page; a line holds no newline. The file is closed
+    when the trace is dropped."""
 
     def __init__(self) -> None:
-        self._pages: list[str] = []  # each TRACE_PAGE_LINES lines, "\n"-joined
+        fh = tempfile.TemporaryFile(buffering=0)
+        self._finalizer = weakref.finalize(self, fh.close)
+        self._fd = fh.fileno()
+        self._end = 0  # bytes of the written pages, each line "\n"-ended
         self._open: list[str] = []  # the lines since the last page
 
     def add(self, line: str) -> None:
         self._open.append(line)
         if len(self._open) == TRACE_PAGE_LINES:
-            self._pages.append("\n".join(self._open))
+            page = ("\n".join(self._open) + "\n").encode()
+            os.pwrite(self._fd, page, self._end)
+            self._end += len(page)
             self._open.clear()
 
     def to_text(self) -> str:
-        return "\n".join([*self._pages, *self._open]) + "\n"
+        text = os.pread(self._fd, self._end, 0).decode()
+        if self._open or not text:
+            text += "\n".join(self._open) + "\n"
+        return text
 
     @property
     def lines(self) -> list[str]:
         """The added lines, split back out of the text."""
-        if not self._pages and not self._open:
+        if not self._end and not self._open:
             return []  # the text of no lines is that of one empty line
         return self.to_text().split("\n")[:-1]
 

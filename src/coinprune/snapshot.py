@@ -103,13 +103,12 @@ def build_snapshot(utxo: UtxoSet, height: int, block_id: bytes,
     """The snapshot of the set's records in canonical order, each
     obfuscated if asked. The records are always packed afresh, so the
     layout of a base the set was applied from never changes the id. A
-    plain build of more than one chunk folds the set into its chunks as
-    it packs them: they become the set's base, and the set drops its
-    dict (see `UtxoSet`)."""
+    plain build folds the set into its chunks as it packs them: they
+    become the set's base, and the set drops its dict (see `UtxoSet`)."""
     if obfuscate:
         chunks = chunk_records(map(obfuscate_record, utxo.records()))
     else:
-        chunks = utxo.fold(chunk_records, min_chunks=2)
+        chunks = utxo.fold(chunk_records)
     return Snapshot.assemble(height, block_id, chunks)
 
 

@@ -70,6 +70,9 @@ def test_low_support_preset_is_constructible():
 def test_param_validation():
     with pytest.raises(CoordinationError):
         PulseParams(delta_p=0, delta_r=10)
+    with pytest.raises(CoordinationError, match="delta_d must be at least 0"):
+        PulseParams(delta_p=10, delta_r=10, delta_d=-1)
+    PulseParams(delta_p=10, delta_r=10, delta_d=0)  # no settling blocks
     with pytest.raises(CoordinationError):
         PulseParams(delta_p=10, delta_r=10, k=0)
     with pytest.raises(CoordinationError):  # k reaffirmations cannot fit

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from coinprune import netsim, scripts
 from coinprune import snapshot as snapshot_mod
 from coinprune.chain import (BlockFile, BlockHeader, ChainParams, TxOutput,
-                             coinbase_tx, make_block, outpoint_key)
+                             UtxoSet, coinbase_tx, make_block, outpoint_key,
+                             validate_and_apply_block)
 from coinprune.coordination import PulseParams
 from coinprune.hashing import hash256
 from coinprune.appdata import combined_tag
@@ -164,6 +165,30 @@ def test_joins_that_end_in_one_state_share_its_base(honest_run):
     assert len({id(store) for store in sim.join_stores.values()}) == 1
 
 
+def test_the_builder_reads_older_coins_from_its_last_pulse_snapshot(
+        honest_run):
+    # a plain pulse folds the builder's set into the snapshot's chunks,
+    # so its dict holds only the coins mined since; an obfuscated
+    # snapshot's chunks hold no plain records, so that builder keeps
+    # its dict
+    sim, _ = honest_run
+    utxo, last = sim.builder.utxo, sim.pulses[max(sim.pulses)]
+    assert utxo._base.chunks is last.genuine_snap.chunks
+    assert utxo._records
+    for key in list(utxo._records):
+        assert utxo_records(utxo.record(key))[0][3] > last.height
+    replayed, prev_id = UtxoSet(), bytes(32)
+    for height in range(len(sim.builder.blocks)):
+        prev_id = validate_and_apply_block(replayed, sim.builder.blocks[height],
+                                           height, prev_id, sim.builder.params)
+    assert replayed._base.chunks == () and bytes(replayed) == bytes(utxo)
+    hidden, _ = run_simulation(_scenario(
+        obfuscate=True, chain_length=210, nodes=(NodeConfig("m0", "miner"),)))
+    assert 1 in hidden.pulses
+    assert hidden.builder.utxo._base.chunks == ()
+    assert len(hidden.builder.utxo._records) == len(hidden.builder.utxo) > 0
+
+
 def _two_snapshot_joins():
     nodes = _scenario().nodes + (NodeConfig("jcp2", "joining"),)
     sim, _ = run_simulation(_scenario(nodes=nodes))
@@ -235,9 +260,11 @@ def test_trace_pages_give_the_text_of_the_added_lines(count):
     assert trace.lines == lines
 
 
-def test_a_trace_holds_little_more_than_its_text():
+def test_a_trace_holds_only_its_open_page():
     # seed 1's sim-bootstrap run adds about 27,000 lines of about 27
-    # characters; held one str per line they cost 3.07 bytes per character
+    # characters; held one str per line they cost 3.07 bytes per
+    # character, joined into page strs about 1.0. Written pages sit in
+    # the trace's file, so memory holds the 376 lines of the open page
     trace = netsim.Trace()
     tracemalloc.start()
     try:
@@ -246,7 +273,30 @@ def test_a_trace_holds_little_more_than_its_text():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert held / len(trace.to_text()) < 1.1
+    assert held / len(trace.to_text()) < 0.1
+
+
+def _next_fd() -> int:
+    """The descriptor the next open gets, the lowest free one: a file
+    left open since the last call changes it."""
+    fd = os.open(os.devnull, os.O_RDONLY)
+    os.close(fd)
+    return fd
+
+
+def test_a_dropped_trace_or_finished_simulation_leaves_no_file_open():
+    fd = _next_fd()
+    trace = netsim.Trace()
+    for i in range(netsim.TRACE_PAGE_LINES + 1):  # one page written
+        trace.add(f"line {i}")
+    assert _next_fd() != fd
+    del trace
+    assert _next_fd() == fd
+    sim, _ = run_simulation(_scenario(chain_length=20, nodes=(
+        NodeConfig("m0", "miner"), NodeConfig("j0", "joining"))))
+    assert sim.trace.lines and _next_fd() != fd
+    del sim
+    assert _next_fd() == fd
 
 
 def test_minority_bogus_tags_accept_genuine():

@@ -655,11 +655,15 @@ def test_an_obfuscated_build_after_a_fold_matches_a_fresh_set():
     assert hidden.chunks is not utxo._base.chunks  # an obfuscated build never folds
 
 
-def test_a_one_chunk_set_stays_dict_backed():
+def test_a_one_chunk_plain_build_lays_its_chunk_as_the_base():
     utxo = _filled_set(300)
+    hidden = build_snapshot(utxo, 9, b"\x07" * 32, obfuscate=True)
+    assert utxo._base.chunks == () and len(utxo._records) == 300
     snap = build_snapshot(utxo, 9, b"\x07" * 32)
     assert len(snap.chunks) == 1
-    assert utxo._base.chunks == () and len(utxo._records) == 300
+    assert utxo._base.chunks is snap.chunks and utxo._records == {}
+    assert len(utxo) == 300 and bytes(utxo) == snap.chunks[0]
+    assert build_snapshot(utxo, 9, b"\x07" * 32, obfuscate=True) == hidden
 
 
 def test_an_applied_layout_does_not_change_the_built_id():
@@ -850,14 +854,13 @@ def test_a_lazily_indexed_set_matches_a_dict_oracle(coins_, per_chunk, ops):
             assert bytes(utxo) == _oracle_bytes(oracle.values())
         elif op == "build":
             # chunks of a few records, so a plain build of a few coins
-            # packs more than one and folds the set; the longest record,
-            # 295 bytes, still fits
+            # packs more than one; the longest record, 295 bytes, still
+            # fits. Every plain build folds the set, one chunk or many
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(snapshot_mod, "CHUNK_SIZE", 300)
                 built = build_snapshot(utxo, TOP, b"\x06" * 32)
             assert b"".join(built.chunks) == _oracle_bytes(oracle.values())
-            assert (utxo._base.chunks is built.chunks) \
-                == (len(built.chunks) > 1)
+            assert utxo._base.chunks is built.chunks
         elif op == "add_records":
             added = {_key(e): e
                      for e in (coins_[i % len(coins_)] for i in args[0])}
