@@ -36,10 +36,8 @@ class PulseParams:
 
     def __post_init__(self) -> None:
         for name, least in (("delta_p", 1), ("delta_r", 1), ("delta_d", 0)):
-            value = getattr(self, name)
-            if value < least:
-                raise CoordinationError(
-                    f"{name} must be at least {least}, not {value}")
+            if getattr(self, name) < least:
+                raise CoordinationError(f"{name} must be at least {least}")
         if not 1 <= self.k <= self.delta_r:
             raise CoordinationError(
                 "acceptance threshold must be between 1 and delta_r")

@@ -168,7 +168,7 @@ class Trace:
 
     def __init__(self) -> None:
         fh = tempfile.TemporaryFile(buffering=0)
-        self._finalizer = weakref.finalize(self, fh.close)
+        weakref.finalize(self, fh.close)
         self._fd = fh.fileno()
         self._end = 0  # bytes of the written pages, each line "\n"-ended
         self._open: list[str] = []  # the lines since the last page
