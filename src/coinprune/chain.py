@@ -869,10 +869,9 @@ class HeaderIndex:
 
 
 def verify_headerchain(headers: Iterable[BlockHeader],
-                       params: ChainParams) -> tuple[bytes, int]:
+                       params: ChainParams) -> bytes:
     """Check genesis linkage and PoW over the headers, taken one at a
-    time from any iterable; return (tip id, cumulative work)."""
-    work = 0
+    time from any iterable; return the tip's id."""
     prev_id = None
     for i, header in enumerate(headers):
         if i == 0 and header != genesis_block(params).header:
@@ -884,26 +883,9 @@ def verify_headerchain(headers: Iterable[BlockHeader],
         prev_id = header.block_id()
         if not check_pow(prev_id, header.bits):
             raise ChainError(f"position {i}: insufficient proof of work")
-        work += work_from_bits(header.bits)
     if prev_id is None:
         raise ChainError("empty header chain")
-    return prev_id, work
-
-
-def best_tip(chains: list[list[BlockHeader]], params: ChainParams) -> int:
-    """Index of the valid chain with the most cumulative work."""
-    best = -1
-    best_work = -1
-    for i, headers in enumerate(chains):
-        try:
-            _, work = verify_headerchain(headers, params)
-        except ChainError:
-            continue
-        if work > best_work:
-            best, best_work = i, work
-    if best < 0:
-        raise ChainError("no valid chain among candidates")
-    return best
+    return prev_id
 
 
 # --- block files ------------------------------------------------------------

@@ -247,8 +247,6 @@ class ChainBuilder:
             return scripts.key_unlock(w.material[0], ctx)
         if w.kind in ("p2sh", "p2wsh"):
             return scripts.script_unlock(w.material[0], ctx)
-        if w.kind == "p2pk":
-            return scripts.signature_unlock(w.material[0], ctx)
-        if w.kind == "p2ms":
+        if w.kind in ("p2pk", "p2ms"):
             return scripts.signature_unlock(w.material[0], ctx)
         raise ValueError(f"wallet cannot unlock kind {w.kind!r}")

@@ -58,6 +58,21 @@ def _make_out_dir(path: Path) -> None:
     path.mkdir(parents=True, exist_ok=True)
 
 
+def _write_files(out_dir: Path, files) -> None:
+    """Make `out_dir`, then write each (name, text) pair of `files` into
+    it in the order given, printing each path. A text may be a function
+    that writes to the open file instead, for one too large to hold."""
+    _make_out_dir(out_dir)
+    for name, text in files:
+        path = out_dir / name
+        with open(path, "w") as fh:
+            if isinstance(text, str):
+                fh.write(text)
+            else:
+                text(fh)
+        print(f"wrote {path}")
+
+
 class UsageError(Exception):
     """Bad arguments: `main` prints the message as one line and returns 2."""
 
@@ -400,10 +415,7 @@ def _cmd_sim_bootstrap(args) -> int:
         "outputs": sorted(files),
     }
     files[f"{prefix}_meta.json"] = json.dumps(meta, indent=2) + "\n"
-    _make_out_dir(out_dir)
-    for name, text in sorted(files.items()):
-        (out_dir / name).write_text(text)
-        print(f"wrote {out_dir / name}")
+    _write_files(out_dir, sorted(files.items()))
 
     for index, height, status, tag, count in report.pulse_outcomes:
         line = f"pulse {index} at height {height}: {status}"
@@ -441,11 +453,9 @@ def _cmd_sim_security(args) -> int:
 
     prefix = args.prefix
     meta = f"seed={args.seed} trials={args.trials} mode={args.mode}"
-    sweep_csv = out_dir / f"{prefix}_sweep.csv"
-    _make_out_dir(out_dir)
-    with open(sweep_csv, "w") as fh:
-        result.write_csv(fh)
-    print(f"wrote {sweep_csv}")
+    # the sweep's rows stream out before the charts are made: written
+    # with the charts held, they raised the peak RSS by about 0.1 MiB
+    _write_files(out_dir, [(f"{prefix}_sweep.csv", result.write_csv)])
     files = {
         f"{prefix}_thresholds.csv": result.thresholds_csv(),
         **_sweep_charts(prefix, result, meta),
@@ -456,9 +466,7 @@ def _cmd_sim_security(args) -> int:
             "jobs": args.jobs,
         }, indent=2) + "\n",
     }
-    for name, text in sorted(files.items()):
-        (out_dir / name).write_text(text)
-        print(f"wrote {out_dir / name}")
+    _write_files(out_dir, sorted(files.items()))
     for delta_r in config.delta_r_values:
         for k in config.k_values:
             if 1.0 in config.f_c_values:
@@ -495,10 +503,7 @@ def _cmd_report(args) -> int:
             return _fail(f"cannot read storage csv: {exc}")
         files[f"{prefix}_storage.svg"] = svg_bar_chart(
             "Per-node storage", "bytes", bars, meta=f"source={args.storage}")
-    _make_out_dir(out_dir)
-    for name, text in files.items():
-        (out_dir / name).write_text(text)
-        print(f"wrote {out_dir / name}")
+    _write_files(out_dir, files.items())
     return OK
 
 

@@ -36,11 +36,7 @@ PINNED_BY_BENCHMARK = {
                           "lines through it",
 }
 
-ALLOWED = {
-    "chain.best_tip": "the private-fork joiner picks the most-work chain "
-                      "with it",
-    **PINNED_BY_BENCHMARK,
-}
+ALLOWED = {**PINNED_BY_BENCHMARK}
 
 # small enough to run in about a second under the profiler; the joiner's
 # eclipsed first attempt is offered the forged snapshot and re-requests a

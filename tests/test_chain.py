@@ -14,7 +14,7 @@ from coinprune.chain import (BLOCK_FILE_MAGIC, COINBASE_PREFIX,
                              BlockFile, BlockValidationError, ChainError, ChainParams,
                              HEADER_RECORD_SIZE, HEADER_SIZE, Block,
                              BlockHeader, HeaderIndex, Transaction,
-                             TxInput, TxOutput, UtxoSet, best_tip, check_pow,
+                             TxInput, TxOutput, UtxoSet, check_pow,
                              coinbase_tx, genesis_block,
                              make_block, merkle_root, outpoint_key,
                              read_block_file,
@@ -158,7 +158,9 @@ def test_coinbase_must_match_subsidy_plus_fees_exactly():
     for claimed in (PARAMS.subsidy - 1, PARAMS.subsidy + 1):
         cb2 = coinbase_tx(2, [TxOutput(claimed, PAY_SCRIPT)], b"")
         b2 = _mine_on(b1, [cb2], 2)
-        with pytest.raises(BlockValidationError):
+        with pytest.raises(BlockValidationError,
+                           match=f"^height 2: coinbase claims {claimed}, "
+                                 f"expected {PARAMS.subsidy}$"):
             validate_and_apply_block(utxo.copy(), b2, 2, b1.block_id(), PARAMS)
 
 
@@ -166,7 +168,8 @@ def test_wrong_prev_id_rejected():
     utxo, g, b1, cb = _fresh_chain()
     cb2 = coinbase_tx(2, [TxOutput(PARAMS.subsidy, PAY_SCRIPT)], b"")
     b2 = _mine_on(g, [cb2], 2)  # mined on genesis, applied after b1
-    with pytest.raises(BlockValidationError):
+    with pytest.raises(BlockValidationError,
+                       match="^height 2: prev hash mismatch$"):
         validate_and_apply_block(utxo, b2, 2, b1.block_id(), PARAMS)
 
 
@@ -176,7 +179,8 @@ def test_merkle_mismatch_rejected():
     extra = coinbase_tx(3, [TxOutput(0, PAY_SCRIPT)], b"")
     good = _mine_on(b1, [cb2], 2)
     forged = Block(good.header, (cb2, extra))
-    with pytest.raises(BlockValidationError):
+    with pytest.raises(BlockValidationError,
+                       match="^height 2: merkle root mismatch$"):
         validate_and_apply_block(utxo, forged, 2, b1.block_id(), PARAMS)
 
 
@@ -185,7 +189,9 @@ def test_same_block_coinbase_spend_rejected():
     cb2 = coinbase_tx(2, [TxOutput(PARAMS.subsidy, PAY_SCRIPT)], b"")
     rob = _spend(cb2.txid(), 0, [TxOutput(PARAMS.subsidy, PAY_SCRIPT)])
     b2 = _mine_on(b1, [cb2, rob], 2)
-    with pytest.raises(BlockValidationError):
+    # the coinbase's outputs are created after every other tx is checked
+    with pytest.raises(BlockValidationError,
+                       match=f"^height 2: missing outpoint {cb2.txid().hex()}:0$"):
         validate_and_apply_block(utxo, b2, 2, b1.block_id(), PARAMS)
 
 
@@ -195,7 +201,8 @@ def test_double_spend_within_block_rejected():
     t2 = _spend(cb.txid(), 0, [TxOutput(PARAMS.subsidy - 1, PAY_SCRIPT)])
     cb2 = coinbase_tx(2, [TxOutput(PARAMS.subsidy + 1, PAY_SCRIPT)], b"")
     b2 = _mine_on(b1, [cb2, t1, t2], 2)
-    with pytest.raises(BlockValidationError):
+    with pytest.raises(BlockValidationError,
+                       match=f"^height 2: double spend of {cb.txid().hex()}:0$"):
         validate_and_apply_block(utxo, b2, 2, b1.block_id(), PARAMS)
 
 
@@ -214,7 +221,8 @@ def test_first_transaction_must_be_coinbase():
     utxo, g, b1, cb = _fresh_chain()
     tx = _spend(cb.txid(), 0, [TxOutput(PARAMS.subsidy, PAY_SCRIPT)])
     b2 = _mine_on(b1, [tx], 2)
-    with pytest.raises(BlockValidationError):
+    with pytest.raises(BlockValidationError,
+                       match="^height 2: first tx not coinbase$"):
         validate_and_apply_block(utxo, b2, 2, b1.block_id(), PARAMS)
 
 
@@ -247,10 +255,62 @@ def test_failed_block_leaves_utxo_untouched():
         t1 = _spend(cb.txid(), 0, [TxOutput(PARAMS.subsidy, PAY_SCRIPT)])
         cb2 = coinbase_tx(2, [TxOutput(PARAMS.subsidy + 5, PAY_SCRIPT)], b"")
         b2 = _mine_on(b1, [cb2, t1], 2)  # coinbase overclaims: no fee paid
-        with pytest.raises(BlockValidationError):
+        with pytest.raises(BlockValidationError,
+                           match=f"^height 2: coinbase claims "
+                                 f"{PARAMS.subsidy + 5}, expected "
+                                 f"{PARAMS.subsidy}$"):
             validate_and_apply_block(utxo, b2, 2, b1.block_id(), PARAMS)
         assert {e[:2]: e for e in utxo_records(bytes(utxo))} == before
         assert serialize_utxo_set(utxo) == state
+
+
+def _unmined(header):
+    """`header` with the first nonce above its own whose id misses the
+    target."""
+    while check_pow(header.block_id(), header.bits):
+        header = header._replace(nonce=header.nonce + 1)
+    return header
+
+
+def _refused_blocks(b1, cb):
+    """A block at height 2 for each rule that the tests above do not hit,
+    by the reason it is refused with."""
+    out = TxOutput(PARAMS.subsidy, PAY_SCRIPT)
+    cb2 = coinbase_tx(2, [out], b"")
+    good = _mine_on(b1, [cb2], 2)
+    oversized = Transaction((TxInput(COINBASE_TXID, COINBASE_VOUT,
+                                     struct.pack("<I", 2) + bytes(97)),),
+                            (out,))
+    stray = coinbase_tx(3, [TxOutput(0, PAY_SCRIPT)], b"")
+    empty = Transaction((), (out,))
+    forged = Transaction((TxInput(cb.txid(), 0, b""),), (out,))
+    bad_script = coinbase_tx(2, [TxOutput(PARAMS.subsidy, b"")], b"")
+    rich = _spend(cb.txid(), 0, [TxOutput(PARAMS.subsidy + 1, PAY_SCRIPT)])
+    return {
+        "wrong difficulty bits":
+            Block(good.header._replace(bits=PARAMS.bits - 1), (cb2,)),
+        "insufficient proof of work": Block(_unmined(good.header), (cb2,)),
+        "empty block": Block(good.header, ()),
+        "oversized coinbase data": _mine_on(b1, [oversized], 2),
+        "stray coinbase": _mine_on(b1, [cb2, stray], 2),
+        f"empty tx {empty.txid().hex()}": _mine_on(b1, [cb2, empty], 2),
+        f"invalid unlock for {cb.txid().hex()}:0":
+            _mine_on(b1, [cb2, forged], 2),
+        f"malformed script in {bad_script.txid().hex()}:0":
+            _mine_on(b1, [bad_script], 2),
+        f"tx {rich.txid().hex()} creates value": _mine_on(b1, [cb2, rich], 2),
+    }
+
+
+def test_each_rule_refuses_with_its_reason():
+    for utxo, _, b1, cb in (_fresh_chain(), _applied_chain()):
+        state = bytes(utxo)
+        for reason, block in _refused_blocks(b1, cb).items():
+            with pytest.raises(BlockValidationError,
+                               match=f"^height 2: {reason}$"):
+                validate_and_apply_block(utxo, block, 2, b1.block_id(),
+                                         PARAMS)
+            assert bytes(utxo) == state
 
 
 # --- block validation on an applied snapshot -------------------------------------
@@ -404,26 +464,28 @@ def test_verify_headerchain_and_corruption_position(light_chain):
     headers = [b.header for b in light_chain]
     # a list, and an iterator that yields each header once
     for given in (headers, iter(headers)):
-        tip_id, work = verify_headerchain(given, PARAMS)
-        assert tip_id == light_chain[-1].block_id()
-        assert work == len(headers) * work_from_bits(PARAMS.bits)
-
-    broken = list(headers)
-    broken[7] = broken[7]._replace(nonce=broken[7].nonce + 1)
-    for given in (broken, iter(broken)):
-        with pytest.raises(ChainError) as err:
-            verify_headerchain(given, PARAMS)
-        assert "7" in str(err.value) or "8" in str(err.value)
+        assert verify_headerchain(given, PARAMS) == light_chain[-1].block_id()
     for empty in ([], iter([])):
         with pytest.raises(ChainError, match="^empty header chain$"):
             verify_headerchain(empty, PARAMS)
 
 
-def test_best_tip_prefers_cumulative_work(light_chain):
-    longer = [b.header for b in light_chain]
-    shorter = longer[:100]
-    assert best_tip([shorter, longer], PARAMS) == 1
-    assert best_tip([longer, shorter], PARAMS) == 0
+@pytest.mark.parametrize("position, change, reason", [
+    (0, lambda _: genesis_block(ChainParams(genesis_message=b"other")).header,
+     "not the configured genesis"),
+    (8, lambda h: h._replace(prev_hash=bytes(32)), "broken prev-hash link"),
+    (5, lambda h: h._replace(bits=PARAMS.bits - 1), "wrong difficulty bits"),
+    (7, _unmined, "insufficient proof of work"),
+], ids=["foreign-genesis", "broken-link", "wrong-bits", "missed-target"])
+def test_verify_headerchain_refuses_at_the_position(light_chain, position,
+                                                    change, reason):
+    headers = [b.header for b in light_chain]
+    headers[position] = change(headers[position])
+    # a list, and an iterator that yields each header once
+    for given in (headers, iter(headers)):
+        with pytest.raises(ChainError,
+                           match=f"^position {position}: {reason}$"):
+            verify_headerchain(given, PARAMS)
 
 
 def test_block_file_roundtrip(tmp_path, light_chain):
