@@ -17,7 +17,7 @@ import struct
 import tempfile
 import weakref
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
@@ -317,8 +317,6 @@ _TAIL_HEAD = struct.Struct("<QIBB")  # amount, height, coinbase, case
 _TAIL_AT = RECORD_HEAD_SIZE - _TAIL_HEAD.size  # 36
 _ORDER_HEAD = struct.Struct("<32sI8xI")  # txid, vout and height of a record
 _AMOUNT, _AMOUNT_AT = struct.Struct("<Q"), 36
-# a txid's first 8 bytes as a number; numeric order is their byte order
-_PREFIX = struct.Struct(">Q")
 _CASE_AT = RECORD_HEAD_SIZE - 1  # obfuscation rewrites it and the payload
 _COINBASE_AT = _CASE_AT - 1
 # the record length each case byte implies; every byte value is a case
@@ -412,34 +410,36 @@ def _entry(key: bytes, tail: bytes) -> UtxoEntry:
 
 class _Base:
     """The chunks a set reads its base coins from, and their index.
-    Copies of the set share it; neither is ever written."""
+    Copies of the set share it; neither is ever written.
 
-    __slots__ = ("chunks", "prefixes", "places")
+    The index holds each coin's 36-byte key as its own object, about 86
+    traced bytes a coin with its list slot and place, so that a lookup
+    is one bisection in C. It is built only for a set that is looked
+    up: an applied or folded set that is only walked or built from
+    costs no index, and the sets that commands look up hold a few
+    thousand coins."""
+
+    __slots__ = ("chunks", "keys", "places")
 
     def __init__(self, chunks: tuple) -> None:
         self.chunks = chunks
-        self.prefixes = self.places = None
+        self.keys = self.places = None
 
-    def index(self) -> tuple:
-        """The index, built in one walk when first asked for: per record
-        in slot order, the txid's first 8 bytes (`prefixes`) and the
-        chunk number << 32 | offset (`places`)."""
+    def index(self) -> list:
+        """The sorted outpoint keys, built in one walk when first asked
+        for: per record in slot order, its key (`keys`) and the chunk
+        number << 32 | offset (`places`)."""
         if self.places is None:
-            prefixes, places = array("Q"), array("Q")
-            add_prefix, add_place = prefixes.append, places.append
+            keys, places = [], array("Q")
+            add_key, add_place = keys.append, places.append
             for number, chunk in enumerate(self.chunks):
                 offset = 0
                 while offset < len(chunk):
-                    add_prefix(_PREFIX.unpack_from(chunk, offset)[0])
+                    add_key(_record_key(chunk[offset:offset + 36]))
                     add_place(number << 32 | offset)
                     offset += _RECORD_SIZE[chunk[offset + _CASE_AT]]
-            self.prefixes, self.places = prefixes, places
-        return self.prefixes, self.places
-
-    def key(self, slot: int) -> bytes:
-        place = self.places[slot]
-        offset = place & 0xFFFFFFFF
-        return _record_key(self.chunks[place >> 32][offset:offset + 36])
+            self.keys, self.places = keys, places
+        return self.keys
 
     def record(self, slot: int) -> bytes:
         place = self.places[slot]
@@ -474,28 +474,28 @@ class UtxoSet:
     of it) still finds that coin.
 
     A set made by `from_chunks` reads its base coins from the snapshot
-    chunks in place, with a spent mark of one byte per coin: a base
-    coin spent, or read by `record` (which moves it to the dict), is
-    marked. Coins added since, and every coin of a set that never had a
+    chunks in place, with a spent mark of one byte per coin, set only by
+    `remove`: `in` and `record` are reads and leave the set as it was.
+    Coins added since, and every coin of a set that never had a
     snapshot, sit in a dict from key to the record's tail, the bytes
     after its txid and vout, which the key holds; `record`, `records`
     and `bytes` rebuild the whole record. `records`, `bytes` and
     `entries` walk the chunks in order; the first `in`, `record` or
-    `remove` that reaches the base builds its index of 16 bytes per
-    coin, the txid's first 8 bytes and the chunk number and offset,
-    sorted as the records are, and slots that share those 8 bytes are
-    bisected by key. Copies share the chunks and the index, so it is
-    built once.
+    `remove` that reaches the base builds its index, a sorted list of
+    the base's outpoint keys beside each record's chunk number and
+    offset, which a lookup bisects once. Copies share the chunks and the
+    index, so it is built once.
 
     `fold` packs a set's own records into chunks and makes them its
     base the same way, as an LSM tree writes its memtable out as a
     sorted run, taking the coins out of the dict as it goes: a coin
-    then costs its record in the chunks and its spent mark, and 16
-    bytes more once a lookup builds the index, against about 166 bytes
-    in the dict. Every plain `build_snapshot` folds the set into the
-    chunks it builds, which the set and the snapshot then share, so a
-    set that goes on applying blocks keeps in its dict only the coins
-    created since its last build. A kept join folds too.
+    then costs its record in the chunks and its spent mark, and about
+    86 traced bytes more once a lookup builds the index (its key object,
+    list slot and place), against about 166 bytes in the dict. Every
+    plain `build_snapshot` folds the set into the chunks it builds,
+    which the set and the snapshot then share, so a set that goes on
+    applying blocks keeps in its dict only the coins created since its
+    last build. A kept join folds too.
     """
 
     def __init__(self) -> None:
@@ -584,31 +584,19 @@ class UtxoSet:
 
     def _base_slot(self, key: bytes) -> int:
         """The slot of the coin at outpoint `key` if the base still holds
-        it, else -1. TypeError if `key` is not bytes: a dict miss is
-        where a wrong-type key shows, so this is where it is refused."""
+        it, else -1: one bisection of the base's sorted keys. TypeError
+        if `key` is not bytes: a dict miss is where a wrong-type key
+        shows, so this is where it is refused."""
         if not isinstance(key, bytes):
             raise TypeError(f"an outpoint key is bytes, not "
                             f"{type(key).__name__}")
-        if not self._live or len(key) != 36:  # no coin has such a key
+        if not self._live:
             return -1
-        base = self._base
-        prefixes, _ = base.index()
-        prefix = _PREFIX.unpack_from(key)[0]
-        lo = bisect_left(prefixes, prefix)
-        if lo == len(prefixes) or prefixes[lo] != prefix:
+        keys = self._base.index()
+        slot = bisect_left(keys, key)
+        if slot == len(keys) or keys[slot] != key or self._gone[slot]:
             return -1
-        if base.key(lo) != key:
-            # the outputs of one txid share a prefix: bisect by key
-            hi = bisect_right(prefixes, prefix, lo)
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if base.key(mid) <= key:
-                    lo = mid
-                else:
-                    hi = mid
-            if base.key(lo) != key:
-                return -1
-        return -1 if self._gone[lo] else lo
+        return slot
 
     def __len__(self) -> int:
         return len(self._records) + self._live
@@ -617,20 +605,13 @@ class UtxoSet:
         return key in self._records or self._base_slot(key) >= 0
 
     def record(self, key: bytes) -> bytes | None:
-        """The record of the coin at outpoint `key`, or None."""
+        """The record of the coin at outpoint `key`, or None. A read
+        leaves the set as it was."""
         tail = self._records.get(key)
         if tail is not None:
             return _whole_record(key, tail)
         slot = self._base_slot(key)
-        if slot < 0:
-            return None
-        # a base coin read moves to the dict, as in a coins cache, so the
-        # spend that usually follows finds it there
-        record = self._base.record(slot)
-        self._records[key] = record[_TAIL_AT:]
-        self._gone[slot] = 1
-        self._live -= 1
-        return record
+        return None if slot < 0 else self._base.record(slot)
 
     def add(self, entry: UtxoEntry) -> None:
         """ChainError when the coin has no record form, a field outside
@@ -695,8 +676,8 @@ class UtxoSet:
 
     def __bytes__(self) -> bytes:
         """Every record in canonical order, joined: the base's chunks
-        themselves while no coin was added, read or spent since the
-        apply."""
+        themselves while no coin was added or spent since the apply,
+        however many were read."""
         if not self._records and self._live == len(self._gone):
             return b"".join(self._base.chunks)
         return b"".join(self.records())

@@ -302,15 +302,22 @@ def _refused_blocks(b1, cb):
     }
 
 
+def _internals(utxo):
+    return dict(utxo._records), bytes(utxo._gone), utxo._live
+
+
 def test_each_rule_refuses_with_its_reason():
+    # a refusal leaves the set's layers as they were, not only its
+    # contents: a base coin that a refused block names stays in the base
     for utxo, _, b1, cb in (_fresh_chain(), _applied_chain()):
-        state = bytes(utxo)
+        state, internals = bytes(utxo), _internals(utxo)
         for reason, block in _refused_blocks(b1, cb).items():
             with pytest.raises(BlockValidationError,
                                match=f"^height 2: {reason}$"):
                 validate_and_apply_block(utxo, block, 2, b1.block_id(),
                                          PARAMS)
             assert bytes(utxo) == state
+            assert _internals(utxo) == internals
 
 
 # --- block validation on an applied snapshot -------------------------------------

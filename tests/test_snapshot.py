@@ -530,8 +530,8 @@ def test_canonical_order_holds_past_one_byte_of_vout():
 
 def test_malformed_outpoints_match_nothing():
     # struct's "32s" would pad the short txid and cut the long one to a
-    # held coin's txid; the padded coin shares the held one's index
-    # prefix, and a key under 8 bytes has no prefix to bisect by
+    # held coin's txid; the padded coin shares the held one's first 31
+    # bytes, and a key of another length sorts beside a held key
     entry = _entry(3)
     padded = entry._replace(txid=entry.txid[:31] + b"\x00")
     key = _key(entry)
@@ -548,6 +548,44 @@ def test_malformed_outpoints_match_nothing():
             with pytest.raises(KeyError):
                 utxo.remove(bad)
         assert len(utxo) == 2 and utxo.record(key) == pack_record(*entry)
+
+
+def test_one_txid_with_many_outputs_over_several_chunks(monkeypatch):
+    # hundreds of keys under one txid, across chunk ends, beside a txid
+    # that shares its first 8 bytes: a lookup bisects them all by key
+    monkeypatch.setattr(snapshot_mod, "CHUNK_SIZE", 2000)  # 28 p2pkh coins
+    txid = hash256(b"one txid, many outputs")
+    twin = txid[:8] + bytes(24)
+    vouts = {txid: range(0, 600, 2), twin: range(0, 40, 2)}
+    held = [UtxoEntry(t, vout, 1000 + vout, 5, False,
+                      compress(p2pkh_script(t[:20])))
+            for t in vouts for vout in vouts[t]]
+    utxo = apply_snapshot(build_snapshot(_set_of(held), TOP, b"\x06" * 32))
+    assert len(utxo._base.chunks) >= 10
+    keys = list(map(_key, held))
+    absent = [outpoint_key(t, vout) for t in vouts
+              for vout in (*range(1, 601, 2), 600, 2 ** 32 - 1)]
+    absent += [key[:35] for key in keys] + [key + b"\x00" for key in keys]
+    spent = set(keys[::3])
+    for key in spent:
+        utxo.remove(key)
+    for key, entry in zip(keys, held):
+        if key in spent:
+            assert key not in utxo and utxo.record(key) is None
+        else:
+            assert key in utxo and utxo.record(key) == pack_record(*entry)
+    for key in absent:
+        assert key not in utxo and utxo.record(key) is None
+        with pytest.raises(KeyError):
+            utxo.remove(key)
+    assert not utxo._records  # the reads moved nothing
+    for key in keys:
+        if key in spent:
+            with pytest.raises(KeyError):
+                utxo.remove(key)
+        else:
+            utxo.remove(key)
+    assert len(utxo) == 0 and bytes(utxo) == b""
 
 
 def test_keys_that_are_not_bytes_are_refused():
@@ -727,6 +765,22 @@ def test_a_dict_held_coin_holds_under_175_traced_bytes():
     assert held / FOLDED < 175
 
 
+def test_the_first_lookup_adds_under_100_traced_bytes_per_coin():
+    # the index keeps each coin's 36-byte key as its own object in a
+    # sorted list, beside its 8-byte place: about 86 traced bytes a coin
+    coins = _p2pkh_coins(24)
+    utxo = apply_snapshot(build_snapshot(_set_of(coins), TOP, b"\x05" * 32))
+    assert utxo._base.places is None
+    tracemalloc.start()
+    try:
+        found = _key(coins[0]) in utxo
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found and len(utxo._base.keys) == FOLDED
+    assert held / FOLDED < 100
+
+
 @pytest.mark.parametrize("chunk_size,bound", [(CHUNK_SIZE, 1.5),
                                               (1 << 16, 0.5)])
 def test_a_plain_build_peaks_near_its_chunks_above_the_set(
@@ -807,15 +861,15 @@ def test_the_first_lookup_builds_the_index_once_for_every_copy():
     assert sorted(utxo_records(b"".join(copied.records()))) == sorted(coins)
     assert base.places is None  # the walks read the chunks alone
     assert _key(coins[0]) in copied
-    prefixes, places = base.prefixes, base.places
-    assert len(prefixes) == len(places) == len(coins)
+    keys, places = base.keys, base.places
+    assert len(keys) == len(places) == len(coins)
     for entry in coins[1:]:
         assert applied.record(_key(entry)) == pack_record(*entry)
     copied.remove(_key(coins[0]))
     later = copied.copy()
     assert later.record(_key(coins[1])) == pack_record(*coins[1])
     assert later._base is base
-    assert base.prefixes is prefixes and base.places is places
+    assert base.keys is keys and base.places is places
     assert len(applied) == len(coins) and len(copied) == len(coins) - 1
 
 
