@@ -876,9 +876,6 @@ def verify_headerchain(headers: Iterable[BlockHeader],
 
 BLOCK_FILE_MAGIC = b"CPB1"
 COPY_PIECE = 1 << 20  # bytes that write_block_file copies at a time
-# bytes `BlockFile.coinbase` reads first: enough for the header, the
-# transaction count and a coinbase of a few outputs
-COINBASE_PREFIX = 512
 
 
 class BlockFile:
@@ -963,18 +960,8 @@ class BlockFile:
         return self._ends[height] - self._start(height)
 
     def coinbase(self, height: int) -> Transaction:
-        """The block's first transaction, parsed without the others from
-        the block's first COINBASE_PREFIX bytes, or from the whole block
-        when the transaction runs past them."""
-        size = self.size(height)
-        raw = os.pread(self._fd, min(COINBASE_PREFIX, size),
-                       self._start(height))
-        if len(raw) < size:
-            try:
-                return Transaction.parse(raw, HEADER_SIZE + 4)[0]
-            except ChainError:  # the coinbase runs past the prefix
-                raw = self.raw(height)
-        return Transaction.parse(raw, HEADER_SIZE + 4)[0]
+        """The block's first transaction, parsed without the others."""
+        return Transaction.parse(self.raw(height), HEADER_SIZE + 4)[0]
 
 
 def write_block_file(path, blocks: BlockFile) -> None:

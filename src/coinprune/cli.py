@@ -141,6 +141,12 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return [lo + i * (hi - lo) / 4 for i in range(5)]
 
 
+def _xml_text(text: str) -> str:
+    """`text` as XML character data. (`html.escape` does the same, but
+    importing `html` loads its 2,000-entry entity table.)"""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _svg_head(out: io.StringIO, title: str, meta: str,
               y_ticks: list[tuple[float, float]]) -> None:
     """Document header, title and the y grid of (tick value, y) pairs."""
@@ -149,10 +155,11 @@ def _svg_head(out: io.StringIO, title: str, meta: str,
               f'width="{_WIDTH}" height="{_HEIGHT}" '
               f'font-family="sans-serif" font-size="12">\n')
     if meta:
-        out.write(f"<!-- {meta} -->\n")
+        # a comment may not hold "--"
+        out.write(f"<!-- {re.sub('-(?=-)', '- ', meta)} -->\n")
     out.write(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>\n')
     out.write(f'<text x="{_WIDTH / 2:.2f}" y="20" text-anchor="middle" '
-              f'font-size="14">{title}</text>\n')
+              f'font-size="14">{_xml_text(title)}</text>\n')
     for yt, y in y_ticks:
         out.write(f'<line x1="{left}" y1="{y:.2f}" x2="{_WIDTH - right}" '
                   f'y2="{y:.2f}" stroke="#dddddd"/>\n')
@@ -169,10 +176,10 @@ def _svg_frame(out: io.StringIO, y_label: str,
               f'fill="none" stroke="#333333"/>\n')
     if x_label is not None:
         out.write(f'<text x="{left + plot_w / 2:.2f}" y="{_HEIGHT - 10}" '
-                  f'text-anchor="middle">{x_label}</text>\n')
+                  f'text-anchor="middle">{_xml_text(x_label)}</text>\n')
     out.write(f'<text x="16" y="{top + plot_h / 2:.2f}" text-anchor="middle" '
               f'transform="rotate(-90 16 {top + plot_h / 2:.2f})">'
-              f'{y_label}</text>\n')
+              f'{_xml_text(y_label)}</text>\n')
 
 
 def svg_line_chart(title: str, x_label: str, y_label: str,
@@ -214,7 +221,8 @@ def svg_line_chart(title: str, x_label: str, y_label: str,
         ly = top + 14 + 16 * i
         out.write(f'<line x1="{left + 8}" y1="{ly - 4}" x2="{left + 28}" '
                   f'y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>\n')
-        out.write(f'<text x="{left + 34}" y="{ly}">{label}</text>\n')
+        out.write(f'<text x="{left + 34}" y="{ly}">{_xml_text(label)}'
+                  '</text>\n')
     out.write("</svg>\n")
     return out.getvalue()
 
@@ -241,7 +249,7 @@ def svg_bar_chart(title: str, y_label: str, bars: list[tuple[str, float]],
                   f'height="{h:.2f}" fill="{color}"/>\n')
         cx = left + i * slot + slot / 2
         out.write(f'<text x="{cx:.2f}" y="{top + plot_h + 16}" '
-                  f'text-anchor="middle">{label}</text>\n')
+                  f'text-anchor="middle">{_xml_text(label)}</text>\n')
     _svg_frame(out, y_label)
     out.write("</svg>\n")
     return out.getvalue()

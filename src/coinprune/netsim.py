@@ -143,7 +143,6 @@ class PulseRecord:
 
 @dataclass
 class NodeState:
-    cfg: NodeConfig
     rx_bytes: int = 0
     tx_bytes: int = 0
     pruned_below: int = 0  # block heights below this are discarded
@@ -231,7 +230,7 @@ class Simulation:
                                     _sub_seed(scenario.seed, "chain"))
         self.rng = random.Random(_sub_seed(scenario.seed, "net"))
         self.trace = Trace()
-        self.nodes = {cfg.name: NodeState(cfg) for cfg in scenario.nodes}
+        self.nodes = {cfg.name: NodeState() for cfg in scenario.nodes}
         self.established = [n for n in scenario.nodes if n.role != "joining"]
         self.joiners = [n for n in scenario.nodes if n.role == "joining"]
         self.miners = [n for n in scenario.nodes if n.role == "miner"]
@@ -245,8 +244,8 @@ class Simulation:
         self.join_results: dict[str, JoinOutcome] = {}
         self.join_utxo: dict[str, UtxoSet] = {}
         self.join_stores: dict[str, appdata_mod.AppDataStore] = {}
-        # (chunks, folded set) of each distinct joined state, unchanged
-        self._kept_states: list[tuple[tuple, UtxoSet]] = []
+        # each distinct joined state's chunks to its folded set, unchanged
+        self._kept_states: dict[tuple, UtxoSet] = {}
 
     # --- topology and messaging ------------------------------------------
 
@@ -292,7 +291,7 @@ class Simulation:
 
     def _coinbase_extra(self, miner: NodeConfig, height: int) -> bytes:
         pulse = coordination.pulse_for_height(height, self.scenario.params)
-        if pulse is not None and miner.coinprune and pulse in self.pulses:
+        if pulse is not None and miner.coinprune:
             rec = self.pulses[pulse]
             if miner.adversarial and "bogus_tags" in self.scenario.faults:
                 return coordination.encode_coinbase_tag(rec.bogus_tag)
@@ -404,8 +403,7 @@ class Simulation:
         data = snap.chunks[index]
         if cfg.adversarial and "bogus_chunks" in self.scenario.faults:
             # flip one byte; the advertised digests stay genuine
-            if data:
-                data = bytes([data[0] ^ 0xFF]) + data[1:]
+            data = bytes([data[0] ^ 0xFF]) + data[1:]
         return data
 
     # --- joining side ---------------------------------------------------------
@@ -650,12 +648,7 @@ class Simulation:
         node = self.nodes[name]
         node.pruned_below, node.held = heights.start, held
         chunks = utxo.fold(snapshot_mod.chunk_records)
-        for kept_chunks, kept in self._kept_states:  # compared bytewise
-            if kept_chunks == chunks:
-                utxo = kept.copy()
-                break
-        else:
-            self._kept_states.append((chunks, utxo.copy()))
+        utxo = self._kept_states.setdefault(chunks, utxo).copy()
         for kept in self.join_stores.values():
             if kept == store:
                 store = kept

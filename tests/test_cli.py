@@ -10,6 +10,7 @@ import io
 import json
 import os
 import tracemalloc
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import Phase, event, given, settings
@@ -390,6 +391,32 @@ def test_report_from_csvs(tmp_path, capsys):
     for name in ("rep_thresholds.svg", "rep_skip.svg", "rep_storage.svg"):
         assert (tmp_path / name).read_text().startswith("<svg")
     capsys.readouterr()
+
+
+def test_charts_are_well_formed_xml_for_any_node_name_and_path(tmp_path,
+                                                              capsys):
+    # markup in a node name, and "--", which may not appear in a comment,
+    # in the paths each chart names as its source
+    source = tmp_path / "in--put-"
+    assert main(["sim", "security", "--delta-r", "100", "--k", "5",
+                 "--trials", "20", "--step", "50", "--prefix", "s---",
+                 "--out-dir", str(source)]) == 0
+    node = 'a<b&"c"'
+    with open(source / "run--storage.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([("node", "bytes_stored"), (node, 10),
+                                  ("m1", 2)])
+    assert main(["report", "--sweep", str(source / "s---_sweep.csv"),
+                 "--storage", str(source / "run--storage.csv"),
+                 "--prefix", "rep", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    charts = sorted(tmp_path.glob("*.svg")) + sorted(source.glob("*.svg"))
+    assert len(charts) == 5
+    texts = set()
+    for chart in charts:
+        root = ElementTree.parse(chart).getroot()
+        texts.update(t.text
+                     for t in root.iter("{http://www.w3.org/2000/svg}text"))
+    assert node in texts
 
 
 def test_report_ignores_sweep_row_order(tmp_path, monkeypatch, capsys):

@@ -50,6 +50,26 @@ def test_pulse_for_height_matches_window_membership():
             assert height in window_range(index, P)
 
 
+@st.composite
+def pulse_params(draw):
+    delta_p = draw(st.integers(1, 300))
+    delta_r = draw(st.integers(1, delta_p))
+    return PulseParams(delta_p=delta_p, delta_r=delta_r,
+                       delta_d=draw(st.integers(0, 300)),
+                       k=draw(st.integers(1, delta_r)))
+
+
+@given(pulse_params(), st.data())
+def test_a_window_lies_above_its_pulse(params, data):
+    # the simulator makes a pulse's record when it mines the pulse block,
+    # so every block of the window finds the record there
+    span = params.delta_p + params.delta_d + params.delta_r
+    height = data.draw(st.integers(0, 4 * span))
+    index = pulse_for_height(height, params)
+    if index is not None:
+        assert pulse_height(index, params) < height
+
+
 def test_latest_closed_pulse():
     # window of pulse 1 is heights 207..256
     assert latest_closed_pulse(255, P) is None

@@ -51,12 +51,17 @@ def test_cli_import_loads_every_traced_module_and_no_sweep_dependency(monkeypatc
     # a fresh interpreter: this one has numpy loaded by other test modules
     owners = sorted({f"coinprune.{t.owner.partition(':')[0]}"
                      for t in _targets(monkeypatch)})
+    # -B: a bytecode cache left in src/ would change what later
+    # benchmark runs of this checkout compile and measure
     code = ("import json, sys; import coinprune.cli; "
-            "print(json.dumps(sorted(sys.modules)))")
+            "print(json.dumps([sys.dont_write_bytecode, sorted(sys.modules)]))")
     src = str(Path(coinprune.__file__).resolve().parent.parent)
-    proc = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+    proc = subprocess.run([sys.executable, "-B", "-c", code],
+                          env={"PYTHONPATH": src},
                           capture_output=True, text=True, check=True)
-    loaded = set(json.loads(proc.stdout))
+    dont_write_bytecode, loaded = json.loads(proc.stdout)
+    assert dont_write_bytecode is True
+    loaded = set(loaded)
     assert "numpy" not in loaded
     assert "concurrent.futures.process" not in loaded
     assert [name for name in owners if name not in loaded] == []
