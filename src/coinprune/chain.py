@@ -486,11 +486,11 @@ class UtxoSet:
     offset, which a lookup bisects once. Copies share the chunks and the
     index, so it is built once.
 
-    `fold` packs a set's own records into chunks and makes them its
-    base the same way, as an LSM tree writes its memtable out as a
-    sorted run, taking the coins out of the dict as it goes: a coin
-    then costs its record in the chunks and its spent mark, and about
-    86 traced bytes more once a lookup builds the index (its key object,
+    `fold` packs a set's own records into chunks, then makes them its
+    base the same way and empties the dict, as an LSM tree writes its
+    memtable out as a sorted run and only then drops it: a coin then
+    costs its record in the chunks and its spent mark, and about 86
+    traced bytes more once a lookup builds the index (its key object,
     list slot and place), against about 166 bytes in the dict. Every
     plain `build_snapshot` folds the set into the chunks it builds,
     which the set and the snapshot then share, so a set that goes on
@@ -544,32 +544,10 @@ class UtxoSet:
              ) -> tuple:
         """The chunks `pack` makes of the set's records, which it is
         given in canonical order and must keep in order, unsplit. They
-        become the base and the dict empties: each chunk's dict coins
-        leave the dict as soon as `pack` yields the chunk after it, so
-        the coins are not held twice over while they are packed. If
+        become the base and the dict empties once `pack` is done, so if
         `pack` raises, the set holds what it held."""
-        records, count = self._records, len(self)
-        keys = sorted(records)
-        chunks, done = [], 0  # keys[:done] have left the dict
-        try:
-            for chunk in pack(self._walk(keys)):
-                if chunks:  # every coin before this chunk is packed
-                    stop = bisect_left(keys, _record_key(chunk), done)
-                    for key in keys[done:stop]:
-                        del records[key]
-                    # and the list lets go of their keys
-                    keys[done:stop] = itertools.repeat(None, stop - done)
-                    done = stop
-                chunks.append(chunk)
-        except BaseException:
-            # the coins that left the dict are in the chunks: each record
-            # there that the base does not hold goes back
-            for record in _Base(tuple(chunks)).records(bytearray(count)):
-                key = _record_key(record)
-                if self._base_slot(key) < 0:
-                    records[key] = record[_TAIL_AT:]
-            raise
-        chunks = tuple(chunks)
+        count = len(self)
+        chunks = tuple(pack(self.records()))
         self._lay_base(chunks, count)
         return chunks
 
@@ -662,14 +640,10 @@ class UtxoSet:
         """Every record, sorted by (txid, vout): the canonical order,
         which is the keys' byte order and the base's slot order. They
         are read lazily, so use them before changing the set."""
-        return self._walk(sorted(self._records))
-
-    def _walk(self, keys: list) -> Iterable[bytes]:
-        """`records`, given the dict's keys sorted."""
         records, base = self._records, self._base.records(self._gone)
         if not records:
             return base
-        added = (_whole_record(key, records[key]) for key in keys)
+        added = (_whole_record(key, records[key]) for key in sorted(records))
         if not self._live:
             return added
         return heapq.merge(base, added, key=_record_key)

@@ -138,7 +138,7 @@ def _ticks(lo: float, hi: float) -> list[float]:
     """Five evenly spaced ticks from lo to hi."""
     if hi <= lo:
         hi = lo + 1.0
-    return [lo + i * (hi - lo) / 4 for i in range(5)]
+    return [lo + (hi - lo) / 4 * i for i in range(5)]
 
 
 def _xml_text(text: str) -> str:

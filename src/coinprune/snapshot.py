@@ -103,7 +103,7 @@ def build_snapshot(utxo: UtxoSet, height: int, block_id: bytes,
     """The snapshot of the set's records in canonical order, each
     obfuscated if asked. The records are always packed afresh, so the
     layout of a base the set was applied from never changes the id. A
-    plain build folds the set into its chunks as it packs them: they
+    plain build folds the set into the chunks it packs: once packed they
     become the set's base, and the set drops its dict (see `UtxoSet`)."""
     if obfuscate:
         chunks = chunk_records(map(obfuscate_record, utxo.records()))

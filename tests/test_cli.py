@@ -8,6 +8,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import tracemalloc
 from xml.etree import ElementTree
@@ -559,6 +560,24 @@ def test_report_rejects_non_finite_numbers(tmp_path, capsys, kind, text):
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: cannot read {kind} csv")
     assert not (tmp_path / "charts").exists()
+
+
+def test_a_storage_chart_of_huge_byte_counts_has_finite_numbers(tmp_path,
+                                                                capsys):
+    # the ticks are spaced as (hi - lo) / 4 * i: i * (hi - lo) came to
+    # inf here, and the chart drew its grid at y="-inf" with "inf" labels
+    source = tmp_path / "storage.csv"
+    source.write_text("node,bytes_stored\nm0,1e308\nm1,1e308\n")
+    assert main(["report", "--storage", str(source), "--prefix", "rep",
+                 "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    numbers = []
+    for element in ElementTree.parse(tmp_path / "rep_storage.svg").iter():
+        for text in [element.text or "", *element.attrib.values()]:
+            for word in text.replace(",", " ").split():
+                with contextlib.suppress(ValueError):
+                    numbers.append(float(word))
+    assert len(numbers) > 50 and all(map(math.isfinite, numbers))
 
 
 def test_report_rejects_negative_delta_r(tmp_path, capsys):

@@ -781,14 +781,13 @@ def test_the_first_lookup_adds_under_100_traced_bytes_per_coin():
     assert held / FOLDED < 100
 
 
-@pytest.mark.parametrize("chunk_size,bound", [(CHUNK_SIZE, 1.5),
-                                              (1 << 16, 0.5)])
+@pytest.mark.parametrize("chunk_size", [CHUNK_SIZE, 1 << 16])
 def test_a_plain_build_peaks_near_its_chunks_above_the_set(
-        monkeypatch, chunk_size, bound):
-    # each chunk is packed in place, and its coins leave the dict once
-    # the next is packed: above the set, the peak read 1.20 times the
-    # chunks' bytes in two 1 MiB chunks and 0.21 times in 22 of 64 KiB,
-    # where a build that kept every coin until the end read 1.13
+        monkeypatch, chunk_size):
+    # the set stays whole while its chunks are packed, each in place, and
+    # its dict is dropped only after: above the set, the peak read 1.12
+    # to 1.13 times the chunks' bytes in two 1 MiB chunks and in 22 of
+    # 64 KiB
     monkeypatch.setattr(snapshot_mod, "CHUNK_SIZE", chunk_size)
     coins = _p2pkh_coins(23)
     tracemalloc.start()
@@ -802,15 +801,15 @@ def test_a_plain_build_peaks_near_its_chunks_above_the_set(
         tracemalloc.stop()
     assert len(snap.chunks) >= 2 and utxo._base.chunks is snap.chunks
     assert bytes(utxo) == _oracle_bytes(coins)
-    assert (peak - before) / sum(map(len, snap.chunks)) < bound
+    assert (peak - before) / sum(map(len, snap.chunks)) < 1.25
 
 
 @pytest.mark.parametrize("after", [1, 2, 4])
 @pytest.mark.parametrize("applied", [False, True], ids=["dict", "layered"])
 def test_a_build_that_raises_part_way_leaves_the_set_as_it_was(
         monkeypatch, applied, after):
-    # packing raises once it has yielded `after` chunks; from the second
-    # on, the coins of the chunks before have left the dict and go back
+    # packing raises once it has yielded `after` chunks; the set lays
+    # its new base only after packing ends, so no coin has left it
     monkeypatch.setattr(snapshot_mod, "CHUNK_SIZE", 2000)  # 28 p2pkh coins
     every = [_entry(i) for i in range(300)]
     if applied:  # coins in both layers, as in the multi-chunk test above
@@ -837,8 +836,10 @@ def test_a_build_that_raises_part_way_leaves_the_set_as_it_was(
                 raise OSError("disk full")
 
     monkeypatch.setattr(snapshot_mod, "chunk_records", raising)
+    records, base = utxo._records, utxo._base
     with pytest.raises(OSError, match="disk full"):
         build_snapshot(utxo, 9, b"\x07" * 32)
+    assert utxo._records is records and utxo._base is base
     assert len(utxo) == len(before)
     assert bytes(utxo) == b"".join(expected.chunks)
     for entry in every:
